@@ -15,6 +15,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .certify import certificate_render, certify_abs, certify_sq
 from .core import (
@@ -25,7 +27,7 @@ from .core import (
     SizeError,
     ValidationError,
     WeightKind,
-    within_distance,
+    within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
 from .heuristics import (
     hierarchical_triple_match,
@@ -58,6 +60,9 @@ EXIT_BAD_CSV = 2
 EXIT_BAD_SIZE = 3
 EXIT_BAD_RANGE = 4
 EXIT_BUDGET = 5
+
+_id_of = attrgetter("id")
+_score_of = attrgetter("score")
 
 
 @dataclass
@@ -99,9 +104,9 @@ class CsvError(Exception):
 
 def read_cohort_csv(path: str) -> list[ScoredItem]:
     """Parse an `id,score` CSV into ScoredItems, naming the offending line
-    on any malformation."""
+    on any malformation.  A leading UTF-8 byte-order mark is skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CsvError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -166,50 +171,85 @@ def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_RANGE
 
-    balanced = balance_columns(partition) if cfg.balance else None
-
-    groups = []
-    for idx, group in enumerate(partition.tuples):
-        members = []
-        slots = balanced.column_assignment[idx] if balanced else None
-        for pos, member in enumerate(group.members):
-            entry = {"id": member.id, "score": member.score}
-            if slots is not None:
-                entry["slot"] = slots.index(pos)
-            members.append(entry)
-        groups.append(
-            {
-                "index": idx,
-                "members": members,
-                "within": _within_of(partition, idx),
-            }
-        )
-
+    members = partition.items()
+    slots = column_means = None
+    if cfg.balance:
+        balanced = balance_columns(partition)
+        slots = _member_slots(balanced.column_assignment, cfg.k)
+        column_means = balanced.column_means
     if cfg.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.as_dict(),
-            "groups": groups,
-            "total_within": partition.total_within,
-        }
-        if balanced:
-            doc["column_means"] = list(balanced.column_means)
-        _emit(json.dumps(doc, indent=2), out)
+        out.write(_match_json(cfg, partition, members, slots, column_means))
     else:
+        within = partition.group_within
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["group", "id", "score", "slot", "within"])
-        for g in groups:
-            for m in g["members"]:
-                writer.writerow(
-                    [g["index"], m["id"], m["score"], m.get("slot", ""), g["within"]]
-                )
+        writer.writerows(
+            (i // cfg.k, m.id, m.score, "" if slots is None else slots[i],
+             within[i // cfg.k])
+            for i, m in enumerate(members)
+        )
         out.write(buf.getvalue())
     return EXIT_OK
 
 
-def _within_of(partition, idx: int) -> float:
-    return within_distance(partition.tuples[idx], partition.weight)
+def _member_slots(assignment, k: int) -> list[int]:
+    """Each member's slot, members in group order: the inverse of its
+    group's slot-to-member permutation."""
+    inverse = {perm: [perm.index(pos) for pos in range(k)] for perm in set(assignment)}
+    return [slot for perm in assignment for slot in inverse[perm]]
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values) -> list[str]:
+    """Ints and floats as json.dumps renders them."""
+    return [_JSON_NONFINITE.get(r, r) for r in map(repr, values)]
+
+
+def _json_array(body: str, indent: str) -> str:
+    """An indent=2 JSON array around its rendered, indented and comma-joined
+    elements, closing at `indent`."""
+    return f"[\n{body}\n{indent}]" if body else "[]"
+
+
+def _match_json(cfg: RunConfig, partition, members, slots, column_means) -> str:
+    """The match document, byte-for-byte what `json.dumps(doc, indent=2)`
+    plus a newline prints for {schema_version, config, groups, total_within,
+    column_means (with --balance)}.  Only the small head goes through
+    json.dumps; each group fills a fixed template, ids are escaped by the C
+    string encoder."""
+    k = partition.k
+    columns = [list(map(encode_basestring_ascii, map(_id_of, members))),
+               _json_numbers(map(_score_of, members))]
+    member = '        {\n          "id": %s,\n          "score": %s'
+    if slots is not None:
+        columns.append(slots)
+        member += ',\n          "slot": %s'
+    member += "\n        }"
+    template = ('    {\n      "index": %s,\n      "members": [\n'
+                + ",\n".join([member] * k)
+                + '\n      ],\n      "within": %s\n    }')
+    # one run of fields per group: index, each member's columns, within
+    n, run = partition.n, 2 + k * len(columns)
+    fields = [None] * (n * run)
+    fields[0::run] = range(n)
+    for pos in range(k):
+        for c, column in enumerate(columns):
+            fields[1 + pos * len(columns) + c :: run] = column[pos::k]
+    fields[run - 1 :: run] = _json_numbers(partition.group_within)
+    groups = ",\n".join([template] * n) % tuple(fields)
+    head = json.dumps(
+        {"schema_version": SCHEMA_VERSION, "config": cfg.as_dict()}, indent=2
+    )
+    parts = [head[: -len("\n}")], ',\n  "groups": ', _json_array(groups, "  "),
+             ',\n  "total_within": ', *_json_numbers([partition.total_within])]
+    if column_means is not None:
+        means = ",\n".join("    " + x for x in _json_numbers(column_means))
+        parts += [',\n  "column_means": ', _json_array(means, "  ")]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:

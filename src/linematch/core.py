@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Iterable, Sequence
 
 
@@ -169,10 +169,11 @@ class KPartition:
 
     `tuples` may be materialized lazily from the flat sorted item list when
     the partition was produced by sort-and-chunk; the observable value is
-    identical either way.
+    identical either way.  `group_within` holds each group's cost, computed
+    once on first use.
     """
 
-    __slots__ = ("k", "weight", "total_within", "_tuples", "_flat")
+    __slots__ = ("k", "weight", "total_within", "_tuples", "_flat", "_within")
 
     def __init__(
         self,
@@ -186,6 +187,7 @@ class KPartition:
         self.total_within = total_within
         self._tuples = list(tuples)
         self._flat = None
+        self._within = None
 
     @classmethod
     def from_sorted_items(
@@ -203,6 +205,7 @@ class KPartition:
         part.total_within = total_within
         part._tuples = None
         part._flat = flat_sorted
+        part._within = None
         return part
 
     @property
@@ -221,9 +224,27 @@ class KPartition:
         return len(self._tuples)
 
     def items(self) -> list[ScoredItem]:
+        """All members, group after group, each group in sorted order."""
         if self._tuples is None:
             return list(self._flat)
         return [m for t in self._tuples for m in t.members]
+
+    @property
+    def group_within(self) -> tuple[float, ...]:
+        """Within-distance of each group, in group order; equal to
+        `within_distance(self.tuples[i], self.weight)`, computed once."""
+        if self._within is None:
+            k, weight = self.k, self.weight
+            scores = list(map(attrgetter("score"), self.items()))
+            if weight is WeightKind.ABS and k == 2:
+                # bit-equal to within_scores([x0, x1]), whose sum starts at
+                # int 0 and so never yields -0.0; `+ 0` maps -0.0 to 0.0 too
+                within = (d + 0 for d in map(sub, scores[1::2], scores[0::2]))
+            else:
+                within = (within_scores(scores[i : i + k], weight)
+                          for i in range(0, len(scores), k))
+            self._within = tuple(within)
+        return self._within
 
     def check(self, items: Sequence[ScoredItem] | None = None) -> None:
         """Validate structure: sorted groups, exact cover, consistent total."""

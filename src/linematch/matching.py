@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter
 from typing import Sequence
 
 from .core import (
@@ -25,7 +25,7 @@ from .core import (
     check_certified_k,
     sort_items,
     sq_within_scores,
-    within_distance,
+    within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
 
 
@@ -106,39 +106,30 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
     group, so intended for the small k used in practice.
     """
     k = partition.k
-    tuples = partition.tuples
-    n = len(tuples)
+    within = partition.group_within
+    n = len(within)
     identity = tuple(range(k))
     if n == 0:
         return BalancedPartition(partition, (), ())
 
-    order = sorted(
-        range(n),
-        key=lambda i: (
-            -within_distance(tuples[i], partition.weight),
-            tuples[i].members[0].input_rank,
-        ),
-    )
+    members = partition.items()
+    scores = list(map(_score_of, members))
+    order = sorted(range(n), key=lambda i: (-within[i], members[i * k].input_rank))
+    # permutations() yields in lexicographic order, identity first, so a
+    # strict < keeps the smallest permutation among equal spreads
+    candidates = [(perm, itemgetter(*perm)) for perm in permutations(identity)]
     sums = [0] * k
     assignment: list[tuple[int, ...]] = [identity] * n
-    first = True
-    for idx in order:
-        scores = tuples[idx].scores()
-        if first:
-            best_perm = identity
-            first = False
-        else:
-            best_perm = None
-            best_spread = None
-            for perm in permutations(range(k)):
-                trial = [sums[j] + scores[perm[j]] for j in range(k)]
-                spread = max(trial) - min(trial)
-                if best_spread is None or spread < best_spread:
-                    best_spread = spread
-                    best_perm = perm
-        for j in range(k):
-            sums[j] += scores[best_perm[j]]
-        assignment[idx] = tuple(best_perm)
+    for step, idx in enumerate(order):
+        group = scores[idx * k : idx * k + k]
+        best_perm = best_spread = best_sums = None
+        for perm, pick in candidates if step else candidates[:1]:
+            trial = list(map(add, sums, pick(group)))
+            spread = max(trial) - min(trial)
+            if best_spread is None or spread < best_spread:
+                best_perm, best_spread, best_sums = perm, spread, trial
+        sums = best_sums
+        assignment[idx] = best_perm
     means = tuple(s / n for s in sums)
     return BalancedPartition(partition, tuple(assignment), means)
 

@@ -1,4 +1,5 @@
-"""Hand-checked reference data for the k=3 exchange inequalities.
+"""Hand-checked reference data for the k=3 exchange inequalities, and
+reference transcriptions of library loops that were later rewritten.
 
 Each entry maps the split (positions of the group keeping x1, out of the six
 sorted values) to the expected cost-difference data.  All values were derived
@@ -38,3 +39,50 @@ K3_SQ_FACTORS = {
 
 # C(2k-1, k-1) for k = 2..8
 ENTRY_COUNTS = {2: 3, 3: 10, 4: 35, 5: 126, 6: 462, 7: 1716, 8: 6435}
+
+
+def balance_columns_reference(partition):
+    """The column-balancing loop as first written: per-group costs recomputed
+    with within_distance, each permutation scored by a Python-level loop.
+    Returns (column_assignment, column_means) for comparison with
+    linematch.matching.balance_columns."""
+    from itertools import permutations
+
+    from linematch.core import within_distance
+
+    k = partition.k
+    tuples = partition.tuples
+    n = len(tuples)
+    identity = tuple(range(k))
+    if n == 0:
+        return (), ()
+
+    order = sorted(
+        range(n),
+        key=lambda i: (
+            -within_distance(tuples[i], partition.weight),
+            tuples[i].members[0].input_rank,
+        ),
+    )
+    sums = [0] * k
+    assignment = [identity] * n
+    first = True
+    for idx in order:
+        scores = tuples[idx].scores()
+        if first:
+            best_perm = identity
+            first = False
+        else:
+            best_perm = None
+            best_spread = None
+            for perm in permutations(range(k)):
+                trial = [sums[j] + scores[perm[j]] for j in range(k)]
+                spread = max(trial) - min(trial)
+                if best_spread is None or spread < best_spread:
+                    best_spread = spread
+                    best_perm = perm
+        for j in range(k):
+            sums[j] += scores[best_perm[j]]
+        assignment[idx] = tuple(best_perm)
+    means = tuple(s / n for s in sums)
+    return tuple(assignment), means

@@ -5,10 +5,10 @@ import pytest
 from linematch.cli import main
 
 
-def write_csv(tmp_path, rows, name="cohort.csv", header="id,score"):
+def write_csv(tmp_path, rows, name="cohort.csv", header="id,score", bom=False):
     path = tmp_path / name
     lines = [header] + rows
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig" if bom else "utf-8")
     return str(path)
 
 
@@ -103,6 +103,26 @@ class TestMatchCommand:
         code, _, err = run_cli(capsys, ["match", "--input", path, "--k", "2"])
         assert code == 2
         assert fragment in err
+
+    def test_utf8_bom_gives_the_same_output(self, tmp_path, capsys):
+        argv = ["match", "--input", write_csv(tmp_path, CANONICAL), "--k", "3"]
+        plain = run_cli(capsys, argv)
+        write_csv(tmp_path, CANONICAL, bom=True)
+        assert run_cli(capsys, argv) == plain
+        assert plain[0] == 0
+
+    @pytest.mark.parametrize(
+        "rows,header",
+        [(["a,1"], "name,score"), (["a,1", "b,x"], "id,score"),
+         (["a,1", "", "a,2"], "id,score")],
+    )
+    def test_utf8_bom_errors_name_the_same_line(self, tmp_path, capsys, rows, header):
+        path = write_csv(tmp_path, rows, header=header)
+        argv = ["match", "--input", path, "--k", "2"]
+        plain = run_cli(capsys, argv)
+        write_csv(tmp_path, rows, header=header, bom=True)
+        assert run_cli(capsys, argv) == plain
+        assert plain[0] == 2 and "line" in plain[2]
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(

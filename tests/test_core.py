@@ -18,6 +18,7 @@ from linematch.core import (
     items_from_pairs,
     sort_items,
     variance_identity_check,
+    within_distance,
     within_distance_abs,
     within_distance_sq,
 )
@@ -200,6 +201,31 @@ class TestTypes:
         bad = KPartition(2, [t1, t2], 99, WeightKind.ABS)
         with pytest.raises(ValidationError):
             bad.check()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_group_within_equals_within_distance_bitwise(self, k, weight):
+        rng = random.Random(k)
+        specials = [0.0, -0.0, 0, 1e308, -1e308, 1e-300, 2.5]
+        for _ in range(50):
+            scores = [rng.choice([rng.choice(specials), rng.uniform(-9, 9),
+                                  rng.randint(-5, 5)]) for _ in range(3 * k)]
+            flat = sort_items(
+                [ScoredItem(f"i{n}", s, n) for n, s in enumerate(scores)]
+            )
+            lazy = KPartition.from_sorted_items(k, flat, 0, weight)
+            built = KPartition(k, KPartition.from_sorted_items(
+                k, flat, 0, weight).tuples, 0, weight)
+            want = [repr(within_distance(t, weight)) for t in built.tuples]
+            for part in (lazy, built):
+                assert list(map(repr, part.group_within)) == want
+                assert part.group_within is part.group_within
+
+    def test_group_within_k2_abs_never_negative_zero(self):
+        # +0.0 sorts before -0.0 by input rank; x1 - x0 alone would be -0.0
+        flat = sort_items([ScoredItem("a", 0.0, 0), ScoredItem("b", -0.0, 1)])
+        part = KPartition.from_sorted_items(2, flat, 0, WeightKind.ABS)
+        assert repr(part.group_within[0]) == "0.0"
 
     def test_certified_gate(self):
         check_certified_k(16, WeightKind.ABS)

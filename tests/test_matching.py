@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from reference_forms import balance_columns_reference
 
 from linematch.core import (
     CertifiedRangeError,
@@ -181,3 +184,31 @@ class TestBalanceColumns:
         balanced = balance_columns(KPartition(2, [], 0, WeightKind.ABS))
         assert balanced.column_assignment == ()
         assert balanced.column_means == ()
+
+    @given(
+        st.integers(2, 4),
+        st.sampled_from(list(WeightKind)),
+        st.data(),
+    )
+    def test_equals_reference_loop_on_tied_scores(self, k, weight, data):
+        # one-decimal scores from a narrow range: many tied groups and spreads
+        n = data.draw(st.integers(0, 12))
+        tenths = data.draw(st.lists(st.integers(0, 30), min_size=k * n,
+                                    max_size=k * n))
+        part = match_line(make_items([t / 10 for t in tenths]), k, weight)
+        balanced = balance_columns(part)
+        assert (balanced.column_assignment, balanced.column_means) == (
+            balance_columns_reference(part)
+        )
+
+    def test_tuple_built_partition_equals_reference_loop(self):
+        rng = random.Random(31)
+        for k in (2, 3, 4):
+            scores = [rng.randint(0, 9) for _ in range(4 * k)]
+            for weight in WeightKind:
+                fast = match_line(make_items(scores), k, weight)
+                part = KPartition(k, fast.tuples, fast.total_within, weight)
+                balanced = balance_columns(part)
+                assert (balanced.column_assignment, balanced.column_means) == (
+                    balance_columns_reference(part)
+                )
