@@ -39,9 +39,7 @@ from .core import (
     ValidationError,
     WeightKind,
 )
-
-ABS_CERTIFIED_MAX_K = CERTIFIED_MAX_K[WeightKind.ABS]
-SQ_CERTIFIED_MAX_K = CERTIFIED_MAX_K[WeightKind.SQ]
+from .oracle import iter_tuple_partitions
 
 
 @dataclass(frozen=True)
@@ -307,19 +305,18 @@ def difference_form(
 
 
 def _iter_splits(k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    m = 2 * k
-    for companions in combinations(range(2, m + 1), k - 1):
-        first = (1,) + companions
-        in_first = set(first)
-        second = tuple(p for p in range(2, m + 1) if p not in in_first)
-        yield first, second
+    """Every split of positions 1..2k into two k-groups, the first holding 1."""
+    one_based = (1).__add__
+    for first, second in iter_tuple_partitions(2 * k, k):
+        yield tuple(map(one_based, first)), tuple(map(one_based, second))
 
 
 def _colex_key(entry: CertificateEntry) -> tuple[int, ...]:
     return tuple(reversed(entry.first))
 
 
-def _gate(k: int, cap: int, weight: WeightKind, exploratory: bool) -> None:
+def _gate(k: int, weight: WeightKind, exploratory: bool) -> None:
+    cap = CERTIFIED_MAX_K[weight]
     if k < 2:
         raise ValidationError(f"group size must be at least 2, got {k}")
     if k > cap and not exploratory:
@@ -338,7 +335,7 @@ def certify_abs(
     Entry count is C(2k-1, k-1); per-entry work is O(k), so cost roughly
     quadruples per increment of k.
     """
-    _gate(k, ABS_CERTIFIED_MAX_K, WeightKind.ABS, exploratory)
+    _gate(k, WeightKind.ABS, exploratory)
     m = 2 * k
     base = [0] * m
     _abs_coeffs_into(base, tuple(range(1, k + 1)), +1)
@@ -409,7 +406,7 @@ def certify_sq(
     must pass the suffix-sum criterion.  A failed factorization or a factor
     that is not nonnegative on the sorted cone marks the entry failed.
     """
-    _gate(k, SQ_CERTIFIED_MAX_K, WeightKind.SQ, exploratory)
+    _gate(k, WeightKind.SQ, exploratory)
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
     count = 0
@@ -496,8 +493,6 @@ def certificate_render(cert: ExchangeCertificate) -> str:
 
 
 __all__ = [
-    "ABS_CERTIFIED_MAX_K",
-    "SQ_CERTIFIED_MAX_K",
     "CertificateEntry",
     "ExchangeCertificate",
     "FactorProof",

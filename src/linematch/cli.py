@@ -104,43 +104,51 @@ class CsvError(Exception):
 
 def read_cohort_csv(path: str) -> list[ScoredItem]:
     """Parse an `id,score` CSV into ScoredItems, naming the offending line
-    on any malformation.  A leading UTF-8 byte-order mark is skipped."""
+    on any malformation, bytes that are not UTF-8 included.  A leading UTF-8
+    byte-order mark is skipped."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CsvError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvError(f"{path}: empty file, expected header 'id,score'")
-        if [h.strip() for h in header] != ["id", "score"]:
-            raise CsvError(
-                f"{path}: line 1: expected header 'id,score', got {','.join(header)!r}"
-            )
-        items = []
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-            item_id = row[0].strip()
-            if not item_id:
-                raise CsvError(f"{path}: line {line_no}: empty id")
-            if item_id in seen:
-                raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
+    try:
+        with fh:
+            reader = csv.reader(fh)
             try:
-                score = float(row[1])
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise CsvError(f"{path}: empty file, expected header 'id,score'")
+            if [h.strip() for h in header] != ["id", "score"]:
                 raise CsvError(
-                    f"{path}: line {line_no}: score {row[1]!r} is not a number"
+                    f"{path}: line 1: expected header 'id,score', got {','.join(header)!r}"
                 )
-            if not math.isfinite(score):
-                raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
-            seen.add(item_id)
-            items.append(ScoredItem(item_id, score, len(items)))
+            items = []
+            seen: set[str] = set()
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
+                item_id = row[0].strip()
+                if not item_id:
+                    raise CsvError(f"{path}: line {line_no}: empty id")
+                if item_id in seen:
+                    raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
+                try:
+                    score = float(row[1])
+                except ValueError:
+                    raise CsvError(
+                        f"{path}: line {line_no}: score {row[1]!r} is not a number"
+                    )
+                if not math.isfinite(score):
+                    raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
+                seen.add(item_id)
+                items.append(ScoredItem(item_id, score, len(items)))
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            # the first line whose bytes do not survive a UTF-8 round trip
+            line_no = next(n for n, line in enumerate(raw, start=1)
+                           if line.decode("utf-8", "replace").encode() != line)
+        raise CsvError(f"{path}: line {line_no}: not valid UTF-8") from None
     return items
 
 
@@ -428,28 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--weight", choices=["abs", "sq"], default="abs",
-                       help="pairwise distance inside a group")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="max enumerations for oracle/greedy searches")
-        p.add_argument("--uncertified", action="store_true",
-                       help="allow k beyond the certified range")
-        p.add_argument("--full-range", action="store_true",
-                       help="certify: sweep the whole verified k range")
-
     p_match = sub.add_parser("match", help="group a cohort CSV into k-tuples")
     p_match.add_argument("--input", required=True, help="CSV with header id,score")
     p_match.add_argument("--k", type=int, required=True, help="group size (>= 2)")
     p_match.add_argument("--balance", action="store_true",
                          help="assign members to slots with near-equal means")
-    common(p_match)
 
     p_cert = sub.add_parser("certify", help="print exchange-inequality certificates")
-    p_cert.add_argument("--k", type=int, default=None)
-    common(p_cert)
+    p_cert.add_argument("--k", type=int, default=0)
+    p_cert.add_argument("--full-range", action="store_true",
+                        help="sweep the whole verified k range")
 
     p_bench = sub.add_parser("bench", help="benchmark heuristics against bounds")
     p_bench.add_argument("--k", type=int, default=3, help="group size for line instances")
@@ -463,34 +459,25 @@ def build_parser() -> argparse.ArgumentParser:
                          default="uniform-int")
     p_bench.add_argument("--oracle", action="store_true",
                          help="require exact oracle columns (exit 5 if over budget)")
-    common(p_bench)
+    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                         help="max enumerations for oracle/greedy searches")
+
+    for p in (p_match, p_cert, p_bench):
+        p.add_argument("--weight", choices=["abs", "sq"], default="abs",
+                       help="pairwise distance inside a group")
+        p.add_argument("--uncertified", action="store_true",
+                       help="allow k beyond the certified range")
+    for p in (p_match, p_bench):
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        weight=WeightKind(args.weight),
-        format=args.format,
-        seed=args.seed,
-        budget=args.budget,
-        uncertified=args.uncertified,
-        full_range=args.full_range,
-    )
-    if args.subcommand == "match":
-        cfg.input = args.input
-        cfg.k = args.k
-        cfg.balance = args.balance
-    elif args.subcommand == "certify":
-        cfg.k = args.k if args.k is not None else 0
-    else:
-        cfg.k = args.k
-        cfg.line_sizes = tuple(args.line_sizes)
-        cfg.tri_sizes = tuple(args.tri_sizes)
-        cfg.instances = args.instances
-        cfg.dist = args.dist
-        cfg.oracle = args.oracle
-    return cfg
+    """The run's config; options a subcommand does not take keep their
+    RunConfig defaults, which its config block still echoes."""
+    fields = vars(args)
+    return RunConfig(**{**fields, "weight": WeightKind(fields["weight"])})
 
 
 def main(argv=None) -> int:

@@ -167,10 +167,9 @@ def within_distance(group: KTuple, weight: WeightKind) -> float:
 class KPartition:
     """A cover of k*n items by n disjoint k-groups plus the total cost.
 
-    `tuples` may be materialized lazily from the flat sorted item list when
-    the partition was produced by sort-and-chunk; the observable value is
-    identical either way.  `group_within` holds each group's cost, computed
-    once on first use.
+    Stored as one flat list, group after group, each group in sorted order;
+    `tuples` is a view of it built on first use.  `group_within` holds each
+    group's cost, computed once on first use.
     """
 
     __slots__ = ("k", "weight", "total_within", "_tuples", "_flat", "_within")
@@ -182,11 +181,16 @@ class KPartition:
         total_within: float,
         weight: WeightKind,
     ):
+        flat = []
+        for t in tuples:
+            if t.k != k:
+                raise ValidationError(f"group of size {t.k} in a {k}-partition")
+            flat.extend(t.members)
         self.k = k
         self.weight = weight
         self.total_within = total_within
-        self._tuples = list(tuples)
-        self._flat = None
+        self._flat = flat
+        self._tuples = None
         self._within = None
 
     @classmethod
@@ -199,13 +203,8 @@ class KPartition:
     ) -> "KPartition":
         """Chunked view over an already-sorted item list, groups built on
         demand.  Adopts the list; the caller must not mutate it afterwards."""
-        part = cls.__new__(cls)
-        part.k = k
-        part.weight = weight
-        part.total_within = total_within
-        part._tuples = None
+        part = cls(k, (), total_within, weight)
         part._flat = flat_sorted
-        part._within = None
         return part
 
     @property
@@ -219,15 +218,11 @@ class KPartition:
 
     @property
     def n(self) -> int:
-        if self._tuples is None:
-            return len(self._flat) // self.k
-        return len(self._tuples)
+        return len(self._flat) // self.k
 
     def items(self) -> list[ScoredItem]:
         """All members, group after group, each group in sorted order."""
-        if self._tuples is None:
-            return list(self._flat)
-        return [m for t in self._tuples for m in t.members]
+        return list(self._flat)
 
     @property
     def group_within(self) -> tuple[float, ...]:
@@ -249,8 +244,6 @@ class KPartition:
     def check(self, items: Sequence[ScoredItem] | None = None) -> None:
         """Validate structure: sorted groups, exact cover, consistent total."""
         for t in self.tuples:
-            if t.k != self.k:
-                raise ValidationError(f"group of size {t.k} in a {self.k}-partition")
             t.check_sorted()
         members = self.items()
         if items is not None:
@@ -276,7 +269,7 @@ class KPartition:
         return (
             self.k == other.k
             and self.weight == other.weight
-            and self.tuples == other.tuples
+            and self._flat == other._flat
         )
 
     def __repr__(self) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     within_scores,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, tuple_weight
+from .oracle import min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
 
@@ -52,15 +52,6 @@ def points_from_coords(coord_rows: Sequence[Sequence[float]]) -> list[EuclideanP
 
 
 @dataclass(frozen=True)
-class HierarchyLevel:
-    """One contraction level: points, and for each point the indices of the
-    two points it merged in the level below (None at the base level)."""
-
-    points: tuple[EuclideanPoint, ...]
-    merged_from: tuple[tuple[int, int], ...] | None
-
-
-@dataclass(frozen=True)
 class HierarchicalTriples:
     """Result of the hierarchical heuristic, with per-level pairing exactness."""
 
@@ -81,24 +72,8 @@ def _triple_cost(points: Sequence[EuclideanPoint], triple: Sequence[int]) -> flo
 def _exact_pairing(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
     n = len(points)
     d = [[_dist(points[i], points[j]) for j in range(n)] for i in range(n)]
-    best: list = [None, None]
-
-    def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, int], ...]):
-        if not unused:
-            if best[0] is None or partial < best[0]:
-                best[0] = partial
-                best[1] = acc
-            return
-        if best[0] is not None and partial > best[0]:
-            return
-        a = unused[0]
-        rest = unused[1:]
-        for idx, b in enumerate(rest):
-            remaining = rest[:idx] + rest[idx + 1 :]
-            rec(remaining, partial + d[a][b], acc + ((a, b),))
-
-    rec(tuple(range(n)), 0.0, ())
-    return list(best[1])
+    pairs, _ = min_partition(n, 2, lambda pair: d[pair[0]][pair[1]])
+    return list(pairs)
 
 
 def _greedy_pairing(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
@@ -155,18 +130,12 @@ def _best_two_triples(
     """Cheapest split of six point indices into two triples (first member
     anchored; ties go to the first combination in lexicographic order)."""
     members = sorted(members)
-    anchor = members[0]
-    rest = members[1:]
-    best = None
-    best_split = None
-    for companions in combinations(rest, 2):
-        t1 = (anchor,) + companions
-        t2 = tuple(x for x in rest if x not in companions)
-        c = _triple_cost(points, t1) + _triple_cost(points, t2)
-        if best is None or c < best:
-            best = c
-            best_split = (t1, t2)
-    return best_split[0], best_split[1], best
+
+    def pick(positions):
+        return tuple(members[p] for p in positions)
+
+    (t1, t2), cost = min_partition(6, 3, lambda t: _triple_cost(points, pick(t)))
+    return pick(t1), pick(t2), cost
 
 
 def _refine_triples(
@@ -201,10 +170,12 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
     if n % 3 != 0 or n == 0 or (n // 3) & (n // 3 - 1):
         raise SizeError(f"need 3 * 2^m points, got {n}")
 
-    levels = [HierarchyLevel(tuple(points), None)]
+    # one (points, merged_from) per contraction level: for each point the
+    # indices of the two points it merged in the level below (None at base)
+    levels = [(tuple(points), None)]
     exact_flags = []
-    while len(levels[-1].points) > 3:
-        current = levels[-1].points
+    while len(levels[-1][0]) > 3:
+        current = levels[-1][0]
         pairs, exact = _min_cost_pairing(current)
         exact_flags.append(exact)
         mids = []
@@ -216,12 +187,12 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
                 EuclideanPoint(mid, f"mid{len(levels)}.{len(provenance)}")
             )
             provenance.append((a, b))
-        levels.append(HierarchyLevel(tuple(mids), tuple(provenance)))
+        levels.append((tuple(mids), tuple(provenance)))
 
     triples: list[tuple[int, ...]] = [(0, 1, 2)]
     for level_idx in range(len(levels) - 1, 0, -1):
-        merged = levels[level_idx].merged_from
-        below = levels[level_idx - 1].points
+        merged = levels[level_idx][1]
+        below = levels[level_idx - 1][0]
         expanded: list[tuple[int, ...]] = []
         for triple in triples:
             members = []
@@ -232,7 +203,7 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
             expanded.append(t2)
         triples = _refine_triples(below, expanded)
 
-    base = levels[0].points
+    base = levels[0][0]
     out = tuple(tuple(base[i] for i in t) for t in triples)
     cost = sum(_triple_cost(base, t) for t in triples)
     return HierarchicalTriples(out, cost, tuple(exact_flags))
@@ -284,31 +255,23 @@ def local_search_2tuple(
         within_scores([m.score for m in g], weight) for g in groups
     ]
 
-    def split_cost(members):
-        return within_scores([m.score for m in members], weight)
-
     improved = True
     while improved:
         improved = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
-                current = costs[i] + costs[j]
-                best = None
-                best_split = None
-                for companions in combinations(range(1, 2 * k), k - 1):
-                    chosen = (0,) + companions
-                    in_first = set(chosen)
-                    g1 = [merged[p] for p in chosen]
-                    g2 = [merged[p] for p in range(2 * k) if p not in in_first]
-                    c = split_cost(g1) + split_cost(g2)
-                    if best is None or c < best:
-                        best = c
-                        best_split = (g1, g2)
-                if best < current:
-                    groups[i], groups[j] = best_split
-                    costs[i] = split_cost(groups[i])
-                    costs[j] = split_cost(groups[j])
+
+                def split_cost(positions):
+                    return within_scores([merged[p].score for p in positions], weight)
+
+                better = min_partition(2 * k, k, split_cost, bound=costs[i] + costs[j])
+                if better is not None:
+                    (g1, g2), _ = better
+                    groups[i] = [merged[p] for p in g1]
+                    groups[j] = [merged[p] for p in g2]
+                    costs[i] = split_cost(g1)
+                    costs[j] = split_cost(g2)
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, sum(costs), weight)
@@ -318,7 +281,6 @@ __all__ = [
     "EXACT_PAIRING_MAX_POINTS",
     "EuclideanPoint",
     "HierarchicalTriples",
-    "HierarchyLevel",
     "hierarchical_triple_match",
     "local_search_2tuple",
     "points_from_coords",

@@ -145,7 +145,7 @@ def matching_weight(instance: MultipartiteInstance, matching: Matching) -> float
     return total
 
 
-def check_perfect(instance: MultipartiteInstance, matching: Matching) -> None:
+def _check_perfect(instance: MultipartiteInstance, matching: Matching) -> None:
     n = instance.n
     for p in range(len(instance.parts)):
         used = sorted(t[p] for t in matching.tuples)
@@ -163,7 +163,7 @@ def heuristic_ratio_bound(
     """
     if len(instance.parts) != 3:
         raise ArityError("ratio bound is defined for tripartite instances")
-    check_perfect(instance, heuristic_matching)
+    _check_perfect(instance, heuristic_matching)
     heu = matching_weight(instance, heuristic_matching)
     bound = tripartite_lower_bound(instance)
     if bound == 0:
@@ -219,7 +219,6 @@ __all__ = [
     "LmWitness",
     "Matching",
     "MultipartiteInstance",
-    "check_perfect",
     "edge_weight",
     "heuristic_ratio_bound",
     "instance_from_scores",

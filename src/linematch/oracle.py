@@ -5,16 +5,18 @@ enumeration of k-group partitions (lowest unused item anchors each group),
 permutation enumeration for bipartite/tripartite matching, and the greedy
 cheapest-group-first heuristic that exists purely to be beaten.
 
-Enumeration is budgeted; searches use branch-and-bound pruning that only
-discards branches strictly worse than the incumbent, so the returned
-solution is always the lexicographically first minimum.
+The public oracles are budgeted.  Every exact partition search in the
+package goes through `min_partition`, and both assignment oracles through
+one permutation search.  Neither cuts a branch that could still beat the
+incumbent, so (for nonnegative costs) the result is the lexicographically
+first minimum.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     EnumerationBudgetError,
@@ -50,8 +52,9 @@ def iter_tuple_partitions(n_items: int, k: int) -> Iterator[tuple[tuple[int, ...
         raise SizeError(f"{n_items} items cannot be split into groups of {k}")
 
     def rec(unused: tuple[int, ...]):
-        if not unused:
-            yield ()
+        if len(unused) == k:
+            # the last group is forced: a leaf, not a branch
+            yield (unused,)
             return
         anchor = unused[0]
         rest = unused[1:]
@@ -62,7 +65,50 @@ def iter_tuple_partitions(n_items: int, k: int) -> Iterator[tuple[tuple[int, ...
             for tail in rec(remaining):
                 yield (group,) + tail
 
-    return rec(tuple(range(n_items)))
+    return rec(tuple(range(n_items))) if n_items else iter([()])
+
+
+def min_partition(
+    n_items: int,
+    k: int,
+    group_cost: Callable[[tuple[int, ...]], float],
+    bound: float | None = None,
+) -> tuple[tuple[tuple[int, ...], ...], float] | None:
+    """Lexicographically first cheapest partition of range(n_items) into
+    k-sized index groups, as (groups, cost); None if none is below `bound`.
+
+    Branch-and-bound in the order of `iter_tuple_partitions`; a partition
+    costs the running sum of `group_cost` over its groups, first to last.
+    Group costs must be nonnegative: a branch whose partial cost reaches the
+    incumbent can then at best tie, so it is cut.  No budget: callers size
+    their instances.
+    """
+    if n_items % k != 0:
+        raise SizeError(f"{n_items} items cannot be split into groups of {k}")
+    if n_items == 0:
+        return ((), 0) if bound is None or 0 < bound else None
+    best_cost, best_groups = bound, None
+
+    def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, ...], ...]):
+        nonlocal best_cost, best_groups
+        if len(unused) == k:
+            # the last group is forced: a leaf, not a branch
+            cost = partial + group_cost(unused)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_groups = cost, acc + (unused,)
+            return
+        anchor = unused[0]
+        rest = unused[1:]
+        for companions in combinations(rest, k - 1):
+            group = (anchor,) + companions
+            cost = partial + group_cost(group)
+            if best_cost is not None and cost >= best_cost:
+                continue
+            chosen = set(companions)
+            rec(tuple(i for i in rest if i not in chosen), cost, acc + (group,))
+
+    rec(tuple(range(n_items)), 0, ())
+    return None if best_groups is None else (best_groups, best_cost)
 
 
 def brute_force_partition(
@@ -87,33 +133,12 @@ def brute_force_partition(
         )
     ordered = sort_items(items)
     scores = [it.score for it in ordered]
-
-    best_cost = None
-    best_groups: tuple[tuple[int, ...], ...] | None = None
-
-    def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, ...], ...]):
-        nonlocal best_cost, best_groups
-        if not unused:
-            if best_cost is None or partial < best_cost:
-                best_cost = partial
-                best_groups = acc
-            return
-        anchor = unused[0]
-        rest = unused[1:]
-        for companions in combinations(rest, k - 1):
-            group = (anchor,) + companions
-            cost = partial + within_scores([scores[i] for i in group], weight)
-            # group costs are nonnegative, so an incumbent-matching partial
-            # can at best tie, and ties never replace the first minimum
-            if best_cost is not None and cost >= best_cost:
-                continue
-            chosen = set(companions)
-            remaining = tuple(i for i in rest if i not in chosen)
-            rec(remaining, cost, acc + (group,))
-
-    rec(tuple(range(len(ordered))), 0, ())
-    tuples = [KTuple(tuple(ordered[i] for i in group)) for group in best_groups]
-    return KPartition(k, tuples, best_cost, weight)
+    groups, cost = min_partition(
+        len(ordered), k,
+        lambda group: within_scores([scores[i] for i in group], weight),
+    )
+    tuples = [KTuple(tuple(ordered[i] for i in group)) for group in groups]
+    return KPartition(k, tuples, cost, weight)
 
 
 def greedy_match(
@@ -155,29 +180,46 @@ def greedy_match(
     return KPartition(k, tuples, total, weight)
 
 
-def _bipartite_min_assignment(cost: list[list[float]]) -> tuple[tuple[int, ...], float]:
-    n = len(cost)
-    best: list = [None, None]
+def _min_permutation(
+    n: int,
+    step: Callable[[float, int, int], float],
+    partial: float = 0,
+    bound: float | None = None,
+    finish: Callable | None = None,
+) -> tuple[float | None, object]:
+    """Lexicographically first cheapest permutation of range(n), as
+    (cost, perm); (bound, None) if none is below `bound`.
 
-    def rec(i: int, used: list[bool], partial: float, perm: list[int]):
-        if best[0] is not None and partial > best[0]:
-            return
-        if i == n:
-            if best[0] is None or partial < best[0]:
-                best[0] = partial
-                best[1] = tuple(perm)
-            return
-        row = cost[i]
-        for j in range(n):
-            if not used[j]:
-                used[j] = True
-                perm.append(j)
-                rec(i + 1, used, partial + row[j], perm)
-                perm.pop()
-                used[j] = False
+    `step(partial, i, j)` is the cost once row i takes column j; branches
+    whose partial cost exceeds the incumbent are cut.  With `finish`, a full
+    permutation is passed on as finish(partial, perm, incumbent), which
+    returns (cost, result) for a cheaper completion or (incumbent, None).
+    """
+    best_cost, best = bound, None
+    used = [False] * n
+    perm: list[int] = []
 
-    rec(0, [False] * n, 0, [])
-    return best[1], best[0]
+    def rec(i: int, partial: float):
+        nonlocal best_cost, best
+        if best_cost is not None and partial > best_cost:
+            return
+        if i < n:
+            for j in range(n):
+                if not used[j]:
+                    used[j] = True
+                    perm.append(j)
+                    rec(i + 1, step(partial, i, j))
+                    perm.pop()
+                    used[j] = False
+        elif finish is not None:
+            cost, result = finish(partial, tuple(perm), best_cost)
+            if result is not None:
+                best_cost, best = cost, result
+        elif best_cost is None or partial < best_cost:
+            best_cost, best = partial, tuple(perm)
+
+    rec(0, partial)
+    return best_cost, best
 
 
 def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
@@ -198,7 +240,7 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
         xs = instance.scores(0)
         ys = instance.scores(1)
         cost = [[edge_weight(w, x, y) for y in ys] for x in xs]
-        perm, total = _bipartite_min_assignment(cost)
+        total, perm = _min_permutation(n, lambda p, i, j: p + cost[i][j])
         return Matching(tuple((i, perm[i]) for i in range(n)), total)
 
     if n > TRIPARTITE_ORACLE_MAX_N:
@@ -212,44 +254,16 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
     bc = [[edge_weight(w, y, z) for z in zs] for y in ys]
     ca = [[edge_weight(w, z, x) for x in xs] for z in zs]
 
-    best: list = [None, None, None]
+    def best_tau(partial, sigma, incumbent):
+        cost, tau = _min_permutation(
+            n, lambda p, i, j: p + bc[sigma[i]][j] + ca[j][i], partial, incumbent
+        )
+        return cost, None if tau is None else (sigma, tau)
 
-    def rec_tau(i: int, sigma: tuple[int, ...], used: list[bool],
-                partial: float, tau: list[int]):
-        if best[0] is not None and partial > best[0]:
-            return
-        if i == len(sigma):
-            if best[0] is None or partial < best[0]:
-                best[0] = partial
-                best[1] = sigma
-                best[2] = tuple(tau)
-            return
-        b = sigma[i]
-        for j in range(len(sigma)):
-            if not used[j]:
-                used[j] = True
-                tau.append(j)
-                rec_tau(i + 1, sigma, used, partial + bc[b][j] + ca[j][i], tau)
-                tau.pop()
-                used[j] = False
-
-    def rec_sigma(i: int, used: list[bool], partial: float, sigma: list[int]):
-        if best[0] is not None and partial > best[0]:
-            return
-        if i == n:
-            rec_tau(0, tuple(sigma), [False] * n, partial, [])
-            return
-        for j in range(n):
-            if not used[j]:
-                used[j] = True
-                sigma.append(j)
-                rec_sigma(i + 1, used, partial + ab[i][j], sigma)
-                sigma.pop()
-                used[j] = False
-
-    rec_sigma(0, [False] * n, 0, [])
-    sigma, tau = best[1], best[2]
-    return Matching(tuple((i, sigma[i], tau[i]) for i in range(n)), best[0])
+    total, (sigma, tau) = _min_permutation(
+        n, lambda p, i, j: p + ab[i][j], finish=best_tau
+    )
+    return Matching(tuple((i, sigma[i], tau[i]) for i in range(n)), total)
 
 
 __all__ = [
@@ -260,5 +274,6 @@ __all__ = [
     "brute_force_partition",
     "greedy_match",
     "iter_tuple_partitions",
+    "min_partition",
     "partition_count",
 ]

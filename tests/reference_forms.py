@@ -7,6 +7,33 @@ by expanding cost(split) - cost(sorted split) by hand; see the test modules
 for the independent expansion oracles that re-derive them.
 """
 
+import math
+from itertools import combinations
+from typing import Sequence
+
+from linematch.core import (
+    EnumerationBudgetError,
+    KPartition,
+    KTuple,
+    ScoredItem,
+    SizeError,
+    WeightKind,
+    sort_items,
+    within_scores,
+)
+from linematch.heuristics import EuclideanPoint, _dist, _triple_cost
+from linematch.multipartite import (
+    Matching,
+    MultipartiteInstance,
+    edge_weight,
+)
+from linematch.oracle import (
+    BIPARTITE_ORACLE_MAX_N,
+    DEFAULT_BUDGET,
+    TRIPARTITE_ORACLE_MAX_N,
+    partition_count,
+)
+
 # difference forms under absolute differences, as coefficient vectors over
 # (x1..x6); e.g. {1,2,4} gives 4*x4 - 4*x3
 K3_ABS_FORMS = {
@@ -86,3 +113,248 @@ def balance_columns_reference(partition):
         assignment[idx] = tuple(best_perm)
     means = tuple(s / n for s in sums)
     return tuple(assignment), means
+
+
+# The exact searches as each caller first wrote them out, one hand-written
+# enumeration per caller, kept verbatim as references: the shared
+# branch-and-bound enumerator (linematch.oracle.min_partition) and permutation
+# search must return the same groups with bit-equal costs.
+
+
+def brute_force_partition_reference(
+    items: Sequence[ScoredItem],
+    k: int,
+    weight: WeightKind,
+    budget: int = DEFAULT_BUDGET,
+) -> KPartition:
+    """Exact minimal k-group partition by exhaustive search.
+
+    Among equal-cost minima returns the lexicographically smallest by sorted
+    group contents.  Refuses instances whose partition count exceeds the
+    budget.
+    """
+    if len(items) % k != 0:
+        raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
+    n = len(items) // k
+    count = partition_count(k, n)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"instance too large for oracle: {count} partitions exceeds budget {budget}"
+        )
+    ordered = sort_items(items)
+    scores = [it.score for it in ordered]
+
+    best_cost = None
+    best_groups: tuple[tuple[int, ...], ...] | None = None
+
+    def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, ...], ...]):
+        nonlocal best_cost, best_groups
+        if not unused:
+            if best_cost is None or partial < best_cost:
+                best_cost = partial
+                best_groups = acc
+            return
+        anchor = unused[0]
+        rest = unused[1:]
+        for companions in combinations(rest, k - 1):
+            group = (anchor,) + companions
+            cost = partial + within_scores([scores[i] for i in group], weight)
+            # group costs are nonnegative, so an incumbent-matching partial
+            # can at best tie, and ties never replace the first minimum
+            if best_cost is not None and cost >= best_cost:
+                continue
+            chosen = set(companions)
+            remaining = tuple(i for i in rest if i not in chosen)
+            rec(remaining, cost, acc + (group,))
+
+    rec(tuple(range(len(ordered))), 0, ())
+    tuples = [KTuple(tuple(ordered[i] for i in group)) for group in best_groups]
+    return KPartition(k, tuples, best_cost, weight)
+
+def _bipartite_min_assignment_reference(cost: list[list[float]]) -> tuple[tuple[int, ...], float]:
+    n = len(cost)
+    best: list = [None, None]
+
+    def rec(i: int, used: list[bool], partial: float, perm: list[int]):
+        if best[0] is not None and partial > best[0]:
+            return
+        if i == n:
+            if best[0] is None or partial < best[0]:
+                best[0] = partial
+                best[1] = tuple(perm)
+            return
+        row = cost[i]
+        for j in range(n):
+            if not used[j]:
+                used[j] = True
+                perm.append(j)
+                rec(i + 1, used, partial + row[j], perm)
+                perm.pop()
+                used[j] = False
+
+    rec(0, [False] * n, 0, [])
+    return best[1], best[0]
+
+def brute_force_assignment_reference(instance: MultipartiteInstance) -> Matching:
+    """Exact minimal perfect matching by permutation enumeration.
+
+    Bipartite instances up to n=8, tripartite up to n=6; ties broken by the
+    lexicographically smallest permutation (pair of permutations for three
+    parts).  Matched tuples are listed against part 0 in input order.
+    """
+    n = instance.n
+    w = instance.weight
+    parts = instance.parts
+    if len(parts) == 2:
+        if n > BIPARTITE_ORACLE_MAX_N:
+            raise EnumerationBudgetError(
+                f"bipartite oracle limited to n<={BIPARTITE_ORACLE_MAX_N}, got {n}"
+            )
+        xs = instance.scores(0)
+        ys = instance.scores(1)
+        cost = [[edge_weight(w, x, y) for y in ys] for x in xs]
+        perm, total = _bipartite_min_assignment_reference(cost)
+        return Matching(tuple((i, perm[i]) for i in range(n)), total)
+
+    if n > TRIPARTITE_ORACLE_MAX_N:
+        raise EnumerationBudgetError(
+            f"tripartite oracle limited to n<={TRIPARTITE_ORACLE_MAX_N}, got {n}"
+        )
+    xs = instance.scores(0)
+    ys = instance.scores(1)
+    zs = instance.scores(2)
+    ab = [[edge_weight(w, x, y) for y in ys] for x in xs]
+    bc = [[edge_weight(w, y, z) for z in zs] for y in ys]
+    ca = [[edge_weight(w, z, x) for x in xs] for z in zs]
+
+    best: list = [None, None, None]
+
+    def rec_tau(i: int, sigma: tuple[int, ...], used: list[bool],
+                partial: float, tau: list[int]):
+        if best[0] is not None and partial > best[0]:
+            return
+        if i == len(sigma):
+            if best[0] is None or partial < best[0]:
+                best[0] = partial
+                best[1] = sigma
+                best[2] = tuple(tau)
+            return
+        b = sigma[i]
+        for j in range(len(sigma)):
+            if not used[j]:
+                used[j] = True
+                tau.append(j)
+                rec_tau(i + 1, sigma, used, partial + bc[b][j] + ca[j][i], tau)
+                tau.pop()
+                used[j] = False
+
+    def rec_sigma(i: int, used: list[bool], partial: float, sigma: list[int]):
+        if best[0] is not None and partial > best[0]:
+            return
+        if i == n:
+            rec_tau(0, tuple(sigma), [False] * n, partial, [])
+            return
+        for j in range(n):
+            if not used[j]:
+                used[j] = True
+                sigma.append(j)
+                rec_sigma(i + 1, used, partial + ab[i][j], sigma)
+                sigma.pop()
+                used[j] = False
+
+    rec_sigma(0, [False] * n, 0, [])
+    sigma, tau = best[1], best[2]
+    return Matching(tuple((i, sigma[i], tau[i]) for i in range(n)), best[0])
+
+def exact_pairing_reference(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
+    n = len(points)
+    d = [[_dist(points[i], points[j]) for j in range(n)] for i in range(n)]
+    best: list = [None, None]
+
+    def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, int], ...]):
+        if not unused:
+            if best[0] is None or partial < best[0]:
+                best[0] = partial
+                best[1] = acc
+            return
+        if best[0] is not None and partial > best[0]:
+            return
+        a = unused[0]
+        rest = unused[1:]
+        for idx, b in enumerate(rest):
+            remaining = rest[:idx] + rest[idx + 1 :]
+            rec(remaining, partial + d[a][b], acc + ((a, b),))
+
+    rec(tuple(range(n)), 0.0, ())
+    return list(best[1])
+
+def best_two_triples_reference(
+    points: Sequence[EuclideanPoint], members: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+    """Cheapest split of six point indices into two triples (first member
+    anchored; ties go to the first combination in lexicographic order)."""
+    members = sorted(members)
+    anchor = members[0]
+    rest = members[1:]
+    best = None
+    best_split = None
+    for companions in combinations(rest, 2):
+        t1 = (anchor,) + companions
+        t2 = tuple(x for x in rest if x not in companions)
+        c = _triple_cost(points, t1) + _triple_cost(points, t2)
+        if best is None or c < best:
+            best = c
+            best_split = (t1, t2)
+    return best_split[0], best_split[1], best
+
+def local_search_2tuple_reference(
+    partition: KPartition,
+    weight: WeightKind,
+    budget: int = 10_000_000,
+) -> KPartition:
+    """Re-split pairs of groups until no pair admits a cheaper split.
+
+    Scans group pairs in index order; for each pair, enumerates every split
+    of the 2k concatenated members that keeps the smallest member in the
+    first group, and applies the best strictly-cheaper one.  Cost never
+    increases and the scan terminates at a pairwise-optimal fixpoint.
+    """
+    k = partition.k
+    per_pair = math.comb(2 * k - 1, k - 1)
+    if per_pair > budget:
+        raise EnumerationBudgetError(
+            f"per-pair enumeration {per_pair} exceeds budget {budget}"
+        )
+    groups = [list(t.members) for t in partition.tuples]
+    costs = [
+        within_scores([m.score for m in g], weight) for g in groups
+    ]
+
+    def split_cost(members):
+        return within_scores([m.score for m in members], weight)
+
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
+                current = costs[i] + costs[j]
+                best = None
+                best_split = None
+                for companions in combinations(range(1, 2 * k), k - 1):
+                    chosen = (0,) + companions
+                    in_first = set(chosen)
+                    g1 = [merged[p] for p in chosen]
+                    g2 = [merged[p] for p in range(2 * k) if p not in in_first]
+                    c = split_cost(g1) + split_cost(g2)
+                    if best is None or c < best:
+                        best = c
+                        best_split = (g1, g2)
+                if best < current:
+                    groups[i], groups[j] = best_split
+                    costs[i] = split_cost(groups[i])
+                    costs[j] = split_cost(groups[j])
+                    improved = True
+    tuples = [KTuple(tuple(g)) for g in groups]
+    return KPartition(k, tuples, sum(costs), weight)

@@ -271,8 +271,7 @@ def test_9_cli_byte_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
-    match_argv = ["match", "--input", str(path), "--k", "3", "--balance",
-                  "--seed", "5"]
+    match_argv = ["match", "--input", str(path), "--k", "3", "--balance"]
     bench_argv = ["bench", "--seed", "5", "--line-sizes", "2,4",
                   "--tri-sizes", "2,4", "--instances", "2"]
     match_same = run(match_argv) == run(match_argv)

@@ -124,6 +124,13 @@ class TestMatchCommand:
         assert run_cli(capsys, argv) == plain
         assert plain[0] == 2 and "line" in plain[2]
 
+    def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,score\na,1\n\xe9,2\n")
+        code, _, err = run_cli(capsys, ["match", "--input", str(path), "--k", "2"])
+        assert code == 2
+        assert "line 3: not valid UTF-8" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, ["match", "--input", "/nonexistent.csv", "--k", "2"]
@@ -181,6 +188,20 @@ class TestCertifyCommand:
         for k in range(2, 9):
             assert f"k={k} weight=sq" in out
         assert "verified=false" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["match --input x.csv --k 2 --seed 1", "match --input x.csv --k 2 --budget 9",
+     "match --input x.csv --k 2 --full-range", "certify --k 2 --seed 1",
+     "certify --k 2 --format csv", "certify --k 2 --budget 9",
+     "bench --full-range"],
+)
+def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -202,6 +202,29 @@ class TestTypes:
         with pytest.raises(ValidationError):
             bad.check()
 
+    def test_partition_rejects_wrong_group_size_at_construction(self):
+        with pytest.raises(ValidationError, match="group of size 3 in a 2-partition"):
+            KPartition(2, [tuple_of(1, 2), tuple_of(3, 4, 5)], 0, WeightKind.ABS)
+
+    def test_partition_check_rejects_unsorted_group(self):
+        group = KTuple((ScoredItem("a", 2, 0), ScoredItem("b", 1, 1)))
+        part = KPartition(2, [group], 1, WeightKind.ABS)
+        with pytest.raises(ValidationError, match="not in sorted order"):
+            part.check()
+
+    def test_partition_check_rejects_duplicated_member(self):
+        a, b, c = ScoredItem("a", 1, 0), ScoredItem("b", 2, 1), ScoredItem("c", 3, 2)
+        part = KPartition(2, [KTuple((a, b)), KTuple((a, c))], 2, WeightKind.ABS)
+        with pytest.raises(ValidationError, match="more than one group"):
+            part.check()
+
+    def test_partition_check_rejects_inexact_cover(self):
+        items = [ScoredItem(f"i{n}", n, n) for n in range(4)]
+        part = KPartition(2, [KTuple(tuple(items[:2]))], 1, WeightKind.ABS)
+        part.check()
+        with pytest.raises(ValidationError, match="does not cover the input exactly"):
+            part.check(items)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("weight", list(WeightKind))
     def test_group_within_equals_within_distance_bitwise(self, k, weight):

@@ -1,0 +1,147 @@
+"""The shared exact searches against the hand-written copies they replaced.
+
+`min_partition` must return what exhaustive enumeration in the order of
+`iter_tuple_partitions` returns, and every caller must return the same
+groups with bit-equal costs as its old copy in `reference_forms`.  Scores
+are tenths drawn from a small range, so ties are frequent.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linematch.core import KPartition, KTuple, SizeError, WeightKind, items_from_pairs
+from linematch.heuristics import (
+    _best_two_triples,
+    _exact_pairing,
+    local_search_2tuple,
+    points_from_coords,
+)
+from linematch.multipartite import instance_from_scores
+from linematch.oracle import (
+    brute_force_assignment,
+    brute_force_partition,
+    iter_tuple_partitions,
+    min_partition,
+)
+from reference_forms import (
+    best_two_triples_reference,
+    brute_force_assignment_reference,
+    brute_force_partition_reference,
+    exact_pairing_reference,
+    local_search_2tuple_reference,
+)
+
+tenths = st.integers(0, 30).map(lambda t: t / 10)
+weights = st.sampled_from(list(WeightKind))
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def running_cost(partition, group_cost):
+    total = 0
+    for group in partition:
+        total = total + group_cost(group)
+    return total
+
+
+class TestMinPartition:
+    @given(st.sampled_from([(2, 2), (4, 2), (6, 2), (8, 2), (3, 3), (6, 3),
+                            (9, 3), (4, 4), (8, 4)]),
+           st.booleans(), st.data())
+    def test_equals_first_minimum_of_the_enumeration(self, size, real, data):
+        n_items, k = size
+        groups = list(combinations(range(n_items), k))
+        values = st.integers(0, 3).map(lambda v: v / 10 if real else v)
+        table = dict(zip(groups, data.draw(
+            st.lists(values, min_size=len(groups), max_size=len(groups)))))
+        cost = table.__getitem__
+        first = min(iter_tuple_partitions(n_items, k),
+                    key=lambda part: running_cost(part, cost))
+        want = running_cost(first, cost)
+        got = min_partition(n_items, k, cost)
+        assert got[0] == first and same_bits(got[1], want)
+        # nothing is strictly cheaper than the minimum itself
+        assert min_partition(n_items, k, cost, bound=want) is None
+        bounded = min_partition(n_items, k, cost, bound=want + 1)
+        assert bounded[0] == first and same_bits(bounded[1], want)
+
+    def test_empty_and_indivisible(self):
+        assert min_partition(0, 3, len) == ((), 0)
+        assert min_partition(0, 3, len, bound=0) is None
+        with pytest.raises(SizeError, match="groups of 2"):
+            min_partition(5, 2, len)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([(2, 5), (3, 3), (4, 2), (5, 2)]), weights, st.data())
+def test_brute_force_partition_equals_reference(size, weight, data):
+    k, n = size
+    scores = data.draw(st.lists(tenths, min_size=k * n, max_size=k * n))
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    got = brute_force_partition(items, k, weight)
+    want = brute_force_partition_reference(items, k, weight)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 2), st.data())
+def test_exact_pairing_equals_reference(pairs, dims, data):
+    coords = data.draw(st.lists(st.lists(tenths, min_size=dims, max_size=dims),
+                                min_size=2 * pairs, max_size=2 * pairs))
+    points = points_from_coords(coords)
+    assert _exact_pairing(points) == exact_pairing_reference(points)
+
+
+@given(st.integers(1, 2), st.data())
+def test_best_two_triples_equals_reference(dims, data):
+    coords = data.draw(st.lists(st.lists(tenths, min_size=dims, max_size=dims),
+                                min_size=6, max_size=9))
+    points = points_from_coords(coords)
+    members = data.draw(st.permutations(range(len(points))))[:6]
+    got = _best_two_triples(points, members)
+    want = best_two_triples_reference(points, members)
+    assert got[:2] == want[:2] and same_bits(got[2], want[2])
+
+
+# min_partition cuts a branch once its partial cost reaches the incumbent,
+# which assumes nonnegative group costs.  The float abs kernel breaks that
+# on exact ties from k=5 on (five scores of 0.1 cost -5.6e-17), and the old
+# local-search loop, which enumerated without cuts, can then take a split
+# that is cheaper by rounding noise only.  Integer scores stay exact there.
+LOCAL_SEARCH_CASES = [(k, w, False) for k in (2, 3, 4) for w in WeightKind] + [
+    (5, WeightKind.SQ, False), (5, WeightKind.ABS, True)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(LOCAL_SEARCH_CASES), st.integers(2, 4), st.data())
+def test_local_search_equals_reference(case, n, data):
+    k, weight, integral = case
+    score = st.integers(0, 30) if integral else tenths
+    scores = data.draw(st.lists(score, min_size=k * n, max_size=k * n))
+    items = data.draw(st.permutations(
+        items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))))
+    start = KPartition(
+        k, [KTuple.of(items[i : i + k]) for i in range(0, k * n, k)], 0, weight)
+    got = local_search_2tuple(start, weight)
+    want = local_search_2tuple_reference(start, weight)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([(2, 5), (3, 4)]), weights, st.data())
+def test_brute_force_assignment_equals_reference(shape, weight, data):
+    parts, n = shape
+    scores = data.draw(st.lists(st.lists(tenths, min_size=n, max_size=n),
+                                min_size=parts, max_size=parts))
+    instance = instance_from_scores(scores, weight)
+    got = brute_force_assignment(instance)
+    want = brute_force_assignment_reference(instance)
+    assert got.tuples == want.tuples
+    assert same_bits(got.weight, want.weight)
