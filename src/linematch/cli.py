@@ -1,8 +1,10 @@
 """Batch command line: match cohort files, print certificates, run benchmarks.
 
 Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
-input CSV; 3 item count not divisible by k; 4 k outside the certified range
-without --uncertified; 5 enumeration budget exceeded for a requested oracle.
+input CSV; 3 item count not divisible by k; 4 k below 2, or outside the
+certified range without --uncertified; 5 enumeration budget exceeded (a
+requested bench oracle, a greedy or local-search step, or an uncertified
+certificate with more than DEFAULT_BUDGET splits).
 """
 
 from __future__ import annotations
@@ -274,9 +276,15 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
             all_ok = all_ok and cert.verified
         return EXIT_OK if all_ok else EXIT_CERT_FAILED
 
+    entries = math.comb(2 * cfg.k - 1, cfg.k - 1) if cfg.k >= 2 else 0
+    if (cfg.uncertified and cfg.k > CERTIFIED_MAX_K[cfg.weight]
+            and entries > DEFAULT_BUDGET):
+        _emit(f"error: certify k={cfg.k} would enumerate {entries} splits, "
+              f"over budget {DEFAULT_BUDGET}", err)
+        return EXIT_BUDGET
     try:
-        collect = math.comb(2 * cfg.k - 1, cfg.k - 1) <= COLLECT_LIMIT if cfg.k >= 2 else True
-        cert = certifier(cfg.k, exploratory=cfg.uncertified, collect=collect)
+        cert = certifier(cfg.k, exploratory=cfg.uncertified,
+                         collect=entries <= COLLECT_LIMIT)
     except (CertifiedRangeError, ValidationError) as exc:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_RANGE
@@ -299,6 +307,9 @@ def _gen_scores(rng: random.Random, count: int, dist: str) -> list[float]:
 def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    if cfg.k < 2:
+        _emit(f"error: group size must be at least 2, got {cfg.k}", err)
+        return EXIT_BAD_RANGE
     rng = random.Random(cfg.seed)
 
     line_specs: list[tuple[str, list[float]]] = []

@@ -358,3 +358,45 @@ def local_search_2tuple_reference(
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, sum(costs), weight)
+
+
+# The greedy loop as first written, every remaining k-subset costed again at
+# each step: the one-pass linematch.oracle.greedy_match must return the same
+# groups with a bit-equal total.
+def greedy_match_reference(
+    items: Sequence[ScoredItem],
+    k: int,
+    weight: WeightKind,
+    budget: int = DEFAULT_BUDGET,
+) -> KPartition:
+    """Repeatedly extract the cheapest k-subset of the remaining items.
+
+    Ties go to the lexicographically smallest member ranks.  Not optimal in
+    general; kept as the falsifiable baseline.
+    """
+    if len(items) % k != 0:
+        raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
+    remaining = sorted(items, key=lambda it: it.input_rank)
+    tuples = []
+    total = 0
+    while remaining:
+        step_count = math.comb(len(remaining), k)
+        if step_count > budget:
+            raise EnumerationBudgetError(
+                f"greedy step would enumerate {step_count} subsets, over budget {budget}"
+            )
+        best_cost = None
+        best_combo = None
+        for combo in combinations(range(len(remaining)), k):
+            cost = within_scores(
+                sorted(remaining[i].score for i in combo), weight
+            )
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_combo = combo
+        group = KTuple.of(remaining[i] for i in best_combo)
+        tuples.append(group)
+        total += best_cost
+        chosen = set(best_combo)
+        remaining = [it for i, it in enumerate(remaining) if i not in chosen]
+    return KPartition(k, tuples, total, weight)

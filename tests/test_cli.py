@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from linematch import cli
 from linematch.cli import main
 
 
@@ -179,6 +181,22 @@ class TestCertifyCommand:
         code, _, err = run_cli(capsys, ["certify", "--weight", "abs"])
         assert code == 4
 
+    @pytest.mark.parametrize("k,weight", [(40, "abs"), (17, "abs"), (14, "sq")])
+    def test_uncertified_over_budget_exits_5_before_enumerating(
+        self, capsys, monkeypatch, k, weight
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate enumeration started")
+
+        monkeypatch.setattr(cli, "certify_abs", refuse)
+        monkeypatch.setattr(cli, "certify_sq", refuse)
+        code, out, err = run_cli(
+            capsys, ["certify", "--k", str(k), "--weight", weight, "--uncertified"]
+        )
+        assert code == 5
+        assert out == ""
+        assert f"{math.comb(2 * k - 1, k - 1)} splits" in err
+
     def test_full_range_small_weight_sq(self, capsys):
         # sq full range is k <= 8; entry work stays small enough for a test
         code, out, _ = run_cli(
@@ -253,6 +271,13 @@ class TestBenchCommand:
         assert code == 0
         for row in doc["tripartite_instances"]:
             assert row["ratio_triangle_to_bound"] <= 2.0
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_undersized_k_exits_4(self, capsys, k):
+        code, out, err = run_cli(capsys, ["bench", "--k", k, "--instances", "1"])
+        assert code == 4
+        assert out == ""
+        assert "group size must be at least 2" in err
 
     def test_oracle_over_budget_exits_5(self, capsys):
         code, _, err = run_cli(

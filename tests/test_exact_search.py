@@ -1,4 +1,5 @@
-"""The shared exact searches against the hand-written copies they replaced.
+"""The shared exact searches and the one-pass greedy baseline against the
+hand-written copies they replaced.
 
 `min_partition` must return what exhaustive enumeration in the order of
 `iter_tuple_partitions` returns, and every caller must return the same
@@ -6,13 +7,22 @@ groups with bit-equal costs as its old copy in `reference_forms`.  Scores
 are tenths drawn from a small range, so ties are frequent.
 """
 
+import math
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linematch.core import KPartition, KTuple, SizeError, WeightKind, items_from_pairs
+from linematch.core import (
+    EnumerationBudgetError,
+    KPartition,
+    KTuple,
+    ScoredItem,
+    SizeError,
+    WeightKind,
+    items_from_pairs,
+)
 from linematch.heuristics import (
     _best_two_triples,
     _exact_pairing,
@@ -23,6 +33,7 @@ from linematch.multipartite import instance_from_scores
 from linematch.oracle import (
     brute_force_assignment,
     brute_force_partition,
+    greedy_match,
     iter_tuple_partitions,
     min_partition,
 )
@@ -31,6 +42,7 @@ from reference_forms import (
     brute_force_assignment_reference,
     brute_force_partition_reference,
     exact_pairing_reference,
+    greedy_match_reference,
     local_search_2tuple_reference,
 )
 
@@ -145,3 +157,51 @@ def test_brute_force_assignment_equals_reference(shape, weight, data):
     want = brute_force_assignment_reference(instance)
     assert got.tuples == want.tuples
     assert same_bits(got.weight, want.weight)
+
+
+# Score families for the greedy baseline: tied tenths, mixed ints and floats,
+# signed zeros, and +-1e308, where abs groups of three or more overflow to
+# inf - inf = NaN (a NaN cost wins a step only as its first candidate).
+GREEDY_SCORES = st.sampled_from([
+    tenths,
+    st.one_of(st.integers(0, 5), tenths),
+    st.sampled_from([0.0, -0.0, 0, 0.5, -0.5]),
+    st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0]),
+])
+
+
+def assert_same_greedy(items, k, weight, **budget):
+    got = greedy_match(items, k, weight, **budget)
+    want = greedy_match_reference(items, k, weight, **budget)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 4), st.integers(0, 4), weights, GREEDY_SCORES, st.data())
+def test_greedy_match_equals_reference(k, n, weight, family, data):
+    scores = data.draw(st.lists(family, min_size=k * n, max_size=k * n))
+    ranks = data.draw(st.permutations(range(k * n)))
+    items = [ScoredItem(f"i{i}", s, r) for i, (s, r) in enumerate(zip(scores, ranks))]
+    assert_same_greedy(items, k, weight)
+
+
+def test_greedy_match_nan_cost_wins_as_first_candidate():
+    scores = [1e308, 1e308, 1e308, 0.0, 1.0, 2.0]
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    got = greedy_match(items, 3, WeightKind.ABS)
+    assert [t.scores() for t in got.tuples] == [(1e308,) * 3, (0.0, 1.0, 2.0)]
+    assert math.isnan(got.total_within)
+    assert_same_greedy(items, 3, WeightKind.ABS)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 2)])
+def test_greedy_match_budget_edges(k, n):
+    items = items_from_pairs((f"i{i}", i % 4 / 10) for i in range(k * n))
+    count = math.comb(k * n, k)
+    assert_same_greedy(items, k, WeightKind.ABS, budget=count)
+    with pytest.raises(EnumerationBudgetError) as got:
+        greedy_match(items, k, WeightKind.ABS, budget=count - 1)
+    with pytest.raises(EnumerationBudgetError) as want:
+        greedy_match_reference(items, k, WeightKind.ABS, budget=count - 1)
+    assert str(got.value) == str(want.value)
