@@ -13,25 +13,33 @@ is nonnegative on the cone of nondecreasing real vectors:
 * absolute differences: the difference is a linear form with integer
   coefficients; it is nonnegative on the sorted cone exactly when its
   coefficients sum to zero and every suffix sum is nonnegative (Abel
-  summation against the cone generators (0,..,0,1,..,1)).
+  summation against the cone generators (0,..,0,1,..,1)).  Per split, one
+  O(k) pass builds the coefficients and one pass the suffix sums, which
+  serve both as the verdict and as the proof.
 
 * squared differences: the difference is a quadratic form with no square
-  terms; it factors as 2 * L1 * L2 with integer linear forms of disjoint
-  support, recovered exactly from the rank-2 coefficient matrix and
-  re-verified by expansion, after which each factor passes the same
-  suffix-sum criterion.
+  terms.  Off the diagonal its matrix holds [same half of the sorted split]
+  - [same group of the split], so each row is one of four, set by the row's
+  half and group; the matrix is assembled from those four rows.  It factors
+  as 2 * L1 * L2 with integer linear forms of disjoint support, recovered
+  exactly from the rank-2 matrix and re-verified entrywise, one whole row
+  against u_i*v + v_i*u at a time.  Each factor then passes the suffix-sum
+  criterion (or, negated, its mirror: total zero and every suffix sum <= 0),
+  from one suffix-sum pass per factor.
 
 All arithmetic is exact (Python integers).  A certificate is a re-checkable
-artifact: every entry carries the split, the difference form, and the proof
-data needed to re-verify it independently.
+artifact: every collected entry carries the split, the difference form, and
+the proof data needed to re-verify it independently.  Uncollected runs build
+an entry only for a split that fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, combinations, compress, count, repeat
+from operator import attrgetter, getitem, itemgetter, mod, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
     CERTIFIED_MAX_K,
@@ -39,7 +47,61 @@ from .core import (
     ValidationError,
     WeightKind,
 )
-from .oracle import iter_tuple_partitions
+
+# A certifier given a `progress` callback calls it every PROGRESS_EVERY splits
+# with (splits done, total splits).
+PROGRESS_EVERY = 1 << 20
+Progress = Callable[[int, int], None]
+
+
+def _suffix_sums(coeffs: Sequence[int]) -> list[int]:
+    """[S_1, ..., S_m] with S_j = sum of coeffs from position j on."""
+    sums = list(accumulate(reversed(coeffs)))
+    sums.reverse()
+    return sums
+
+
+def _nonnegative_on_cone(sums_from_end: list[int]) -> bool:
+    """The suffix-sum criterion, given S_m, ..., S_1 (S_1 is the total):
+    total 0 and every suffix sum >= 0."""
+    return sums_from_end[-1] == 0 and min(sums_from_end) >= 0
+
+
+def _nonpositive_on_cone(sums_from_end: list[int]) -> bool:
+    """The criterion for the negated form: total 0 and every suffix sum <= 0."""
+    return sums_from_end[-1] == 0 and max(sums_from_end) <= 0
+
+
+class _IntText(dict):
+    """str(n) for each int n, memoized over one rendering pass."""
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = str(n)
+        return text
+
+
+class _TermText(dict):
+    """Signed term of a linear form keyed by (position, coefficient), e.g.
+    (3, -1) -> "-x3", (3, 2) -> "+2*x3", and "" for a zero coefficient;
+    memoized over one rendering pass."""
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        position, c = key
+        if c == 0:
+            text = ""
+        else:
+            mag = abs(c)
+            body = f"x{position}" if mag == 1 else f"{mag}*x{position}"
+            text = ("-" if c < 0 else "+") + body
+        self[key] = text
+        return text
+
+
+def _render_linear(coeffs: Sequence[int], terms: _TermText) -> str:
+    out = " ".join(filter(None, map(terms.__getitem__, enumerate(coeffs, 1))))
+    if not out:
+        return "0"
+    return out[1:] if out[0] == "+" else out
 
 
 @dataclass(frozen=True)
@@ -64,12 +126,7 @@ class LinearForm:
 
     def suffix_sums(self) -> tuple[int, ...]:
         """(S_1, ..., S_m) with S_j = sum of coeffs from position j on."""
-        sums = []
-        s = 0
-        for c in reversed(self.coeffs):
-            s += c
-            sums.append(s)
-        return tuple(reversed(sums))
+        return tuple(_suffix_sums(self.coeffs))
 
     def is_cone_nonnegative(self) -> bool:
         """True iff the form is >= 0 for every nondecreasing real vector.
@@ -78,8 +135,7 @@ class LinearForm:
         in the cone both ways) and every suffix sum is nonnegative (the
         step-vector generators).
         """
-        sums = self.suffix_sums()
-        return sums[0] == 0 and all(s >= 0 for s in sums)
+        return _nonnegative_on_cone(list(accumulate(reversed(self.coeffs))))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -88,18 +144,7 @@ class LinearForm:
         return LinearForm(tuple(-c for c in self.coeffs))
 
     def render(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
-            terms.append(f"{sign}{body}")
-        if not terms:
-            return "0"
-        out = " ".join(terms)
-        return out[1:] if out.startswith("+") else out
+        return _render_linear(self.coeffs, _TermText())
 
 
 @dataclass(frozen=True)
@@ -136,40 +181,13 @@ class QuadraticForm:
         Exchange difference forms have zero diagonal, which forces the two
         factors to use disjoint variables; the matrix then contains a rank-1
         block u (column) times v (row), recovered with exact integer
-        arithmetic and re-verified entrywise.  Returns None when no such
-        factorization exists.
+        arithmetic and re-verified entrywise, each row against
+        u_i*v + v_i*u.  Returns None when no such factorization exists.
         """
-        m = self.m
-        mat = self.matrix
-        if self.is_zero():
-            z = LinearForm.zero(m)
-            return z, z
-        if any(mat[i][i] != 0 for i in range(m)):
+        pair = _factor_pair(self.matrix)
+        if pair is None:
             return None
-        r = next(i for i in range(m) if any(mat[i]))
-        v_support = [j for j in range(m) if mat[r][j] != 0]
-        j0 = v_support[0]
-        u_support = [i for i in range(m) if mat[i][j0] != 0]
-        if set(u_support) & set(v_support):
-            return None
-        g = math.gcd(*(abs(mat[i][j0]) for i in u_support))
-        u = [0] * m
-        for i in u_support:
-            u[i] = mat[i][j0] // g
-        u_r = u[r]
-        v = [0] * m
-        for j in v_support:
-            q, rem = divmod(mat[r][j], u_r)
-            if rem:
-                return None
-            v[j] = q
-        for i in range(m):
-            ui, vi = u[i], v[i]
-            row = mat[i]
-            for j in range(m):
-                if row[j] != ui * v[j] + vi * u[j]:
-                    return None
-        return LinearForm(tuple(u)), LinearForm(tuple(v))
+        return LinearForm(pair[0]), LinearForm(pair[1])
 
     def render(self) -> str:
         terms = []
@@ -251,15 +269,84 @@ def _abs_coeffs_into(coeffs: list[int], subset: Sequence[int], sign: int) -> Non
         coeffs[pos - 1] += sign * (2 * j - k + 1)
 
 
-def _sq_matrix_into(matrix: list[list[int]], subset: Sequence[int], sign: int) -> None:
-    for a_idx in range(len(subset)):
-        a = subset[a_idx] - 1
-        for b_idx in range(a_idx + 1, len(subset)):
-            b = subset[b_idx] - 1
-            matrix[a][a] += sign
-            matrix[b][b] += sign
-            matrix[a][b] -= sign
-            matrix[b][a] -= sign
+def _sq_matrix(k: int, first: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the sq difference form for the split whose first group holds
+    the 1-based positions `first`.
+
+    M[a][b] = [a, b in the same half of the sorted split] - [a, b in the same
+    group of the split], and the diagonal is 0 (each position has k-1
+    partners in its group and in its half).  Row a therefore depends only on
+    a's half and a's group, so the matrix is assembled from four row tuples,
+    one per (half, group) class.
+    """
+    m = 2 * k
+    in_first = [0] * m
+    for p in first:
+        in_first[p - 1] = 1
+    low = (1,) * k + (0,) * k
+    high = (0,) * k + (1,) * k
+    low_rows = (tuple(map(sub, in_first, high)), tuple(map(sub, low, in_first)))
+    high_rows = (tuple(map(sub, in_first, low)), tuple(map(sub, high, in_first)))
+    return tuple(map(low_rows.__getitem__, in_first[:k])) + tuple(
+        map(high_rows.__getitem__, in_first[k:])
+    )
+
+
+def _factor_pair(
+    mat: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Coefficient tuples (u, v) with mat = u v^T + v u^T, or None.
+
+    Rejects a nonzero diagonal, overlapping supports, a row of the v block
+    that u's pivot does not divide, and any cell that differs from
+    u_i*v_j + v_i*u_j.  Rows are compared whole, against one expected row
+    per distinct (u_i, v_i).
+    """
+    m = len(mat)
+    nonzero_rows = list(map(any, mat))
+    if not any(nonzero_rows):
+        zero = (0,) * m
+        return zero, zero
+    if any(map(getitem, mat, range(m))):
+        return None
+    r = nonzero_rows.index(True)
+    row_r = mat[r]
+    j0 = next(compress(count(), row_r))
+    col = [row[j0] for row in mat]
+    if any(map(mul, row_r, col)):  # supports overlap
+        return None
+    g = math.gcd(*col)
+    u = [c // g for c in col]
+    u_r = u[r]
+    if any(map(mod, row_r, repeat(u_r))):
+        return None
+    v = [c // u_r for c in row_r]
+    pairs = list(zip(u, v))
+    # the supports are disjoint, so u_i*v + v_i*u has at most one nonzero term
+    expected = {
+        (ui, vi): tuple(map(mul, u, repeat(vi)) if vi else map(mul, v, repeat(ui)))
+        for ui, vi in set(pairs)
+    }
+    if tuple(map(expected.__getitem__, pairs)) != tuple(map(tuple, mat)):
+        return None
+    return tuple(u), tuple(v)
+
+
+def _cone_sign(u: Sequence[int], v: Sequence[int]) -> int:
+    """+1 if both factors are nonnegative on the sorted cone, -1 if both
+    negated factors are, else 0.
+
+    A form is nonnegative on the cone iff its total is 0 and every suffix sum
+    is >= 0, so its negation is iff the total is 0 and every suffix sum is
+    <= 0: one suffix-sum pass per factor decides both orientations.
+    """
+    su = list(accumulate(reversed(u)))
+    sv = list(accumulate(reversed(v)))
+    if _nonnegative_on_cone(su) and _nonnegative_on_cone(sv):
+        return 1
+    if _nonpositive_on_cone(su) and _nonpositive_on_cone(sv):
+        return -1
+    return 0
 
 
 def _check_bipartition(k: int, first_half: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -286,33 +373,42 @@ def difference_form(
     {1..k | k+1..2k} yields the zero form.
     """
     first, second = _check_bipartition(k, first_half)
-    m = 2 * k
-    low = tuple(range(1, k + 1))
-    high = tuple(range(k + 1, m + 1))
     if weight is WeightKind.ABS:
+        m = 2 * k
+        low = tuple(range(1, k + 1))
+        high = tuple(range(k + 1, m + 1))
         coeffs = [0] * m
         _abs_coeffs_into(coeffs, first, +1)
         _abs_coeffs_into(coeffs, second, +1)
         _abs_coeffs_into(coeffs, low, -1)
         _abs_coeffs_into(coeffs, high, -1)
         return LinearForm(tuple(coeffs))
-    matrix = [[0] * m for _ in range(m)]
-    _sq_matrix_into(matrix, first, +1)
-    _sq_matrix_into(matrix, second, +1)
-    _sq_matrix_into(matrix, low, -1)
-    _sq_matrix_into(matrix, high, -1)
-    return QuadraticForm(tuple(tuple(row) for row in matrix))
+    return QuadraticForm(_sq_matrix(k, first))
 
 
-def _iter_splits(k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every split of positions 1..2k into two k-groups, the first holding 1."""
-    one_based = (1).__add__
-    for first, second in iter_tuple_partitions(2 * k, k):
-        yield tuple(map(one_based, first)), tuple(map(one_based, second))
+def _splits(k: int, progress: Progress | None) -> Iterator[tuple[int, ...]]:
+    """The companions of x_1 (ascending positions) in every split, in
+    descending colexicographic order of the first group; with `progress`,
+    calling progress(done, total) every PROGRESS_EVERY splits.
+
+    Reversed, a list of entries built in this order is in the ascending
+    colex order the certificate keeps, with no sort.
+    """
+    descending = combinations(range(2 * k, 1, -1), k - 1)
+    splits = map(itemgetter(slice(None, None, -1)), descending)
+    if progress is None:
+        return splits
+    return _reporting(splits, math.comb(2 * k - 1, k - 1), progress)
 
 
-def _colex_key(entry: CertificateEntry) -> tuple[int, ...]:
-    return tuple(reversed(entry.first))
+def _reporting(
+    splits: Iterable[tuple[int, ...]], total: int, progress: Progress
+) -> Iterator[tuple[int, ...]]:
+    every = PROGRESS_EVERY
+    for done, companions in enumerate(splits, 1):
+        if not done % every:
+            progress(done, total)
+        yield companions
 
 
 def _gate(k: int, weight: WeightKind, exploratory: bool) -> None:
@@ -327,69 +423,65 @@ def _gate(k: int, weight: WeightKind, exploratory: bool) -> None:
 
 
 def certify_abs(
-    k: int, exploratory: bool = False, collect: bool = True
+    k: int,
+    exploratory: bool = False,
+    collect: bool = True,
+    *,
+    progress: Progress | None = None,
 ) -> ExchangeCertificate:
     """Certify sorted-split minimality for absolute differences at size k.
 
     Checks the suffix-sum criterion on every split's difference form.
-    Entry count is C(2k-1, k-1); per-entry work is O(k), so cost roughly
-    quadruples per increment of k.
+    Entry count is C(2k-1, k-1); per split, one O(k) walk builds the
+    coefficients and the complement group, and one pass the suffix sums
+    (verdict and proof), so cost roughly quadruples per increment of k.
+    With collect=False an entry is built only for a failing split.
     """
     _gate(k, WeightKind.ABS, exploratory)
     m = 2 * k
-    base = [0] * m
-    _abs_coeffs_into(base, tuple(range(1, k + 1)), +1)
-    _abs_coeffs_into(base, tuple(range(k + 1, m + 1)), +1)
-    neg_base = [-c for c in base]
+    # weight of the j-th smallest member of a k-group in its cost
+    w = [2 * j - k + 1 for j in range(k)]
+    neg_base = [-c for c in w] * 2  # minus the sorted split's cost
+    neg_base[0] += w[0]  # x_1 leads the first group of every split
+    w_companions = w[1:]
 
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
-    count = 0
-    first_coeff = 1 - k  # weight of x_1 inside any k-group it leads
-    for companions in combinations(range(2, m + 1), k - 1):
-        count += 1
+    for companions in _splits(k, progress):
         coeffs = neg_base.copy()
-        coeffs[0] += first_coeff
-        for j, pos in enumerate(companions):
-            coeffs[pos - 1] += 2 * (j + 1) - k + 1
+        for pos, c in zip(companions, w_companions):
+            coeffs[pos - 1] += c
         # complement walk: positions 2..m not in companions, in order
-        ptr = 0
-        j = 0
+        second = []
+        ptr = j = 0
         for pos in range(2, m + 1):
             if ptr < k - 1 and companions[ptr] == pos:
                 ptr += 1
             else:
-                coeffs[pos - 1] += 2 * j - k + 1
+                coeffs[pos - 1] += w[j]
                 j += 1
-        s = 0
-        ok = True
-        for c in reversed(coeffs):
-            s += c
-            if s < 0:
-                ok = False
-                break
-        if ok:
-            ok = s == 0  # full pass: s is the total
-        if collect or not ok:
-            form = LinearForm(tuple(coeffs))
-            comp_set = set(companions)
-            entry = CertificateEntry(
-                first=(1,) + companions,
-                second=tuple(p for p in range(2, m + 1) if p not in comp_set),
-                form=form,
-                proof=SuffixSumProof(form.suffix_sums()),
-                ok=ok,
-                reason="" if ok else "suffix-sum criterion failed",
-            )
-            if collect:
-                entries.append(entry)
-            if not ok:
-                failures.append(entry)
-    entries.sort(key=_colex_key)
+                second.append(pos)
+        sums = list(accumulate(reversed(coeffs)))
+        ok = _nonnegative_on_cone(sums)
+        if ok and not collect:
+            continue
+        sums.reverse()
+        form = LinearForm(tuple(coeffs))
+        proof = SuffixSumProof(tuple(sums))
+        reason = "" if ok else "suffix-sum criterion failed"
+        entry = CertificateEntry(
+            (1,) + companions, tuple(second), form, proof, ok, reason
+        )
+        if collect:
+            entries.append(entry)
+        if not ok:
+            failures.append(entry)
+    entries.reverse()
+    failures.sort(key=attrgetter("first"))  # lexicographic split order
     return ExchangeCertificate(
         k=k,
         weight=WeightKind.ABS,
-        entry_count=count,
+        entry_count=math.comb(m - 1, k - 1),
         verified=not failures,
         entries=tuple(entries),
         failures=tuple(failures),
@@ -397,83 +489,95 @@ def certify_abs(
 
 
 def certify_sq(
-    k: int, exploratory: bool = False, collect: bool = True
+    k: int,
+    exploratory: bool = False,
+    collect: bool = True,
+    *,
+    progress: Progress | None = None,
 ) -> ExchangeCertificate:
     """Certify sorted-split minimality for squared differences at size k.
 
-    Every split's quadratic difference form is factored as 2 * L1 * L2 with
-    exact integer arithmetic (verified by re-expansion), and both factors
-    must pass the suffix-sum criterion.  A failed factorization or a factor
-    that is not nonnegative on the sorted cone marks the entry failed.
+    Every split's quadratic difference form is assembled from its four
+    distinct rows, factored as 2 * L1 * L2 with exact integer arithmetic
+    (re-verified entrywise, row by row), and both factors must pass the
+    suffix-sum criterion, in one orientation or both negated.  A failed
+    factorization or a factor that is not nonnegative on the sorted cone
+    marks the entry failed.  With collect=False no form, proof or entry is
+    built for a split that verifies.
     """
     _gate(k, WeightKind.SQ, exploratory)
+    m = 2 * k
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
-    count = 0
-    for first, second in _iter_splits(k):
-        count += 1
-        form = difference_form(k, first, WeightKind.SQ)
-        pair = form.factor_as_double_product()
+    for companions in _splits(k, progress):
+        first = (1,) + companions
+        mat = _sq_matrix(k, first)
+        pair = _factor_pair(mat)
+        sign = 0 if pair is None else _cone_sign(*pair)
+        if sign and not collect:
+            continue
         proof: FactorProof | None = None
-        ok = False
         reason = ""
         if pair is None:
             reason = "no factorization into two linear forms"
+        elif not sign:
+            reason = "factor not nonnegative on the sorted cone"
         else:
             u, v = pair
-            if u.is_cone_nonnegative() and v.is_cone_nonnegative():
-                pass
-            elif (-u).is_cone_nonnegative() and (-v).is_cone_nonnegative():
-                u, v = -u, -v
-            else:
-                reason = "factor not nonnegative on the sorted cone"
-            if not reason:
-                left, right = sorted((u, v), key=lambda f: f.coeffs)
-                proof = FactorProof(left, right)
-                ok = True
+            if sign < 0:
+                u = tuple(-c for c in u)
+                v = tuple(-c for c in v)
+            left, right = sorted((u, v))
+            proof = FactorProof(LinearForm(left), LinearForm(right))
+        second = tuple(p for p in range(2, m + 1) if p not in companions)
         entry = CertificateEntry(
-            first=first, second=second, form=form, proof=proof, ok=ok, reason=reason
+            first, second, QuadraticForm(mat), proof, bool(sign), reason
         )
         if collect:
             entries.append(entry)
-        if not ok:
+        if not sign:
             failures.append(entry)
-    entries.sort(key=_colex_key)
+    entries.reverse()
+    failures.sort(key=attrgetter("first"))  # lexicographic split order
     return ExchangeCertificate(
         k=k,
         weight=WeightKind.SQ,
-        entry_count=count,
+        entry_count=math.comb(m - 1, k - 1),
         verified=not failures,
         entries=tuple(entries),
         failures=tuple(failures),
     )
 
 
-def _render_tuple(values: Iterable[int]) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+def _render_tuple(values: Iterable[int], ints: _IntText) -> str:
+    return "(" + ",".join(map(ints.__getitem__, values)) + ")"
 
 
-def _render_entry(entry: CertificateEntry) -> str:
-    split = (
-        "{"
-        + ",".join(str(p) for p in entry.first)
-        + "|"
-        + ",".join(str(p) for p in entry.second)
-        + "}"
-    )
-    if isinstance(entry.proof, SuffixSumProof):
-        proof = f"suffix_sums={_render_tuple(entry.proof.suffix_sums)}"
-    elif isinstance(entry.proof, FactorProof):
-        proof = (
-            f"factors={entry.proof.scale}*({entry.proof.left.render()})"
-            f"*({entry.proof.right.render()})"
-            f" suffix_sums={_render_tuple(entry.proof.left.suffix_sums())}"
-            f";{_render_tuple(entry.proof.right.suffix_sums())}"
+def _render_entry(entry: CertificateEntry, ints: _IntText, terms: _TermText) -> str:
+    proof = entry.proof
+    if isinstance(proof, SuffixSumProof):
+        proof_text = "suffix_sums=" + _render_tuple(proof.suffix_sums, ints)
+    elif isinstance(proof, FactorProof):
+        left, right = proof.left.coeffs, proof.right.coeffs
+        proof_text = (
+            f"factors={proof.scale}*({_render_linear(left, terms)})"
+            f"*({_render_linear(right, terms)})"
+            f" suffix_sums={_render_tuple(_suffix_sums(left), ints)}"
+            f";{_render_tuple(_suffix_sums(right), ints)}"
         )
     else:
-        proof = "no-proof"
+        proof_text = "no-proof"
+    form = entry.form
+    if isinstance(form, LinearForm):
+        form_text = _render_linear(form.coeffs, terms)
+    else:
+        form_text = form.render()
     status = "OK" if entry.ok else f"FAILED({entry.reason})"
-    return f"{split} :: {entry.form.render()} :: {proof} {status}"
+    return (
+        f"{{{','.join(map(ints.__getitem__, entry.first))}"
+        f"|{','.join(map(ints.__getitem__, entry.second))}}}"
+        f" :: {form_text} :: {proof_text} {status}"
+    )
 
 
 def certificate_render(cert: ExchangeCertificate) -> str:
@@ -483,12 +587,13 @@ def certificate_render(cert: ExchangeCertificate) -> str:
         f"k={cert.k} weight={cert.weight.value} entries={cert.entry_count} "
         f"verified={'true' if cert.verified else 'false'}"
     ]
+    ints, terms = _IntText(), _TermText()
     if cert.entries:
-        lines.extend(_render_entry(e) for e in cert.entries)
+        lines.extend(_render_entry(e, ints, terms) for e in cert.entries)
     else:
         if cert.entry_count:
             lines.append(f"({cert.entry_count} entries not collected)")
-        lines.extend(_render_entry(e) for e in cert.failures)
+        lines.extend(_render_entry(e, ints, terms) for e in cert.failures)
     return "\n".join(lines)
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import random
 import sys
+import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -54,6 +55,7 @@ from .oracle import (
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 10_000_000
+# certificates with more splits are not collected and report progress on stderr
 COLLECT_LIMIT = 1_000_000
 
 EXIT_OK = 0
@@ -262,6 +264,22 @@ def _match_json(cfg: RunConfig, partition, members, slots, column_means) -> str:
     return "".join(parts)
 
 
+def _progress(k: int, weight: WeightKind, splits: int, err):
+    """A certifier progress callback writing one stderr line per call (done,
+    rate, ETA), or None for a certificate of at most COLLECT_LIMIT splits."""
+    if splits <= COLLECT_LIMIT:
+        return None
+    start = time.perf_counter()
+
+    def report(done: int, total: int) -> None:
+        rate = done / max(time.perf_counter() - start, 1e-9)
+        err.write(f"certify k={k} weight={weight.value}: {done}/{total} splits, "
+                  f"{rate:.0f} splits/s, eta {(total - done) / rate:.0f} s\n")
+        err.flush()
+
+    return report
+
+
 def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -271,7 +289,9 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
         cap = CERTIFIED_MAX_K[cfg.weight]
         all_ok = True
         for k in range(2, cap + 1):
-            cert = certifier(k, collect=False)
+            splits = math.comb(2 * k - 1, k - 1)
+            cert = certifier(k, collect=False,
+                             progress=_progress(k, cfg.weight, splits, err))
             _emit(certificate_render(cert), out)
             all_ok = all_ok and cert.verified
         return EXIT_OK if all_ok else EXIT_CERT_FAILED
@@ -284,7 +304,8 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
         return EXIT_BUDGET
     try:
         cert = certifier(cfg.k, exploratory=cfg.uncertified,
-                         collect=entries <= COLLECT_LIMIT)
+                         collect=entries <= COLLECT_LIMIT,
+                         progress=_progress(cfg.k, cfg.weight, entries, err))
     except (CertifiedRangeError, ValidationError) as exc:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_RANGE

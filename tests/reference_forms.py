@@ -21,6 +21,16 @@ from linematch.core import (
     sort_items,
     within_scores,
 )
+from linematch.certify import (
+    CertificateEntry,
+    ExchangeCertificate,
+    FactorProof,
+    LinearForm,
+    QuadraticForm,
+    SuffixSumProof,
+    _check_bipartition,
+    _gate,
+)
 from linematch.heuristics import EuclideanPoint, _dist, _triple_cost
 from linematch.multipartite import (
     Matching,
@@ -31,6 +41,7 @@ from linematch.oracle import (
     BIPARTITE_ORACLE_MAX_N,
     DEFAULT_BUDGET,
     TRIPARTITE_ORACLE_MAX_N,
+    iter_tuple_partitions,
     partition_count,
 )
 
@@ -400,3 +411,245 @@ def greedy_match_reference(
         chosen = set(best_combo)
         remaining = [it for i, it in enumerate(remaining) if i not in chosen]
     return KPartition(k, tuples, total, weight)
+
+
+# The certifiers as first written: the sq form built by pairwise scalar
+# updates, factored with m^2 scalar re-expansion checks, each factor negated
+# to test the flipped orientation, and an entry built for every split.  The
+# row-class constructor and one-pass checks in linematch.certify must return equal
+# forms, factorizations and certificates.
+
+
+def _abs_coeffs_into(coeffs: list[int], subset: Sequence[int], sign: int) -> None:
+    k = len(subset)
+    for j, pos in enumerate(subset):
+        coeffs[pos - 1] += sign * (2 * j - k + 1)
+
+
+def _sq_matrix_into(matrix: list[list[int]], subset: Sequence[int], sign: int) -> None:
+    for a_idx in range(len(subset)):
+        a = subset[a_idx] - 1
+        for b_idx in range(a_idx + 1, len(subset)):
+            b = subset[b_idx] - 1
+            matrix[a][a] += sign
+            matrix[b][b] += sign
+            matrix[a][b] -= sign
+            matrix[b][a] -= sign
+
+
+def difference_form_reference(k, first_half, weight):
+    """Symbolic cost(split) - cost(sorted split) over 2k sorted variables.
+
+    `first_half` lists the k positions (1-based, containing 1) of the group
+    that keeps x_1; the other group is the complement.  The sorted split
+    {1..k | k+1..2k} yields the zero form.
+    """
+    first, second = _check_bipartition(k, first_half)
+    m = 2 * k
+    low = tuple(range(1, k + 1))
+    high = tuple(range(k + 1, m + 1))
+    if weight is WeightKind.ABS:
+        coeffs = [0] * m
+        _abs_coeffs_into(coeffs, first, +1)
+        _abs_coeffs_into(coeffs, second, +1)
+        _abs_coeffs_into(coeffs, low, -1)
+        _abs_coeffs_into(coeffs, high, -1)
+        return LinearForm(tuple(coeffs))
+    matrix = [[0] * m for _ in range(m)]
+    _sq_matrix_into(matrix, first, +1)
+    _sq_matrix_into(matrix, second, +1)
+    _sq_matrix_into(matrix, low, -1)
+    _sq_matrix_into(matrix, high, -1)
+    return QuadraticForm(tuple(tuple(row) for row in matrix))
+
+
+def factor_as_double_product_reference(self):
+    """Recover integer (u, v) with M = u v^T + v u^T, i.e. form = 2*u.x*v.x.
+
+    Exchange difference forms have zero diagonal, which forces the two
+    factors to use disjoint variables; the matrix then contains a rank-1
+    block u (column) times v (row), recovered with exact integer
+    arithmetic and re-verified entrywise.  Returns None when no such
+    factorization exists.
+    """
+    m = self.m
+    mat = self.matrix
+    if self.is_zero():
+        z = LinearForm.zero(m)
+        return z, z
+    if any(mat[i][i] != 0 for i in range(m)):
+        return None
+    r = next(i for i in range(m) if any(mat[i]))
+    v_support = [j for j in range(m) if mat[r][j] != 0]
+    j0 = v_support[0]
+    u_support = [i for i in range(m) if mat[i][j0] != 0]
+    if set(u_support) & set(v_support):
+        return None
+    g = math.gcd(*(abs(mat[i][j0]) for i in u_support))
+    u = [0] * m
+    for i in u_support:
+        u[i] = mat[i][j0] // g
+    u_r = u[r]
+    v = [0] * m
+    for j in v_support:
+        q, rem = divmod(mat[r][j], u_r)
+        if rem:
+            return None
+        v[j] = q
+    for i in range(m):
+        ui, vi = u[i], v[i]
+        row = mat[i]
+        for j in range(m):
+            if row[j] != ui * v[j] + vi * u[j]:
+                return None
+    return LinearForm(tuple(u)), LinearForm(tuple(v))
+
+
+def _iter_splits(k: int):
+    """Every split of positions 1..2k into two k-groups, the first holding 1."""
+    one_based = (1).__add__
+    for first, second in iter_tuple_partitions(2 * k, k):
+        yield tuple(map(one_based, first)), tuple(map(one_based, second))
+
+
+def _colex_key(entry: CertificateEntry) -> tuple[int, ...]:
+    return tuple(reversed(entry.first))
+
+
+def certify_abs_reference(
+    k: int, exploratory: bool = False, collect: bool = True
+) -> ExchangeCertificate:
+    """Certify sorted-split minimality for absolute differences at size k.
+
+    Checks the suffix-sum criterion on every split's difference form.
+    Entry count is C(2k-1, k-1); per-entry work is O(k), so cost roughly
+    quadruples per increment of k.
+    """
+    _gate(k, WeightKind.ABS, exploratory)
+    m = 2 * k
+    base = [0] * m
+    _abs_coeffs_into(base, tuple(range(1, k + 1)), +1)
+    _abs_coeffs_into(base, tuple(range(k + 1, m + 1)), +1)
+    neg_base = [-c for c in base]
+
+    entries: list[CertificateEntry] = []
+    failures: list[CertificateEntry] = []
+    count = 0
+    first_coeff = 1 - k  # weight of x_1 inside any k-group it leads
+    for companions in combinations(range(2, m + 1), k - 1):
+        count += 1
+        coeffs = neg_base.copy()
+        coeffs[0] += first_coeff
+        for j, pos in enumerate(companions):
+            coeffs[pos - 1] += 2 * (j + 1) - k + 1
+        # complement walk: positions 2..m not in companions, in order
+        ptr = 0
+        j = 0
+        for pos in range(2, m + 1):
+            if ptr < k - 1 and companions[ptr] == pos:
+                ptr += 1
+            else:
+                coeffs[pos - 1] += 2 * j - k + 1
+                j += 1
+        s = 0
+        ok = True
+        for c in reversed(coeffs):
+            s += c
+            if s < 0:
+                ok = False
+                break
+        if ok:
+            ok = s == 0  # full pass: s is the total
+        if collect or not ok:
+            form = LinearForm(tuple(coeffs))
+            comp_set = set(companions)
+            entry = CertificateEntry(
+                first=(1,) + companions,
+                second=tuple(p for p in range(2, m + 1) if p not in comp_set),
+                form=form,
+                proof=SuffixSumProof(form.suffix_sums()),
+                ok=ok,
+                reason="" if ok else "suffix-sum criterion failed",
+            )
+            if collect:
+                entries.append(entry)
+            if not ok:
+                failures.append(entry)
+    entries.sort(key=_colex_key)
+    return ExchangeCertificate(
+        k=k,
+        weight=WeightKind.ABS,
+        entry_count=count,
+        verified=not failures,
+        entries=tuple(entries),
+        failures=tuple(failures),
+    )
+
+
+def certify_sq_reference(
+    k: int, exploratory: bool = False, collect: bool = True
+) -> ExchangeCertificate:
+    """Certify sorted-split minimality for squared differences at size k.
+
+    Every split's quadratic difference form is factored as 2 * L1 * L2 with
+    exact integer arithmetic (verified by re-expansion), and both factors
+    must pass the suffix-sum criterion.  A failed factorization or a factor
+    that is not nonnegative on the sorted cone marks the entry failed.
+    """
+    _gate(k, WeightKind.SQ, exploratory)
+    entries: list[CertificateEntry] = []
+    failures: list[CertificateEntry] = []
+    count = 0
+    for first, second in _iter_splits(k):
+        count += 1
+        form = difference_form_reference(k, first, WeightKind.SQ)
+        pair = factor_as_double_product_reference(form)
+        proof: FactorProof | None = None
+        ok = False
+        reason = ""
+        if pair is None:
+            reason = "no factorization into two linear forms"
+        else:
+            u, v = pair
+            if u.is_cone_nonnegative() and v.is_cone_nonnegative():
+                pass
+            elif (-u).is_cone_nonnegative() and (-v).is_cone_nonnegative():
+                u, v = -u, -v
+            else:
+                reason = "factor not nonnegative on the sorted cone"
+            if not reason:
+                left, right = sorted((u, v), key=lambda f: f.coeffs)
+                proof = FactorProof(left, right)
+                ok = True
+        entry = CertificateEntry(
+            first=first, second=second, form=form, proof=proof, ok=ok, reason=reason
+        )
+        if collect:
+            entries.append(entry)
+        if not ok:
+            failures.append(entry)
+    entries.sort(key=_colex_key)
+    return ExchangeCertificate(
+        k=k,
+        weight=WeightKind.SQ,
+        entry_count=count,
+        verified=not failures,
+        entries=tuple(entries),
+        failures=tuple(failures),
+    )
+
+
+def linear_render_reference(self) -> str:
+    """LinearForm.render as first written, one term built per coefficient."""
+    terms = []
+    for i, c in enumerate(self.coeffs):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        body = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
+        terms.append(f"{sign}{body}")
+    if not terms:
+        return "0"
+    out = " ".join(terms)
+    return out[1:] if out.startswith("+") else out

@@ -3,9 +3,10 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linematch import certify
 from linematch.certify import (
     CertificateEntry,
     ExchangeCertificate,
@@ -19,7 +20,16 @@ from linematch.certify import (
 )
 from linematch.core import CertifiedRangeError, ValidationError, WeightKind
 
-from reference_forms import ENTRY_COUNTS, K3_ABS_FORMS, K3_SQ_FACTORS
+from reference_forms import (
+    ENTRY_COUNTS,
+    K3_ABS_FORMS,
+    K3_SQ_FACTORS,
+    certify_abs_reference,
+    certify_sq_reference,
+    difference_form_reference,
+    factor_as_double_product_reference,
+    linear_render_reference,
+)
 
 
 def abs_cost(scores, subset):
@@ -279,7 +289,126 @@ class TestFactoring:
         assert QuadraticForm(matrix).factor_as_double_product() is None
 
 
+def symmetric_double_product(u, v):
+    m = len(u)
+    return [[u[i] * v[j] + v[i] * u[j] for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def factoring_inputs(draw):
+    """Integer symmetric matrices: u v^T + v u^T with disjoint or overlapping
+    supports, either as is, with one off-diagonal pair moved by +-1, or with
+    one diagonal entry moved; and the zero matrix."""
+    m = draw(st.integers(2, 8))
+    if draw(st.integers(0, 9)) == 0:
+        return tuple((0,) * m for _ in range(m))
+    coeff = st.integers(-3, 3)
+    u = draw(st.lists(coeff, min_size=m, max_size=m))
+    v = draw(st.lists(coeff, min_size=m, max_size=m))
+    if not draw(st.booleans()):  # disjoint supports
+        in_u = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        u = [c if b else 0 for c, b in zip(u, in_u)]
+        v = [0 if b else c for c, b in zip(v, in_u)]
+    mat = symmetric_double_product(u, v)
+    change = draw(st.sampled_from([None, "pair", "diagonal"]))
+    if change == "pair":
+        i, j = draw(st.sampled_from([(i, j) for i in range(m) for j in range(i + 1, m)]))
+        delta = draw(st.sampled_from([-1, 1]))
+        mat[i][j] += delta
+        mat[j][i] += delta
+    elif change == "diagonal":
+        i = draw(st.integers(0, m - 1))
+        mat[i][i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return tuple(map(tuple, mat))
+
+
+class TestReferenceEquality:
+    """The row-class sq constructor, the row-wise factoring check, the one-pass
+    cone test and the collect=False shortcuts against the certifiers as first
+    written (tests/reference_forms.py)."""
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_certify_abs_equals_reference(self, k, collect):
+        assert certify_abs(k, collect=collect) == certify_abs_reference(
+            k, collect=collect
+        )
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_certify_sq_equals_reference(self, k, collect):
+        assert certify_sq(k, collect=collect) == certify_sq_reference(
+            k, collect=collect
+        )
+
+    @pytest.mark.parametrize(
+        "weight,ks", [(WeightKind.ABS, range(2, 10)), (WeightKind.SQ, range(2, 9))]
+    )
+    def test_difference_form_equals_reference_on_every_split(self, weight, ks):
+        for k in ks:
+            for companions in combinations(range(2, 2 * k + 1), k - 1):
+                first = (1,) + companions
+                assert difference_form(k, first, weight) == (
+                    difference_form_reference(k, first, weight)
+                ), (k, first)
+
+    @settings(max_examples=400)
+    @given(factoring_inputs())
+    def test_factoring_equals_reference(self, matrix):
+        form = QuadraticForm(matrix)
+        assert form.factor_as_double_product() == (
+            factor_as_double_product_reference(form)
+        )
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    )
+    def test_cone_sign_matches_negated_forms(self, u, v):
+        lu, lv = LinearForm(tuple(u)), LinearForm(tuple(v))
+        if lu.is_cone_nonnegative() and lv.is_cone_nonnegative():
+            expected = 1
+        elif (-lu).is_cone_nonnegative() and (-lv).is_cone_nonnegative():
+            expected = -1
+        else:
+            expected = 0
+        assert certify._cone_sign(u, v) == expected
+
+    def test_mixed_orientation_factors_fail(self, monkeypatch):
+        # 2*(x4 - x1)*(x2 - x3): the first factor is nonnegative on the
+        # sorted cone, the second has suffix sum -1 at x3, and negating both
+        # breaks the first, so every split must fail, collected or not
+        matrix = tuple(map(tuple, symmetric_double_product(
+            [-1, 0, 0, 1], [0, 1, -1, 0]
+        )))
+        monkeypatch.setattr(certify, "_sq_matrix", lambda k, first: matrix)
+        for collect in (True, False):
+            cert = certify_sq(2, collect=collect)
+            assert not cert.verified
+            assert len(cert.failures) == 3
+            assert all(
+                e.reason == "factor not nonnegative on the sorted cone"
+                and e.proof is None
+                for e in cert.failures
+            )
+
+
+class TestProgress:
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_callback_every_interval(self, monkeypatch, certifier):
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
+        calls = []
+        cert = certifier(4, progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(10, 35), (20, 35), (30, 35)]
+        assert cert == certifier(4)
+
+
 class TestRender:
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=20))
+    def test_linear_render_equals_reference(self, coeffs):
+        form = LinearForm(tuple(coeffs))
+        assert form.render() == linear_render_reference(form)
+
     def test_k2_abs_layout(self):
         text = certificate_render(certify_abs(2))
         lines = text.splitlines()

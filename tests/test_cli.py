@@ -1,10 +1,16 @@
 import json
 import math
+import re
 
 import pytest
 
-from linematch import cli
+from linematch import certify, cli
+from linematch.certify import certificate_render, certify_abs
 from linematch.cli import main
+
+PROGRESS_LINE = re.compile(
+    r"certify k=(\d+) weight=(abs|sq): (\d+)/(\d+) splits, \d+ splits/s, eta \d+ s"
+)
 
 
 def write_csv(tmp_path, rows, name="cohort.csv", header="id,score", bom=False):
@@ -196,6 +202,43 @@ class TestCertifyCommand:
         assert code == 5
         assert out == ""
         assert f"{math.comb(2 * k - 1, k - 1)} splits" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["certify", "--k", "9"], ["certify", "--full-range", "--weight", "sq"]]
+    )
+    def test_certificates_within_collect_limit_write_no_progress(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == ""
+
+    def test_long_certificates_report_progress_on_stderr(self, capsys, monkeypatch):
+        code, plain, _ = run_cli(capsys, ["certify", "--full-range", "--weight", "sq"])
+        assert code == 0
+        # k=7 (1716 splits) and k=8 (6435) now count as long
+        monkeypatch.setattr(cli, "COLLECT_LIMIT", 1000)
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", 1000)
+        code, out, err = run_cli(capsys, ["certify", "--full-range", "--weight", "sq"])
+        assert code == 0
+        assert out == plain
+        lines = err.splitlines()
+        parsed = [PROGRESS_LINE.fullmatch(line) for line in lines]
+        assert all(parsed), lines
+        assert [(p[1], p[2], int(p[3]), int(p[4])) for p in parsed] == [
+            ("7", "sq", 1000, 1716)
+        ] + [("8", "sq", done, 6435) for done in range(1000, 6001, 1000)]
+
+    def test_long_single_certificate_is_uncollected_with_progress(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "COLLECT_LIMIT", 100)
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", 200)
+        code, out, err = run_cli(capsys, ["certify", "--k", "6"])
+        assert code == 0
+        assert out == certificate_render(certify_abs(6, collect=False)) + "\n"
+        parsed = [PROGRESS_LINE.fullmatch(line) for line in err.splitlines()]
+        assert [p.group(1, 2, 3, 4) for p in parsed] == [
+            ("6", "abs", "200", "462"), ("6", "abs", "400", "462")
+        ]
 
     def test_full_range_small_weight_sq(self, capsys):
         # sq full range is k <= 8; entry work stays small enough for a test
