@@ -14,8 +14,8 @@ is nonnegative on the cone of nondecreasing real vectors:
   coefficients; it is nonnegative on the sorted cone exactly when its
   coefficients sum to zero and every suffix sum is nonnegative (Abel
   summation against the cone generators (0,..,0,1,..,1)).  Per split, one
-  O(k) pass builds the coefficients and one pass the suffix sums, which
-  serve both as the verdict and as the proof.
+  O(k) pass builds the coefficients and one scan of the suffix sums gives
+  the verdict; the sums are kept as the proof when an entry is built.
 
 * squared differences: the difference is a quadratic form with no square
   terms.  Off the diagonal its matrix holds [same half of the sorted split]
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, count, repeat
-from operator import attrgetter, getitem, itemgetter, mod, mul, sub
+from itertools import accumulate, combinations, compress, count, islice, repeat
+from operator import attrgetter, getitem, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
@@ -59,6 +59,17 @@ def _suffix_sums(coeffs: Sequence[int]) -> list[int]:
     sums = list(accumulate(reversed(coeffs)))
     sums.reverse()
     return sums
+
+
+def _suffix_criterion(coeffs: Sequence[int]) -> bool:
+    """The suffix-sum criterion on c_1..c_m: total 0 and every suffix sum
+    >= 0, scanned from c_m and stopped at the first negative sum."""
+    s = 0
+    for c in reversed(coeffs):
+        s += c
+        if s < 0:
+            return False
+    return s == 0
 
 
 def _nonnegative_on_cone(sums_from_end: list[int]) -> bool:
@@ -135,7 +146,7 @@ class LinearForm:
         in the cone both ways) and every suffix sum is nonnegative (the
         step-vector generators).
         """
-        return _nonnegative_on_cone(list(accumulate(reversed(self.coeffs))))
+        return _suffix_criterion(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -386,29 +397,25 @@ def difference_form(
     return QuadraticForm(_sq_matrix(k, first))
 
 
-def _splits(k: int, progress: Progress | None) -> Iterator[tuple[int, ...]]:
-    """The companions of x_1 (ascending positions) in every split, in
-    descending colexicographic order of the first group; with `progress`,
-    calling progress(done, total) every PROGRESS_EVERY splits.
+def _split_batches(
+    k: int, progress: Progress | None
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The companions of x_1 in every split, each listed largest position
+    first, in descending colexicographic order of the first group.
 
+    They come in batches of PROGRESS_EVERY splits (the last one shorter);
+    each batch must be used up before the next is taken.  With `progress`,
+    progress(done, total) is called after each batch but the last.
     Reversed, a list of entries built in this order is in the ascending
     colex order the certificate keeps, with no sort.
     """
-    descending = combinations(range(2 * k, 1, -1), k - 1)
-    splits = map(itemgetter(slice(None, None, -1)), descending)
-    if progress is None:
-        return splits
-    return _reporting(splits, math.comb(2 * k - 1, k - 1), progress)
-
-
-def _reporting(
-    splits: Iterable[tuple[int, ...]], total: int, progress: Progress
-) -> Iterator[tuple[int, ...]]:
+    total = math.comb(2 * k - 1, k - 1)
+    splits = combinations(range(2 * k, 1, -1), k - 1)
     every = PROGRESS_EVERY
-    for done, companions in enumerate(splits, 1):
-        if not done % every:
-            progress(done, total)
-        yield companions
+    for done in range(0, total, every):
+        yield islice(splits, every)
+        if progress is not None and done + every < total:
+            progress(done + every, total)
 
 
 def _gate(k: int, weight: WeightKind, exploratory: bool) -> None:
@@ -433,9 +440,9 @@ def certify_abs(
 
     Checks the suffix-sum criterion on every split's difference form.
     Entry count is C(2k-1, k-1); per split, one O(k) walk builds the
-    coefficients and the complement group, and one pass the suffix sums
-    (verdict and proof), so cost roughly quadruples per increment of k.
-    With collect=False an entry is built only for a failing split.
+    coefficients and one scan of the suffix sums gives the verdict, so cost
+    roughly quadruples per increment of k.  With collect=False an entry (and
+    its suffix-sum proof) is built only for a failing split.
     """
     _gate(k, WeightKind.ABS, exploratory)
     m = 2 * k
@@ -443,39 +450,40 @@ def certify_abs(
     w = [2 * j - k + 1 for j in range(k)]
     neg_base = [-c for c in w] * 2  # minus the sorted split's cost
     neg_base[0] += w[0]  # x_1 leads the first group of every split
-    w_companions = w[1:]
+    w_companions = w[:0:-1]  # largest companion first
+    others = frozenset(range(2, m + 1))
 
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
-    for companions in _splits(k, progress):
-        coeffs = neg_base.copy()
-        for pos, c in zip(companions, w_companions):
-            coeffs[pos - 1] += c
-        # complement walk: positions 2..m not in companions, in order
-        second = []
-        ptr = j = 0
-        for pos in range(2, m + 1):
-            if ptr < k - 1 and companions[ptr] == pos:
-                ptr += 1
-            else:
-                coeffs[pos - 1] += w[j]
-                j += 1
-                second.append(pos)
-        sums = list(accumulate(reversed(coeffs)))
-        ok = _nonnegative_on_cone(sums)
-        if ok and not collect:
-            continue
-        sums.reverse()
-        form = LinearForm(tuple(coeffs))
-        proof = SuffixSumProof(tuple(sums))
-        reason = "" if ok else "suffix-sum criterion failed"
-        entry = CertificateEntry(
-            (1,) + companions, tuple(second), form, proof, ok, reason
-        )
-        if collect:
-            entries.append(entry)
-        if not ok:
-            failures.append(entry)
+    for batch in _split_batches(k, progress):
+        for companions in batch:
+            coeffs = neg_base.copy()
+            for pos, c in zip(companions, w_companions):
+                coeffs[pos - 1] += c
+            # complement walk: positions m..2 not in companions, in order
+            ptr = 0
+            j = k - 1
+            for pos in range(m, 1, -1):
+                if ptr < k - 1 and companions[ptr] == pos:
+                    ptr += 1
+                else:
+                    coeffs[pos - 1] += w[j]
+                    j -= 1
+            ok = _suffix_criterion(coeffs)
+            if ok and not collect:
+                continue
+            entry = CertificateEntry(
+                (1,) + companions[::-1],
+                tuple(sorted(others.difference(companions))),
+                LinearForm(tuple(coeffs)),
+                SuffixSumProof(tuple(_suffix_sums(coeffs))),
+                ok,
+                "" if ok else "suffix-sum criterion failed",
+            )
+            if collect:
+                entries.append(entry)
+            if not ok:
+                failures.append(entry)
     entries.reverse()
     failures.sort(key=attrgetter("first"))  # lexicographic split order
     return ExchangeCertificate(
@@ -507,36 +515,41 @@ def certify_sq(
     """
     _gate(k, WeightKind.SQ, exploratory)
     m = 2 * k
+    others = frozenset(range(2, m + 1))
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
-    for companions in _splits(k, progress):
-        first = (1,) + companions
-        mat = _sq_matrix(k, first)
-        pair = _factor_pair(mat)
-        sign = 0 if pair is None else _cone_sign(*pair)
-        if sign and not collect:
-            continue
-        proof: FactorProof | None = None
-        reason = ""
-        if pair is None:
-            reason = "no factorization into two linear forms"
-        elif not sign:
-            reason = "factor not nonnegative on the sorted cone"
-        else:
-            u, v = pair
-            if sign < 0:
-                u = tuple(-c for c in u)
-                v = tuple(-c for c in v)
-            left, right = sorted((u, v))
-            proof = FactorProof(LinearForm(left), LinearForm(right))
-        second = tuple(p for p in range(2, m + 1) if p not in companions)
-        entry = CertificateEntry(
-            first, second, QuadraticForm(mat), proof, bool(sign), reason
-        )
-        if collect:
-            entries.append(entry)
-        if not sign:
-            failures.append(entry)
+    for batch in _split_batches(k, progress):
+        for companions in batch:
+            mat = _sq_matrix(k, (1,) + companions)
+            pair = _factor_pair(mat)
+            sign = 0 if pair is None else _cone_sign(*pair)
+            if sign and not collect:
+                continue
+            proof: FactorProof | None = None
+            reason = ""
+            if pair is None:
+                reason = "no factorization into two linear forms"
+            elif not sign:
+                reason = "factor not nonnegative on the sorted cone"
+            else:
+                u, v = pair
+                if sign < 0:
+                    u = tuple(-c for c in u)
+                    v = tuple(-c for c in v)
+                left, right = sorted((u, v))
+                proof = FactorProof(LinearForm(left), LinearForm(right))
+            entry = CertificateEntry(
+                (1,) + companions[::-1],
+                tuple(sorted(others.difference(companions))),
+                QuadraticForm(mat),
+                proof,
+                bool(sign),
+                reason,
+            )
+            if collect:
+                entries.append(entry)
+            if not sign:
+                failures.append(entry)
     entries.reverse()
     failures.sort(key=attrgetter("first"))  # lexicographic split order
     return ExchangeCertificate(

@@ -385,12 +385,33 @@ class TestReferenceEquality:
         for collect in (True, False):
             cert = certify_sq(2, collect=collect)
             assert not cert.verified
-            assert len(cert.failures) == 3
+            assert [e.first for e in cert.failures] == [(1, 2), (1, 3), (1, 4)]
             assert all(
                 e.reason == "factor not nonnegative on the sorted cone"
                 and e.proof is None
                 for e in cert.failures
             )
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_abs_failures_keep_split_order_and_proofs(self, monkeypatch, collect):
+        # every split rejected: failures come in lexicographic split order,
+        # collected entries in the reference's colex order, and each failure
+        # carries the reference's form and suffix sums
+        monkeypatch.setattr(certify, "_suffix_criterion", lambda coeffs: False)
+        cert = certify_abs(4, collect=collect)
+        reference = {e.first: e for e in certify_abs_reference(4).entries}
+        assert not cert.verified
+        assert [e.first for e in cert.failures] == [
+            (1,) + c for c in combinations(range(2, 9), 3)
+        ]
+        for e in cert.failures:
+            assert not e.ok and e.reason == "suffix-sum criterion failed"
+            assert (e.second, e.form, e.proof) == (
+                reference[e.first].second,
+                reference[e.first].form,
+                reference[e.first].proof,
+            )
+        assert [e.first for e in cert.entries] == (list(reference) if collect else [])
 
 
 class TestProgress:
@@ -401,6 +422,26 @@ class TestProgress:
         cert = certifier(4, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(10, 35), (20, 35), (30, 35)]
         assert cert == certifier(4)
+
+    @pytest.mark.parametrize(
+        "certifier, per_split",
+        [(certify_abs, "_suffix_criterion"), (certify_sq, "_sq_matrix")],
+    )
+    def test_callback_counts_finished_splits(self, monkeypatch, certifier, per_split):
+        # each report comes after its `done` splits were checked, not before
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
+        checked = []
+        step = getattr(certify, per_split)
+
+        def counted(*args):
+            checked.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(certify, per_split, counted)
+        seen = []
+        certifier(4, progress=lambda done, total: seen.append((done, len(checked))))
+        assert seen == [(10, 10), (20, 20), (30, 30)]
+        assert len(checked) == 35
 
 
 class TestRender:
