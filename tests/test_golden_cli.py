@@ -1,14 +1,20 @@
-"""Golden stdout of `linematch certify` and `linematch bench`.
+"""Golden stdout of `linematch certify`, `linematch bench` and
+`linematch match --balance --format csv`.
 
 Each case pins the exit code and the sha256 of stdout, so no change to the
-exact searches, the certificates or the CLI can alter a byte unnoticed.
-Inputs are integers only: from Python 3.12 on `sum()` over floats is
-compensated, so float totals could differ between interpreter versions,
-while integer totals cannot.  Float paths are covered by the reference
-equality tests instead.
+exact searches, the certificates, the slot balancing or the CLI can alter a
+byte unnoticed.  certify and bench inputs are integers only: from Python
+3.12 on `sum()` over floats is compensated, so float totals could differ
+between interpreter versions, while integer totals cannot.  The balanced
+match cohorts are floats; the abs group cost of k >= 3 goes through `sum()`,
+so those cases are pinned on interpreters before 3.12 only (the digests
+were taken on 3.11).  CSV output is pinned because the JSON config block
+echoes the input path.
 """
 
 import hashlib
+import random
+import sys
 
 import pytest
 
@@ -51,5 +57,99 @@ GOLDEN = [
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_stdout_matches_golden(capsys, argv, code, digest):
     assert main(argv.split()) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+# Cohort families for the balanced match goldens, drawn from random.Random(k):
+# full-precision U(0,1) floats, one-decimal ages 18.0..22.0 (many ties and
+# constant groups), integers 0..99, and tenths on a 1e12 offset.
+COHORTS = {
+    "uniform": lambda rng: rng.random(),
+    "ages": lambda rng: rng.randint(180, 220) / 10,
+    "ints": lambda rng: rng.randint(0, 99),
+    "offset": lambda rng: 1e12 + rng.randint(0, 30) / 10,
+}
+
+# (family, k, weight) -> sha256 of stdout; 10 groups per cohort
+BALANCED = {
+    ('uniform', 2, 'abs'): 'dc7c8bfd57aa7ac0798cfc36ef90f9c1c1677c001ad942d8181592707f3b5396',
+    ('uniform', 3, 'abs'): 'f7809db8961d1a852b59b957a5c16739208db0a45f4cf63246d92e99eb4f5dad',
+    ('uniform', 4, 'abs'): '7f4c63d10e34960c6fbe23a0737956b0444ff3187cb971d61c7358c47ba4cac4',
+    ('uniform', 5, 'abs'): '13e3ba0d01faeffc8649290d52cdad2f3900bcbe965603bcf8935529618633f6',
+    ('uniform', 6, 'abs'): 'd4bfb4591444aa0e6bde938f4f7f5b7eb0b457d3c90ee1c1c296b7eadd0b01c2',
+    ('uniform', 2, 'sq'): '04e1a2f066c5a63168423a5577cb9165a9fd81265922ac6d3931abf3d7826301',
+    ('uniform', 3, 'sq'): '114ce51e751d19d250f9af556cd282b440ca4506e23723d31359a0cd51e4e8f7',
+    ('uniform', 4, 'sq'): 'bfd0c00b933e90445ce0b93292b4bf8c2f6cfad51a87ded70eb547d84597c0d2',
+    ('uniform', 5, 'sq'): 'c0c19477b34b00fd5dec7e112206bbbe076895d0330c018f7abd410ec189ec43',
+    ('uniform', 6, 'sq'): '99aad2bba7eb886c753489357387d61ec71ce5a71da4f0a0c86e023a379d6655',
+    ('uniform', 7, 'sq'): '86b774458ec8014801dc69534314df128c7a6e43f75f12bae16a14dcba2da3af',
+    ('uniform', 8, 'sq'): 'c08298ce60a56a1541988ffbfed3ce65aa3806338a7dd50f5ea2a60d31093525',
+    ('ages', 2, 'abs'): 'c88a51f7caa945c59c700746733ea6b75a7f927958fb224c638e3276bc90dd1f',
+    ('ages', 3, 'abs'): '4dc5226934421eae97ebff332810904b1dfb8157693486a93312fc977f286c24',
+    ('ages', 4, 'abs'): '20548a9c352696284ae545de1b9953b955d0439f787e3fb39627dd155fd44da8',
+    ('ages', 5, 'abs'): '3689aff71776e7f1488cf1dd7a465c7253abbceb4d628b66a079c10635cf78e7',
+    ('ages', 6, 'abs'): '274a2328d0456f774023cb4f873b3cf3b37c08311230de95248ab4577c3c1fc8',
+    ('ages', 2, 'sq'): '0c8bf02cce15572f9bd90c1fe94f701f96dcff1fc49827401deed5c6333307a5',
+    ('ages', 3, 'sq'): '68b9e860ee98dc96e29fada5fe8cd04042042a381e58515f93bcb57a910b929b',
+    ('ages', 4, 'sq'): '412b40979cf70f7c3e64b5a735aae336f78f849693b64f4cf6d63554c69c356b',
+    ('ages', 5, 'sq'): 'b508225e3b042bf282062a82aab6b0fb9bab4bd9fae3cc9f426b3d056ba0a3a8',
+    ('ages', 6, 'sq'): '4e2397a8412c5bf5fc6213615f3361ffabe21ff1c57d52f14345fa26d4ac7c0d',
+    ('ages', 7, 'sq'): 'e6d250810fe79a3ccf6647ae9c4baf82c61a2224d132b3c6db7251e9c2d0b60a',
+    ('ages', 8, 'sq'): '2245339a8866ccd8f04544b565cbb71ddc3bad424793d80367c5278923f4c1be',
+    ('ints', 2, 'abs'): '3e791d5a27ebd7b150d34efd819672e45c02841a2242d8d6ddb42c6c7ee819ea',
+    ('ints', 3, 'abs'): '1cd98ea08d405ca7e1833735ee18574d9b7176ac01e27aaa3ac4766212be81d5',
+    ('ints', 4, 'abs'): '787c1fe45b692549e1f2410ef4ca81f27ed62ff4a27d0c4359a95580780836d7',
+    ('ints', 5, 'abs'): '88212de846bd379ee15efacc40ef099744127901dd63cab977fbb8c4421b81a1',
+    ('ints', 6, 'abs'): '5356bbcf1335400f2aeeda0658f1a8510f359ed991cb20f43318f29ed7c04865',
+    ('ints', 2, 'sq'): '0316b47acbdfbd0d27bfaada1a3fae0cc4943fa7de35f40d73d306b44d408532',
+    ('ints', 3, 'sq'): 'c6d83c5c9756e9982e6d753fd89c4accf3cc0b502bd3cefb50f173c3aa40ef3d',
+    ('ints', 4, 'sq'): '3513b8fd89ef9a5cdc1aceafa32b865ce0037bb7b8469c1d529360b3ac669c72',
+    ('ints', 5, 'sq'): '965eee5633e81d36990b127da7991735eebfddba20907f6f2f7b79598da5a4c9',
+    ('ints', 6, 'sq'): '49a01af22b8f13e2ee2ba625c794ee1d44389b6fc77753497cb9605f1e7d3620',
+    ('ints', 7, 'sq'): '675ed311318dc1c1bf24d2f754cf404f0494afbbc6c35c58c7335b570f102140',
+    ('ints', 8, 'sq'): 'f6affcf7f12edf8b4c733071e1fc5339faceebf1edce4727227d769b23c7a12e',
+    ('offset', 2, 'abs'): '4a32cdf51b5894c5256b14b9038146c621451c4ecc613a1ee6176bcf41dadf71',
+    ('offset', 3, 'abs'): '6cf84f58eb11dc1407a20525187702f8fdf21ee99355667c2a4b3fe79e57c077',
+    ('offset', 4, 'abs'): 'f99cbe1afe443d3d6d3908848de44aeea3cc41e42534b257c7eb779dada24555',
+    ('offset', 5, 'abs'): 'ad067482c874acbebf6083374c48b1ddf2413ef91f1c157741eaf93eef7ad7e8',
+    ('offset', 6, 'abs'): '7627cb1e78226cce1d708e8e828d7232241a21f1f8728efabd64c7bc3b703c16',
+    ('offset', 2, 'sq'): 'cce4f99721fbb396dbd62f94fd97b41cb25f1f5f497ee7abc70853f201273028',
+    ('offset', 3, 'sq'): 'f266fde0bbed6656d2354e4a7fb51802632b30d9a52d3693f1a9ee6ab9448498',
+    ('offset', 4, 'sq'): '0c9e03f658ecc701172c5dd4cc0617f7c15f9c0b7b7c7e9c1fa48bb59c0e8d0d',
+    ('offset', 5, 'sq'): '4af14733a0c7696eb7ea9a5a17d87d47764963b0657f1388227eeb76f9e9f304',
+    ('offset', 6, 'sq'): '0e3a7f0343e51a3f12458f92bd00d0b35b12d01c5085a0498da46b4ddc42059d',
+    ('offset', 7, 'sq'): '38df492945f8b2880d3d33a82ac2eabcab9b3f35c3b7fab99d3269409f6b653b',
+    ('offset', 8, 'sq'): '4d939488976001839ed7c08ffea8d9c744d85f075dd930983354a46075206e63',
+}
+
+
+def write_cohort(path, family, k):
+    rng = random.Random(k)
+    draw = COHORTS[family]
+    rows = [f"s{i},{draw(rng)}" for i in range(10 * k)]
+    path.write_text("id,score\n" + "\n".join(rows) + "\n")
+
+
+def _balanced_case(family, k, weight):
+    marks = ()
+    if weight == "abs" and k >= 3 and family != "ints":
+        marks = pytest.mark.skipif(
+            sys.version_info >= (3, 12),
+            reason="abs group costs of float cohorts go through sum(), "
+                   "compensated from 3.12 on")
+    return pytest.param(family, k, weight, BALANCED[family, k, weight],
+                        marks=marks, id=f"{family}-k{k}-{weight}")
+
+
+@pytest.mark.parametrize("family,k,weight,digest",
+                         [_balanced_case(*case) for case in BALANCED])
+def test_balanced_match_csv_matches_golden(tmp_path, capsys, family, k,
+                                           weight, digest):
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, family, k)
+    argv = ["match", "--input", str(path), "--k", str(k), "--weight", weight,
+            "--balance", "--format", "csv"]
+    assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
