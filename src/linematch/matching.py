@@ -13,8 +13,8 @@ matching cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from operator import add, attrgetter, itemgetter
+from math import isfinite
+from operator import add, attrgetter, neg
 from typing import Sequence
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
 
 
 _score_of = attrgetter("score")
+_rank_of = attrgetter("input_rank")
 
 
 def _pair_total_abs(ordered: list[ScoredItem]) -> float:
@@ -102,8 +103,22 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
     first member's input rank).  The first group keeps sorted order; every
     later group takes the slot permutation minimizing the spread
     max(slot sums) - min(slot sums) after placement, ties resolved by the
-    lexicographically smallest permutation.  Enumerates k! permutations per
-    group, so intended for the small k used in practice.
+    lexicographically smallest permutation (as the strict `<` of a loop
+    over all k! permutations in lexicographic order would pick).
+
+    The minimum is found without enumerating permutations.  Pairing the
+    slots in ascending order of sum with the members in descending order of
+    score (the anti-sorted assignment) minimizes the largest slot sum and
+    maximizes the smallest one at once, by the exchange argument of the
+    rearrangement inequality.  Rounded addition and subtraction are monotone,
+    so the argument holds in floats too: no permutation's spread is below
+    the anti-sorted spread, the floor.  The identity is kept when it meets
+    the floor; otherwise slots are filled in order, each with the smallest
+    free member whose prefix still admits a completion at the floor.  The
+    best completion of a prefix is the anti-sorted assignment of the rest,
+    so that test is exact and needs no backtracking: O(k^3) per group.  A
+    non-finite floor (overflowing slot sums) makes every spread inf or NaN,
+    none below another, so the identity is kept.
     """
     k = partition.k
     within = partition.group_within
@@ -113,25 +128,68 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
         return BalancedPartition(partition, (), ())
 
     members = partition.items()
-    scores = list(map(_score_of, members))
-    order = sorted(range(n), key=lambda i: (-within[i], members[i * k].input_rank))
-    # permutations() yields in lexicographic order, identity first, so a
-    # strict < keeps the smallest permutation among equal spreads
-    candidates = [(perm, itemgetter(*perm)) for perm in permutations(identity)]
-    sums = [0] * k
+    groups = list(zip(*[iter(map(_score_of, members))] * k))
+    keys = list(zip(map(neg, within), map(_rank_of, members[::k])))
+    order = sorted(range(n), key=keys.__getitem__)
+    sums = list(map(add, [0] * k, groups[order[0]]))
     assignment: list[tuple[int, ...]] = [identity] * n
-    for step, idx in enumerate(order):
-        group = scores[idx * k : idx * k + k]
-        best_perm = best_spread = best_sums = None
-        for perm, pick in candidates if step else candidates[:1]:
-            trial = list(map(add, sums, pick(group)))
-            spread = max(trial) - min(trial)
-            if best_spread is None or spread < best_spread:
-                best_perm, best_spread, best_sums = perm, spread, trial
-        sums = best_sums
-        assignment[idx] = best_perm
+    for idx in order[1:]:
+        group = groups[idx]
+        trial = list(map(add, sums, group))
+        spread = max(trial) - min(trial)
+        if k == 2:
+            # the anti-sorted floor, met by the identity or else the swap
+            best = abs((max(sums) + min(group)) - (min(sums) + max(group)))
+            if spread == best or not isfinite(best):
+                sums = trial
+            else:
+                assignment[idx] = (1, 0)
+                sums = [sums[0] + group[1], sums[1] + group[0]]
+            continue
+        ascending = sorted(sums)
+        descending = sorted(group, reverse=True)
+        floor = list(map(add, ascending, descending))
+        best = max(floor) - min(floor)
+        if spread == best or not isfinite(best):
+            sums = trial
+        else:
+            assignment[idx], sums = _descend(sums, group, best, ascending, descending)
     means = tuple(s / n for s in sums)
     return BalancedPartition(partition, tuple(assignment), means)
+
+
+def _descend(sums, group, best, ascending, descending):
+    """The lexicographically first permutation placing `group` on the slots
+    with spread `best`, the finite anti-sorted floor, and the new slot sums.
+
+    `ascending` holds the slot sums and `descending` the group's scores,
+    both sorted; the two lists are consumed.
+    """
+    k = len(sums)
+    free = list(range(k))
+    perm = []
+    placed = []
+    for j in range(k - 1):
+        s = sums[j]
+        ascending.remove(s)
+        # the last free member needs no test: the prefix admits a completion
+        for m in free[:-1]:
+            rest = descending.copy()
+            rest.remove(group[m])
+            trial = list(map(add, ascending, rest))
+            trial += placed
+            trial.append(s + group[m])
+            if max(trial) - min(trial) == best:
+                break
+        else:
+            m = free[-1]
+        free.remove(m)
+        descending.remove(group[m])
+        perm.append(m)
+        placed.append(s + group[m])
+    perm.append(free[0])
+    placed.append(sums[-1] + group[free[0]])
+    return tuple(perm), placed
 
 
 def slot_sums(balanced: BalancedPartition) -> tuple[float, ...]:

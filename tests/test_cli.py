@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import random
 import re
 
 import pytest
@@ -55,6 +58,32 @@ class TestMatchCommand:
         for g in doc["groups"]:
             slots = sorted(m["slot"] for m in g["members"])
             assert slots == [0, 1]
+
+    def test_k16_balance_meets_the_anti_sorted_floor(self, tmp_path, capsys):
+        # abs k=16 is certified; 16! slot permutations per group must not be
+        # enumerated.  The floor is recomputed here from the printed slots.
+        rng = random.Random(41)
+        path = write_csv(tmp_path, [f"s{i},{rng.random()!r}" for i in range(160)])
+        code, out, err = run_cli(capsys, ["match", "--input", path, "--k", "16",
+                                          "--weight", "abs", "--balance",
+                                          "--format", "csv"])
+        assert code == 0, err
+        groups = {}
+        for row in csv.DictReader(io.StringIO(out)):
+            groups.setdefault(row["group"], []).append(row)
+        assert len(groups) == 10
+        # balancing order: nonincreasing within, ties by first input rank
+        order = sorted(groups.values(), key=lambda rows: (
+            -float(rows[0]["within"]), int(rows[0]["id"][1:])))
+        assert [int(r["slot"]) for r in order[0]] == list(range(16))
+        sums = [float(r["score"]) for r in order[0]]
+        for rows in order[1:]:
+            placed = [0.0] * 16
+            for r in rows:
+                placed[int(r["slot"])] = float(r["score"])
+            floor = [a + b for a, b in zip(sorted(sums), sorted(placed, reverse=True))]
+            sums = [a + b for a, b in zip(sums, placed)]
+            assert max(sums) - min(sums) == max(floor) - min(floor)
 
     def test_csv_format(self, tmp_path, capsys):
         path = write_csv(tmp_path, CANONICAL)

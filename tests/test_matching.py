@@ -8,6 +8,7 @@ from reference_forms import balance_columns_reference
 from linematch.core import (
     CertifiedRangeError,
     KPartition,
+    KTuple,
     SizeError,
     WeightKind,
     items_from_pairs,
@@ -19,6 +20,24 @@ from linematch.oracle import brute_force_partition, greedy_match
 
 def make_items(scores):
     return items_from_pairs([(f"i{n}", s) for n, s in enumerate(scores)])
+
+
+# score strategies for the reference equality test of balance_columns
+SCORE_FAMILIES = {
+    "tenths": st.integers(0, 30).map(lambda t: t / 10),
+    "uniform": st.floats(0, 1),
+    "offset": st.integers(0, 30).map(lambda t: 1e12 + t / 10),
+    "overflow": st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 5e307, 1.0]),
+    "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+}
+
+
+def assert_equals_reference(part):
+    """balance_columns returns what the k!-permutation loop returns; repr
+    tells -0.0 from 0.0."""
+    balanced = balance_columns(part)
+    got = (balanced.column_assignment, balanced.column_means)
+    assert repr(got) == repr(balance_columns_reference(part))
 
 
 def group_scores(partition):
@@ -186,29 +205,45 @@ class TestBalanceColumns:
         assert balanced.column_means == ()
 
     @given(
-        st.integers(2, 4),
+        st.integers(2, 6),
         st.sampled_from(list(WeightKind)),
+        st.sampled_from(sorted(SCORE_FAMILIES)),
         st.data(),
     )
-    def test_equals_reference_loop_on_tied_scores(self, k, weight, data):
-        # one-decimal scores from a narrow range: many tied groups and spreads
+    def test_equals_reference_loop_on_tied_scores(self, k, weight, family, data):
+        # tied tenths give many tied groups and spreads; the other families
+        # cover full-precision floats, a 1e12 offset, slot sums that
+        # overflow (a non-finite floor) and signed zeros
         n = data.draw(st.integers(0, 12))
-        tenths = data.draw(st.lists(st.integers(0, 30), min_size=k * n,
+        scores = data.draw(st.lists(SCORE_FAMILIES[family], min_size=k * n,
                                     max_size=k * n))
-        part = match_line(make_items([t / 10 for t in tenths]), k, weight)
-        balanced = balance_columns(part)
-        assert (balanced.column_assignment, balanced.column_means) == (
-            balance_columns_reference(part)
-        )
+        assert_equals_reference(match_line(make_items(scores), k, weight))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_slot_sums_keep_identity(self, k):
+        # the second group overflows every slot sum to inf: each spread is
+        # NaN, none below another, so the first permutation stays
+        part = match_line(make_items([1.7e308] * (2 * k)), k, WeightKind.ABS)
+        assert balance_columns(part).column_assignment == (tuple(range(k)),) * 2
+        assert_equals_reference(part)
+
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_k7_equals_reference_loop(self, weight):
+        rng = random.Random(37)
+        scores = [rng.random() for _ in range(7 * 8)]
+        assert_equals_reference(match_line(make_items(scores), 7, weight))
 
     def test_tuple_built_partition_equals_reference_loop(self):
+        # groups are not sorted by the KPartition constructor: every other
+        # group is reversed, so the floor must sort the scores itself
         rng = random.Random(31)
-        for k in (2, 3, 4):
-            scores = [rng.randint(0, 9) for _ in range(4 * k)]
-            for weight in WeightKind:
-                fast = match_line(make_items(scores), k, weight)
-                part = KPartition(k, fast.tuples, fast.total_within, weight)
-                balanced = balance_columns(part)
-                assert (balanced.column_assignment, balanced.column_means) == (
-                    balance_columns_reference(part)
-                )
+        for k in range(2, 7):
+            for draw in (lambda: rng.randint(0, 9), rng.random):
+                scores = [draw() for _ in range(8 * k)]
+                for weight in WeightKind:
+                    fast = match_line(make_items(scores), k, weight)
+                    tuples = [KTuple(t.members[::-1]) if i % 2 else t
+                              for i, t in enumerate(fast.tuples)]
+                    assert any(t.scores() != sorted(t.scores()) for t in tuples)
+                    assert_equals_reference(
+                        KPartition(k, tuples, fast.total_within, weight))
