@@ -7,14 +7,19 @@ back this).  Total runtime is dominated by the sort.
 
 Also provides the column-balancing pass that reassigns members to treatment
 slots so per-slot score means come out nearly equal, without touching the
-matching cost.
+matching cost.  Each group gets the lexicographically first slot
+permutation of minimal spread, found exactly without enumerating the k!
+permutations: the anti-sorted assignment (ascending slot sums, descending
+scores) sets a floor that monotone float rounding keeps valid, and a
+slot-by-slot descent tested against that floor finds the permutation in
+O(k^3) per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from operator import add, attrgetter, neg
+from operator import add, attrgetter
 from typing import Sequence
 
 from .core import (
@@ -30,7 +35,6 @@ from .core import (
 
 
 _score_of = attrgetter("score")
-_rank_of = attrgetter("input_rank")
 
 
 def _pair_total_abs(ordered: list[ScoredItem]) -> float:
@@ -128,9 +132,8 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
         return BalancedPartition(partition, (), ())
 
     members = partition.items()
-    groups = list(zip(*[iter(map(_score_of, members))] * k))
-    keys = list(zip(map(neg, within), map(_rank_of, members[::k])))
-    order = sorted(range(n), key=keys.__getitem__)
+    groups = list(zip(*[iter(map(_score_of, members))] * k))  # scores per group
+    order = sorted(range(n), key=lambda i: (-within[i], members[i * k].input_rank))
     sums = list(map(add, [0] * k, groups[order[0]]))
     assignment: list[tuple[int, ...]] = [identity] * n
     for idx in order[1:]:
@@ -138,7 +141,8 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
         trial = list(map(add, sums, group))
         spread = max(trial) - min(trial)
         if k == 2:
-            # the anti-sorted floor, met by the identity or else the swap
+            # the anti-sorted floor pairs the smaller sum with the larger
+            # score; if the identity misses it, the swap meets it
             best = abs((max(sums) + min(group)) - (min(sums) + max(group)))
             if spread == best or not isfinite(best):
                 sums = trial
