@@ -127,6 +127,8 @@ def read_cohort_csv(path: str) -> list[ScoredItem]:
                 )
             items = []
             seen: set[str] = set()
+            append, remember, isfinite = items.append, seen.add, math.isfinite
+            rank = 0
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -143,10 +145,11 @@ def read_cohort_csv(path: str) -> list[ScoredItem]:
                     raise CsvError(
                         f"{path}: line {line_no}: score {row[1]!r} is not a number"
                     )
-                if not math.isfinite(score):
+                if not isfinite(score):
                     raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
-                seen.add(item_id)
-                items.append(ScoredItem(item_id, score, len(items)))
+                remember(item_id)
+                append(ScoredItem(item_id, score, rank))
+                rank += 1
     except UnicodeDecodeError:
         with open(path, "rb") as raw:
             # the first line whose bytes do not survive a UTF-8 round trip

@@ -2,8 +2,10 @@
 
 Items carry one real-valued score (age, a propensity scale, ...).  Groups of
 k items are costed by the sum over all member pairs of either the absolute
-difference of scores or the squared difference.  Everything here is a pure
-function; integer scores stay in exact integer arithmetic throughout.
+difference of scores or the squared difference.  A partition computes its
+group costs once and sums its total once, on first read, from those stored
+group costs.  Everything else here is a pure function; integer scores stay
+in exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class WeightKind(Enum):
 CERTIFIED_MAX_K = {WeightKind.ABS: 16, WeightKind.SQ: 8}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScoredItem:
     """One subject: opaque id, real score, and its 0-based input position."""
 
@@ -57,8 +59,23 @@ class ScoredItem:
     score: float
     input_rank: int
 
+    def __init__(self, id: str, score: float, input_rank: int) -> None:
+        # stores through the slot descriptors, about twice as fast as the
+        # generated frozen __init__ with its object.__setattr__ per field;
+        # assignment still raises FrozenInstanceError
+        _set_id(self, id)
+        _set_score(self, score)
+        _set_input_rank(self, input_rank)
+
     def sort_key(self) -> tuple[float, int]:
         return (self.score, self.input_rank)
+
+
+_set_id = ScoredItem.id.__set__
+_set_score = ScoredItem.score.__set__
+_set_input_rank = ScoredItem.input_rank.__set__
+_score_of = attrgetter("score")
+_rank_of = attrgetter("input_rank")
 
 
 def items_from_pairs(pairs: Iterable[tuple[str, float]]) -> list[ScoredItem]:
@@ -82,12 +99,15 @@ def sort_items(items: Sequence[ScoredItem]) -> list[ScoredItem]:
     """Return items in nondecreasing score order, ties broken by input_rank.
 
     The tie-break makes the whole pipeline deterministic: equal scores keep
-    their input order, so repeated runs produce identical groupings.
+    their input order, so repeated runs produce identical groupings.  Two
+    stable sorts on plain keys give exactly that order, whatever the order
+    of `items`; the first is linear on input already in rank order.
     """
-    for it in items:
-        if not math.isfinite(it.score):
-            raise ValidationError(f"non-finite score {it.score!r} for id {it.id!r}")
-    return sorted(items, key=attrgetter("score", "input_rank"))
+    if not all(map(math.isfinite, map(_score_of, items))):
+        for it in items:
+            if not math.isfinite(it.score):
+                raise ValidationError(f"non-finite score {it.score!r} for id {it.id!r}")
+    return sorted(sorted(items, key=_rank_of), key=_score_of)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,16 +189,18 @@ class KPartition:
 
     Stored as one flat list, group after group, each group in sorted order;
     `tuples` is a view of it built on first use.  `group_within` holds each
-    group's cost, computed once on first use.
+    group's cost, computed once on first use.  `total_within` is the total
+    given to the constructor or, when that is None, summed once, on first
+    read, from the stored group costs.
     """
 
-    __slots__ = ("k", "weight", "total_within", "_tuples", "_flat", "_within")
+    __slots__ = ("k", "weight", "_total", "_tuples", "_flat", "_within")
 
     def __init__(
         self,
         k: int,
         tuples: Sequence[KTuple],
-        total_within: float,
+        total_within: float | None,
         weight: WeightKind,
     ):
         flat = []
@@ -188,7 +210,7 @@ class KPartition:
             flat.extend(t.members)
         self.k = k
         self.weight = weight
-        self.total_within = total_within
+        self._total = total_within
         self._flat = flat
         self._tuples = None
         self._within = None
@@ -198,11 +220,12 @@ class KPartition:
         cls,
         k: int,
         flat_sorted: list[ScoredItem],
-        total_within: float,
+        total_within: float | None,
         weight: WeightKind,
     ) -> "KPartition":
         """Chunked view over an already-sorted item list, groups built on
-        demand.  Adopts the list; the caller must not mutate it afterwards."""
+        demand.  Adopts the list; the caller must not mutate it afterwards.
+        A None total is summed from the group costs on first read."""
         part = cls(k, (), total_within, weight)
         part._flat = flat_sorted
         return part
@@ -225,12 +248,20 @@ class KPartition:
         return list(self._flat)
 
     @property
+    def total_within(self) -> float:
+        """The summed within-distance: as given, or `sum(self.group_within)`
+        computed once."""
+        if self._total is None:
+            self._total = sum(self.group_within)
+        return self._total
+
+    @property
     def group_within(self) -> tuple[float, ...]:
         """Within-distance of each group, in group order; equal to
         `within_distance(self.tuples[i], self.weight)`, computed once."""
         if self._within is None:
             k, weight = self.k, self.weight
-            scores = list(map(attrgetter("score"), self.items()))
+            scores = list(map(_score_of, self._flat))
             if weight is WeightKind.ABS and k == 2:
                 # bit-equal to within_scores([x0, x1]), whose sum starts at
                 # int 0 and so never yields -0.0; `+ 0` maps -0.0 to 0.0 too

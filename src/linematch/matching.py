@@ -3,7 +3,9 @@
 Sorting the scores and cutting consecutive blocks of k minimizes the summed
 within-group distance for both weight kinds, within the certified k range
 (see the certify module for the machine-checked exchange inequalities that
-back this).  Total runtime is dominated by the sort.
+back this).  Runtime is the sort: the partition adopts the sorted list,
+costs each group on first read, and sums the total once, on first read,
+from those stored group costs.
 
 Also provides the column-balancing pass that reassigns members to treatment
 slots so per-slot score means come out nearly equal, without touching the
@@ -29,32 +31,11 @@ from .core import (
     WeightKind,
     check_certified_k,
     sort_items,
-    sq_within_scores,
     within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
 
 
 _score_of = attrgetter("score")
-
-
-def _pair_total_abs(ordered: list[ScoredItem]) -> float:
-    # sum of uppers minus sum of lowers; all C-level.  Exact on integer
-    # scores; on floats it agrees with per-group summation to roundoff.
-    return sum(map(_score_of, ordered[1::2])) - sum(map(_score_of, ordered[0::2]))
-
-
-def _chunk_total_abs(scores: Sequence[float], k: int) -> float:
-    coeffs = [2 * j - k + 1 for j in range(k)]
-    columns = [scores[j::k] for j in range(k)]
-    return sum(
-        sum(c * x for c, x in zip(coeffs, chunk)) for chunk in zip(*columns)
-    )
-
-
-def _chunk_total_sq(scores: Sequence[float], k: int) -> float:
-    return sum(
-        sq_within_scores(scores[i : i + k]) for i in range(0, len(scores), k)
-    )
 
 
 def match_line(
@@ -65,10 +46,13 @@ def match_line(
 ) -> KPartition:
     """Partition items into groups of k with minimal total within-distance.
 
-    Sorts by (score, input_rank) and takes consecutive blocks of k.  The
-    result is provably minimal for k within the certified range (abs: 16,
-    sq: 8); larger k requires uncertified=True and yields the same chunking
-    without an optimality guarantee.  O(N log N).
+    Sorts by (score, input_rank) and takes consecutive blocks of k; nothing
+    else runs over the items, so the sort is the whole cost.  The group
+    costs (`KPartition.group_within`) are computed on first read, and the
+    total (`KPartition.total_within`) is summed once from them.  The result is
+    provably minimal for k within the certified range (abs: 16, sq: 8);
+    larger k requires uncertified=True and yields the same chunking without
+    an optimality guarantee.  O(N log N).
 
     Raises SizeError if len(items) is not divisible by k, and
     CertifiedRangeError for out-of-range k without the override.
@@ -76,14 +60,7 @@ def match_line(
     check_certified_k(k, weight, uncertified)
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
-    ordered = sort_items(items)
-    if weight is WeightKind.ABS and k == 2:
-        total = _pair_total_abs(ordered)
-    elif weight is WeightKind.ABS:
-        total = _chunk_total_abs(list(map(_score_of, ordered)), k)
-    else:
-        total = _chunk_total_sq(list(map(_score_of, ordered)), k)
-    return KPartition.from_sorted_items(k, ordered, total, weight)
+    return KPartition.from_sorted_items(k, sort_items(items), None, weight)
 
 
 @dataclass(frozen=True)

@@ -653,3 +653,73 @@ def linear_render_reference(self) -> str:
         return "0"
     out = " ".join(terms)
     return out[1:] if out.startswith("+") else out
+
+
+# The match front end as first written, kept verbatim as references:
+# sorting on a (score, input_rank) key tuple, and the CSV row loop calling
+# len(items) and the module-level functions on every row.
+
+
+def sort_items_reference(items):
+    """linematch.core.sort_items with one sort on a key tuple."""
+    from operator import attrgetter
+
+    from linematch.core import ValidationError
+
+    for it in items:
+        if not math.isfinite(it.score):
+            raise ValidationError(f"non-finite score {it.score!r} for id {it.id!r}")
+    return sorted(items, key=attrgetter("score", "input_rank"))
+
+
+def read_cohort_csv_reference(path):
+    """linematch.cli.read_cohort_csv before the row loop bound its
+    callables to locals."""
+    import csv
+
+    from linematch.cli import CsvError
+
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise CsvError(f"cannot open {path}: {exc}") from exc
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvError(f"{path}: empty file, expected header 'id,score'")
+            if [h.strip() for h in header] != ["id", "score"]:
+                raise CsvError(
+                    f"{path}: line 1: expected header 'id,score', got {','.join(header)!r}"
+                )
+            items = []
+            seen: set[str] = set()
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
+                item_id = row[0].strip()
+                if not item_id:
+                    raise CsvError(f"{path}: line {line_no}: empty id")
+                if item_id in seen:
+                    raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
+                try:
+                    score = float(row[1])
+                except ValueError:
+                    raise CsvError(
+                        f"{path}: line {line_no}: score {row[1]!r} is not a number"
+                    )
+                if not math.isfinite(score):
+                    raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
+                seen.add(item_id)
+                items.append(ScoredItem(item_id, score, len(items)))
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            # the first line whose bytes do not survive a UTF-8 round trip
+            line_no = next(n for n, line in enumerate(raw, start=1)
+                           if line.decode("utf-8", "replace").encode() != line)
+        raise CsvError(f"{path}: line {line_no}: not valid UTF-8") from None
+    return items

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -103,6 +105,28 @@ class TestMatchLine:
                     within_distance(t, weight) for t in part.tuples
                 )
                 part.check(make_items(scores))
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+    def test_k2_abs_total_exact_at_large_offsets(self, offset):
+        # the total is summed from the per-pair differences; the sum of
+        # uppers minus the sum of lowers missed fsum by 1.8e-3, 1.9e-1 and
+        # 100% relative on these scores, and check() rejected the partition
+        rng = random.Random(2018)
+        items = make_items([offset + rng.random() for _ in range(199_998)])
+        part = match_line(items, 2, WeightKind.ABS)
+        want = math.fsum(abs(y - x) for t in part.tuples
+                         for x, y in combinations(t.scores(), 2))
+        assert math.isclose(part.total_within, want, rel_tol=1e-9, abs_tol=0)
+        part.check()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_total_is_the_sum_of_the_group_costs_bitwise(self, k, weight):
+        rng = random.Random(k)
+        part = match_line(make_items([rng.uniform(-40, 40) for _ in range(30 * k)]),
+                          k, weight)
+        want = sum(within_distance(t, weight) for t in part.tuples)
+        assert repr(part.total_within) == repr(want)
 
     def test_ties_broken_by_input_rank(self):
         part = match_line(make_items([2, 2, 1, 1]), 2, WeightKind.ABS)
