@@ -3,10 +3,11 @@
 
 Each case pins the exit code and the sha256 of stdout, so no change to the
 exact searches, the certificates, the slot balancing or the CLI can alter a
-byte unnoticed.  certify and bench inputs are integers only: from Python
-3.12 on `sum()` over floats is compensated, so float totals could differ
-between interpreter versions, while integer totals cannot.  The balanced
-match cohorts are floats; the abs group cost of k >= 3 goes through `sum()`,
+byte unnoticed.  From Python 3.12 on `sum()` over floats is compensated,
+so float totals can differ between interpreter versions, while integer
+totals cannot.  The `GOLDEN` certify and bench inputs are integers only.
+The `FLOAT_BENCH` runs draw `--dist uniform-real` scores and the balanced
+match cohorts are floats; their group costs and totals go through `sum()`,
 so those cases are pinned on interpreters before 3.12 only (the digests
 were taken on 3.11).  CSV output is pinned because the JSON config block
 echoes the input path.
@@ -60,6 +61,31 @@ def test_stdout_matches_golden(capsys, argv, code, digest):
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
 
+
+# bench on six-decimal U(0, 100) floats: the greedy baseline, the exact
+# oracle, local search and (k=3 abs) the hierarchy, costed in floats.  The
+# first two are the oracle_bench benchmark op; the line sizes 64 (k=2) and
+# 8 (k=4) give greedy 8,128 and 35,960 subsets.
+FLOAT_BENCH = [
+    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, '6c5d5d96005bbd727a012a8ffca84828a4eb875f28409ef7838ee09585241cdb'),
+    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 1', 0, 'cccaaea20b3ab25ce3ad020ba3df6266f605dbcd28d2d1e05aa53e0140ffdf76'),
+    ('bench --dist uniform-real --k 2 --weight abs --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '4178648205ce0c004a1bdd5acc22cbe9e2215113ea8bc9db248f5aa1711b9f6d'),
+    ('bench --dist uniform-real --k 2 --weight sq --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, 'be38ad03a54908dd7d52aca49d34cd1fb30c84a85414d108a1ac7a863a51313e'),
+    ('bench --dist uniform-real --k 3 --weight sq --seed 0 --line-sizes 2,4,16 --tri-sizes 2,4 --instances 2', 0, '78d6e6685fe337f59fda4a78fa71928b33cb98d05aa68f1102a78b23e7011e1b'),
+    ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '946296f524ada703a0b61d3db7944776954b4c9e861d1bb54552227b15c77d7d'),
+    ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '6f19f8612f1700bc2ecc5fb79cbe7fc6aa04b0eb96f2b2943e873cff98bfdf70'),
+]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="float group costs and totals go through sum(), "
+                           "compensated from 3.12 on")
+@pytest.mark.parametrize("argv,code,digest", FLOAT_BENCH,
+                         ids=[g[0] for g in FLOAT_BENCH])
+def test_float_bench_matches_golden(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 # Cohort families for the balanced match goldens, drawn from random.Random(k):
 # full-precision U(0,1) floats, one-decimal ages 18.0..22.0 (many ties and
