@@ -2,7 +2,8 @@
 
 Items carry one real-valued score (age, a propensity scale, ...).  Groups of
 k items are costed by the sum over all member pairs of either the absolute
-difference of scores or the squared difference.  A partition computes its
+difference of scores or the squared difference, one group at a time or many
+at once, bit for bit the same (`within_columns`).  A partition computes its
 group costs once and sums its total once, on first read, from those stored
 group costs.  Everything else here is a pure function; integer scores stay
 in exact integer arithmetic throughout.
@@ -14,7 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter, sub
+from itertools import combinations, repeat
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -180,6 +182,23 @@ def within_scores(scores: Sequence[float], weight: WeightKind) -> float:
     return sq_within_scores(scores)
 
 
+def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[float]:
+    """Within-distance of each row (cols[0][r], ..., cols[k-1][r]) of k
+    nondecreasing score columns, bit-equal to `within_scores` of the row:
+    abs scales column i by 2*i - k + 1 and sums each row with the same
+    builtin `sum`; sq adds the squared differences one column pair at a time,
+    in the scalar loop's pair order, from int 0 (integers stay exact)."""
+    k = len(cols)
+    if weight is WeightKind.ABS:
+        return list(map(sum, zip(*(map(mul, repeat(2 * i - k + 1), col)
+                                   for i, col in enumerate(cols)))))
+    totals = [0] * len(cols[0]) if cols else []
+    for i, j in combinations(range(k), 2):
+        d = list(map(sub, cols[j], cols[i]))
+        totals = list(map(add, totals, map(mul, d, d)))
+    return totals
+
+
 def within_distance(group: KTuple, weight: WeightKind) -> float:
     return within_scores(group.scores(), weight)
 
@@ -267,8 +286,7 @@ class KPartition:
                 # int 0 and so never yields -0.0; `+ 0` maps -0.0 to 0.0 too
                 within = (d + 0 for d in map(sub, scores[1::2], scores[0::2]))
             else:
-                within = (within_scores(scores[i : i + k], weight)
-                          for i in range(0, len(scores), k))
+                within = within_columns([scores[i::k] for i in range(k)], weight)
             self._within = tuple(within)
         return self._within
 

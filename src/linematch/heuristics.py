@@ -60,99 +60,81 @@ class HierarchicalTriples:
     pairing_exact: tuple[bool, ...]
 
 
-def _dist(p: EuclideanPoint, q: EuclideanPoint) -> float:
-    return math.dist(p.coords, q.coords)
+def _dist_table(points: Sequence[EuclideanPoint]) -> list[list[float]]:
+    """`math.dist` between every two points; symmetric, as math.dist is."""
+    coords = [p.coords for p in points]
+    return [[math.dist(p, q) for q in coords] for p in coords]
 
 
-def _triple_cost(points: Sequence[EuclideanPoint], triple: Sequence[int]) -> float:
-    a, b, c = (points[i] for i in triple)
-    return _dist(a, b) + _dist(b, c) + _dist(c, a)
+def _triple_cost(dist: list[list[float]], triple: Sequence[int]) -> float:
+    a, b, c = triple
+    return dist[a][b] + dist[b][c] + dist[c][a]
 
 
-def _exact_pairing(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
-    n = len(points)
-    d = [[_dist(points[i], points[j]) for j in range(n)] for i in range(n)]
-    pairs, _ = min_partition(n, 2, lambda pair: d[pair[0]][pair[1]])
-    return list(pairs)
-
-
-def _greedy_pairing(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
-    n = len(points)
-    unused = list(range(n))
+def _greedy_pairing(dist: list[list[float]]) -> list[tuple[int, int]]:
+    unused = list(range(len(dist)))
     pairs = []
     while unused:
         a = unused.pop(0)
-        best_j = min(
-            range(len(unused)), key=lambda j: (_dist(points[a], points[unused[j]]), j)
-        )
-        b = unused.pop(best_j)
+        b = min(unused, key=dist[a].__getitem__)
+        unused.remove(b)
         pairs.append((a, b))
     return pairs
 
 
 def _two_opt_pairs(
-    points: Sequence[EuclideanPoint], pairs: list[tuple[int, int]]
+    dist: list[list[float]], pairs: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    def cost(p):
-        return _dist(points[p[0]], points[p[1]])
-
     improved = True
     while improved:
         improved = False
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 a, b = pairs[i]
-                c, d2 = pairs[j]
-                cur = cost((a, b)) + cost((c, d2))
-                for p1, p2 in (((a, c), (b, d2)), ((a, d2), (b, c))):
-                    alt = cost(p1) + cost(p2)
+                c, d = pairs[j]
+                cur = dist[a][b] + dist[c][d]
+                for p1, p2 in (((a, c), (b, d)), ((a, d), (b, c))):
+                    alt = dist[p1[0]][p1[1]] + dist[p2[0]][p2[1]]
                     if alt < cur:
                         pairs[i] = (min(p1), max(p1))
                         pairs[j] = (min(p2), max(p2))
                         improved = True
                         cur = alt
                         a, b = pairs[i]
-                        c, d2 = pairs[j]
+                        c, d = pairs[j]
     return pairs
 
 
-def _min_cost_pairing(
-    points: Sequence[EuclideanPoint],
-) -> tuple[list[tuple[int, int]], bool]:
-    if len(points) <= EXACT_PAIRING_MAX_POINTS:
-        return _exact_pairing(points), True
-    return _two_opt_pairs(points, _greedy_pairing(points)), False
+def _min_cost_pairing(dist: list[list[float]]) -> tuple[list[tuple[int, int]], bool]:
+    if len(dist) <= EXACT_PAIRING_MAX_POINTS:
+        pairs, _ = min_partition(len(dist), 2, lambda pair: dist[pair[0]][pair[1]])
+        return list(pairs), True
+    return _two_opt_pairs(dist, _greedy_pairing(dist)), False
 
 
 def _best_two_triples(
-    points: Sequence[EuclideanPoint], members: Sequence[int]
+    dist: list[list[float]], members: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
     """Cheapest split of six point indices into two triples (first member
     anchored; ties go to the first combination in lexicographic order)."""
     members = sorted(members)
-
-    def pick(positions):
-        return tuple(members[p] for p in positions)
-
-    (t1, t2), cost = min_partition(6, 3, lambda t: _triple_cost(points, pick(t)))
-    return pick(t1), pick(t2), cost
+    sub = [[dist[a][b] for b in members] for a in members]
+    (t1, t2), cost = min_partition(6, 3, lambda t: _triple_cost(sub, t))
+    return tuple(members[p] for p in t1), tuple(members[p] for p in t2), cost
 
 
 def _refine_triples(
-    points: Sequence[EuclideanPoint], triples: list[tuple[int, ...]]
+    dist: list[list[float]], triples: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     improved = True
     while improved:
         improved = False
         for i in range(len(triples)):
             for j in range(i + 1, len(triples)):
-                cur = _triple_cost(points, triples[i]) + _triple_cost(
-                    points, triples[j]
-                )
-                t1, t2, c = _best_two_triples(points, triples[i] + triples[j])
+                cur = _triple_cost(dist, triples[i]) + _triple_cost(dist, triples[j])
+                t1, t2, c = _best_two_triples(dist, triples[i] + triples[j])
                 if c < cur:
-                    triples[i] = t1
-                    triples[j] = t2
+                    triples[i], triples[j] = t1, t2
                     improved = True
     return triples
 
@@ -170,42 +152,34 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
     if n % 3 != 0 or n == 0 or (n // 3) & (n // 3 - 1):
         raise SizeError(f"need 3 * 2^m points, got {n}")
 
-    # one (points, merged_from) per contraction level: for each point the
-    # indices of the two points it merged in the level below (None at base)
-    levels = [(tuple(points), None)]
+    # one (points, merged_from, dist) per contraction level: the two points
+    # each merged in the level below (None at base), and its distance table
+    levels = [(tuple(points), None, _dist_table(points))]
     exact_flags = []
     while len(levels[-1][0]) > 3:
-        current = levels[-1][0]
-        pairs, exact = _min_cost_pairing(current)
+        current, _, dist = levels[-1]
+        pairs, exact = _min_cost_pairing(dist)
         exact_flags.append(exact)
-        mids = []
-        provenance = []
-        for a, b in pairs:
-            pa, pb = current[a], current[b]
-            mid = tuple((x + y) / 2 for x, y in zip(pa.coords, pb.coords))
-            mids.append(
-                EuclideanPoint(mid, f"mid{len(levels)}.{len(provenance)}")
-            )
-            provenance.append((a, b))
-        levels.append((tuple(mids), tuple(provenance)))
+        mids = tuple(
+            EuclideanPoint(tuple((x + y) / 2 for x, y in
+                                 zip(current[a].coords, current[b].coords)),
+                           f"mid{len(levels)}.{i}")
+            for i, (a, b) in enumerate(pairs))
+        levels.append((mids, tuple(pairs), _dist_table(mids)))
 
     triples: list[tuple[int, ...]] = [(0, 1, 2)]
     for level_idx in range(len(levels) - 1, 0, -1):
         merged = levels[level_idx][1]
-        below = levels[level_idx - 1][0]
+        below = levels[level_idx - 1][2]
         expanded: list[tuple[int, ...]] = []
         for triple in triples:
-            members = []
-            for idx in triple:
-                members.extend(merged[idx])
-            t1, t2, _ = _best_two_triples(below, members)
-            expanded.append(t1)
-            expanded.append(t2)
+            members = [m for idx in triple for m in merged[idx]]
+            expanded.extend(_best_two_triples(below, members)[:2])
         triples = _refine_triples(below, expanded)
 
-    base = levels[0][0]
+    base, _, dist = levels[0]
     out = tuple(tuple(base[i] for i in t) for t in triples)
-    cost = sum(_triple_cost(base, t) for t in triples)
+    cost = sum(_triple_cost(dist, t) for t in triples)
     return HierarchicalTriples(out, cost, tuple(exact_flags))
 
 
@@ -251,9 +225,8 @@ def local_search_2tuple(
             f"per-pair enumeration {per_pair} exceeds budget {budget}"
         )
     groups = [list(t.members) for t in partition.tuples]
-    costs = [
-        within_scores([m.score for m in g], weight) for g in groups
-    ]
+    costs = list(KPartition.from_sorted_items(
+        k, partition.items(), None, weight).group_within)
 
     improved = True
     while improved:

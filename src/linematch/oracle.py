@@ -21,7 +21,7 @@ first minimum.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress, filterfalse, islice, repeat
+from itertools import combinations, compress, filterfalse, islice
 from operator import eq
 from typing import Callable, Iterator, Sequence
 
@@ -33,7 +33,7 @@ from .core import (
     SizeError,
     WeightKind,
     sort_items,
-    within_scores,
+    within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, edge_weight
 
@@ -41,6 +41,8 @@ DEFAULT_BUDGET = 10_000_000
 
 BIPARTITE_ORACLE_MAX_N = 8
 TRIPARTITE_ORACLE_MAX_N = 6
+
+_SUBSET_CHUNK = 4096
 
 
 def partition_count(k: int, n: int) -> int:
@@ -118,6 +120,16 @@ def min_partition(
     return None if best_groups is None else (best_groups, best_cost)
 
 
+def _subset_costs(scores: Sequence[float], k: int, weight: WeightKind) -> list[float]:
+    """`within_scores` of every sorted k-subset of `scores`, in `combinations`
+    order, costed _SUBSET_CHUNK subsets at a time so only the costs are held."""
+    subsets = map(sorted, combinations(scores, k))
+    costs = []
+    for chunk in iter(lambda: list(islice(subsets, _SUBSET_CHUNK)), []):
+        costs += within_columns(list(zip(*chunk)), weight)
+    return costs
+
+
 def brute_force_partition(
     items: Sequence[ScoredItem],
     k: int,
@@ -139,11 +151,10 @@ def brute_force_partition(
             f"instance too large for oracle: {count} partitions exceeds budget {budget}"
         )
     ordered = sort_items(items)
-    scores = [it.score for it in ordered]
-    groups, cost = min_partition(
-        len(ordered), k,
-        lambda group: within_scores([scores[i] for i in group], weight),
-    )
+    # one cost per k-subset: C(N, k) is at most twice the partition count
+    table = dict(zip(combinations(range(len(ordered)), k),
+                     _subset_costs([it.score for it in ordered], k, weight)))
+    groups, cost = min_partition(len(ordered), k, table.__getitem__)
     tuples = [KTuple(tuple(ordered[i] for i in group)) for group in groups]
     return KPartition(k, tuples, cost, weight)
 
@@ -167,9 +178,9 @@ def greedy_match(
     candidate, the first k remaining items; NaN subsets stay out of the sort
     and that candidate is checked at each step.  The picked costs are summed
     in pick order.  Time is O(C(N, k) log C(N, k)); memory is O(C(N, k)),
-    about 165 bytes per subset at k=3 (90 MB for C(150, 3) = 551,300), so the
-    budget on C(N, k) (checked once, as the first step is the largest) also
-    caps memory: ~1.7 GB at the default of 10^7.
+    costs and index tuples, about 170 bytes per subset at k=3 (90 MB for
+    C(150, 3) = 551,300), so the budget on C(N, k) (checked once, as the
+    first step is the largest) also caps memory: ~1.7 GB at the default 10^7.
     """
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
@@ -181,9 +192,7 @@ def greedy_match(
             f"greedy step would enumerate {count} subsets, over budget {budget}"
         )
     combos = list(combinations(range(n), k))
-    scores = [it.score for it in ranked]
-    costs = list(map(within_scores, map(sorted, combinations(scores, k)),
-                     repeat(weight)))
+    costs = _subset_costs([it.score for it in ranked], k, weight)
     # cost == cost is false only for NaN, which stays out of the sort
     order = sorted(compress(range(count), map(eq, costs, costs)),
                    key=costs.__getitem__)

@@ -31,7 +31,7 @@ from linematch.certify import (
     _check_bipartition,
     _gate,
 )
-from linematch.heuristics import EuclideanPoint, _dist, _triple_cost
+from linematch.heuristics import EuclideanPoint
 from linematch.multipartite import (
     Matching,
     MultipartiteInstance,
@@ -276,6 +276,17 @@ def brute_force_assignment_reference(instance: MultipartiteInstance) -> Matching
     rec_sigma(0, [False] * n, 0, [])
     sigma, tau = best[1], best[2]
     return Matching(tuple((i, sigma[i], tau[i]) for i in range(n)), best[0])
+
+# The point-based distance helpers the heuristics called before they read
+# one math.dist table per contraction level.
+def _dist(p: EuclideanPoint, q: EuclideanPoint) -> float:
+    return math.dist(p.coords, q.coords)
+
+
+def _triple_cost(points: Sequence[EuclideanPoint], triple: Sequence[int]) -> float:
+    a, b, c = (points[i] for i in triple)
+    return _dist(a, b) + _dist(b, c) + _dist(c, a)
+
 
 def exact_pairing_reference(points: Sequence[EuclideanPoint]) -> list[tuple[int, int]]:
     n = len(points)

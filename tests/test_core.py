@@ -18,9 +18,11 @@ from linematch.core import (
     items_from_pairs,
     sort_items,
     variance_identity_check,
+    within_columns,
     within_distance,
     within_distance_abs,
     within_distance_sq,
+    within_scores,
 )
 
 
@@ -72,6 +74,48 @@ class TestWithinSq:
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=12))
     def test_matches_pairwise_definition(self, scores):
         assert within_distance_sq(tuple_of(*scores)) == pairwise_sq(sorted(scores))
+
+
+# Score families for the batched kernel: ints, U(0,1) floats, one-decimal
+# ties, signed zeros, tenths on offsets up to 1e12, and +-1e308, where abs
+# groups overflow to inf and, from three members on, inf - inf = NaN.
+KERNEL_SCORES = st.sampled_from([
+    st.integers(-50, 50),
+    st.floats(0, 1, exclude_max=True),
+    st.integers(0, 30).map(lambda t: t / 10),
+    st.sampled_from([0.0, -0.0, 0, 1.5]),
+    st.tuples(st.sampled_from([1e3, 1e6, 1e9, 1e12]), st.integers(0, 30)).map(
+        lambda p: p[0] + p[1] / 10),
+    st.sampled_from([1e308, -1e308, 0.0, 1.0]),
+])
+
+
+def typed_reprs(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestWithinColumns:
+    @given(st.integers(2, 8), st.sampled_from(list(WeightKind)), KERNEL_SCORES,
+           st.integers(0, 6), st.data())
+    def test_equals_within_scores_row_by_row(self, k, weight, family, rows, data):
+        table = [sorted(data.draw(st.lists(family, min_size=k, max_size=k)))
+                 for _ in range(rows)]
+        columns = [[row[i] for row in table] for i in range(k)]
+        got = within_columns(columns, weight)
+        assert typed_reprs(got) == typed_reprs(
+            within_scores(row, weight) for row in table)
+
+    def test_no_columns(self):
+        for weight in WeightKind:
+            assert within_columns([], weight) == []
+
+    def test_overflow_and_integers(self):
+        cols = [(1e308, 0, 2), (1e308, 1, 2), (1e308, 5, 2)]
+        abs_costs = within_columns(cols, WeightKind.ABS)
+        assert math.isnan(abs_costs[0]) and abs_costs[1:] == [10, 0]
+        assert typed_reprs(abs_costs[1:]) == [(int, "10"), (int, "0")]
+        assert typed_reprs(within_columns(cols, WeightKind.SQ)) == [
+            (float, "0.0"), (int, "42"), (int, "0")]
 
 
 class TestInvariances:
@@ -225,7 +269,7 @@ class TestTypes:
         with pytest.raises(ValidationError, match="does not cover the input exactly"):
             part.check(items)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("weight", list(WeightKind))
     def test_group_within_equals_within_distance_bitwise(self, k, weight):
         rng = random.Random(k)

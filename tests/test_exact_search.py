@@ -24,13 +24,16 @@ from linematch.core import (
     items_from_pairs,
 )
 from linematch.heuristics import (
+    EXACT_PAIRING_MAX_POINTS,
     _best_two_triples,
-    _exact_pairing,
+    _dist_table,
+    _min_cost_pairing,
     local_search_2tuple,
     points_from_coords,
 )
 from linematch.multipartite import instance_from_scores
 from linematch.oracle import (
+    _SUBSET_CHUNK,
     brute_force_assignment,
     brute_force_partition,
     greedy_match,
@@ -101,13 +104,28 @@ def test_brute_force_partition_equals_reference(size, weight, data):
     assert same_bits(got.total_within, want.total_within)
 
 
+# k=8, n=2: C(16, 8) = 12,870 subsets, three full cost chunks and a partial
+@settings(deadline=None, max_examples=10)
+@given(weights, st.data())
+def test_brute_force_partition_equals_reference_across_chunks(weight, data):
+    assert 3 * _SUBSET_CHUNK < math.comb(16, 8) < 4 * _SUBSET_CHUNK
+    scores = data.draw(st.lists(tenths, min_size=16, max_size=16))
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    got = brute_force_partition(items, 8, weight)
+    want = brute_force_partition_reference(items, 8, weight)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
 @settings(deadline=None)
 @given(st.integers(1, 5), st.integers(1, 2), st.data())
 def test_exact_pairing_equals_reference(pairs, dims, data):
     coords = data.draw(st.lists(st.lists(tenths, min_size=dims, max_size=dims),
                                 min_size=2 * pairs, max_size=2 * pairs))
     points = points_from_coords(coords)
-    assert _exact_pairing(points) == exact_pairing_reference(points)
+    assert len(points) <= EXACT_PAIRING_MAX_POINTS
+    assert _min_cost_pairing(_dist_table(points)) == (
+        exact_pairing_reference(points), True)
 
 
 @given(st.integers(1, 2), st.data())
@@ -116,7 +134,7 @@ def test_best_two_triples_equals_reference(dims, data):
                                 min_size=6, max_size=9))
     points = points_from_coords(coords)
     members = data.draw(st.permutations(range(len(points))))[:6]
-    got = _best_two_triples(points, members)
+    got = _best_two_triples(_dist_table(points), members)
     want = best_two_triples_reference(points, members)
     assert got[:2] == want[:2] and same_bits(got[2], want[2])
 
@@ -140,6 +158,21 @@ def test_local_search_equals_reference(case, n, data):
         items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))))
     start = KPartition(
         k, [KTuple.of(items[i : i + k]) for i in range(0, k * n, k)], 0, weight)
+    got = local_search_2tuple(start, weight)
+    want = local_search_2tuple_reference(start, weight)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("weight", list(WeightKind))
+def test_local_search_costs_in_its_own_weight(k, weight):
+    # the start partition carries the other weight; the search must not use it
+    other = WeightKind.SQ if weight is WeightKind.ABS else WeightKind.ABS
+    scores = [0.0, 2.9, 0.1, 3.0, 1.4, 1.6, 0.2, 2.5, 0.7, 2.2, 1.1, 1.9][:4 * k]
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    start = KPartition(
+        k, [KTuple.of(items[i : i + k]) for i in range(0, 4 * k, k)], 0, other)
     got = local_search_2tuple(start, weight)
     want = local_search_2tuple_reference(start, weight)
     assert got.tuples == want.tuples
@@ -180,6 +213,21 @@ def assert_same_greedy(items, k, weight, **budget):
 @settings(deadline=None, max_examples=300)
 @given(st.integers(2, 4), st.integers(0, 4), weights, GREEDY_SCORES, st.data())
 def test_greedy_match_equals_reference(k, n, weight, family, data):
+    scores = data.draw(st.lists(family, min_size=k * n, max_size=k * n))
+    ranks = data.draw(st.permutations(range(k * n)))
+    items = [ScoredItem(f"i{i}", s, r) for i, (s, r) in enumerate(zip(scores, ranks))]
+    assert_same_greedy(items, k, weight)
+
+
+# C(N, k) = 4,186, 5,456 and 4,845 subsets: more than one cost chunk, and
+# not a whole number of them
+@settings(deadline=None, max_examples=15)
+@given(st.sampled_from([(2, 46), (3, 11), (4, 5)]), weights, GREEDY_SCORES,
+       st.data())
+def test_greedy_match_equals_reference_across_chunks(shape, weight, family, data):
+    k, n = shape
+    count = math.comb(k * n, k)
+    assert count > _SUBSET_CHUNK and count % _SUBSET_CHUNK
     scores = data.draw(st.lists(family, min_size=k * n, max_size=k * n))
     ranks = data.draw(st.permutations(range(k * n)))
     items = [ScoredItem(f"i{i}", s, r) for i, (s, r) in enumerate(zip(scores, ranks))]
