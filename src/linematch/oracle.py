@@ -120,10 +120,9 @@ def min_partition(
     return None if best_groups is None else (best_groups, best_cost)
 
 
-def _subset_costs(scores: Sequence[float], k: int, weight: WeightKind) -> list[float]:
-    """`within_scores` of every sorted k-subset of `scores`, in `combinations`
-    order, costed _SUBSET_CHUNK subsets at a time so only the costs are held."""
-    subsets = map(sorted, combinations(scores, k))
+def _subset_costs(subsets: Iterator[Sequence], weight: WeightKind) -> list[float]:
+    """`within_scores` of each nondecreasing subset, costed _SUBSET_CHUNK
+    subsets at a time so that only the costs are held."""
     costs = []
     for chunk in iter(lambda: list(islice(subsets, _SUBSET_CHUNK)), []):
         costs += within_columns(list(zip(*chunk)), weight)
@@ -140,7 +139,7 @@ def brute_force_partition(
 
     Among equal-cost minima returns the lexicographically smallest by sorted
     group contents.  Refuses instances whose partition count exceeds the
-    budget.
+    budget.  Holds a table of all C(N, k) group costs, at most twice that.
     """
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
@@ -151,9 +150,9 @@ def brute_force_partition(
             f"instance too large for oracle: {count} partitions exceeds budget {budget}"
         )
     ordered = sort_items(items)
-    # one cost per k-subset: C(N, k) is at most twice the partition count
+    scores = [it.score for it in ordered]
     table = dict(zip(combinations(range(len(ordered)), k),
-                     _subset_costs([it.score for it in ordered], k, weight)))
+                     _subset_costs(combinations(scores, k), weight)))
     groups, cost = min_partition(len(ordered), k, table.__getitem__)
     tuples = [KTuple(tuple(ordered[i] for i in group)) for group in groups]
     return KPartition(k, tuples, cost, weight)
@@ -192,7 +191,8 @@ def greedy_match(
             f"greedy step would enumerate {count} subsets, over budget {budget}"
         )
     combos = list(combinations(range(n), k))
-    costs = _subset_costs([it.score for it in ranked], k, weight)
+    scores = [it.score for it in ranked]
+    costs = _subset_costs(map(sorted, combinations(scores, k)), weight)
     # cost == cost is false only for NaN, which stays out of the sort
     order = sorted(compress(range(count), map(eq, costs, costs)),
                    key=costs.__getitem__)

@@ -164,12 +164,16 @@ def test_local_search_equals_reference(case, n, data):
     assert same_bits(got.total_within, want.total_within)
 
 
+@pytest.mark.parametrize("presorted", [False, True])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("weight", list(WeightKind))
-def test_local_search_costs_in_its_own_weight(k, weight):
-    # the start partition carries the other weight; the search must not use it
+def test_local_search_costs_in_its_own_weight(k, weight, presorted):
+    # the start partition carries the other weight; the search must not use
+    # it, also where no group is re-split (sorted chunks are already optimal)
     other = WeightKind.SQ if weight is WeightKind.ABS else WeightKind.ABS
     scores = [0.0, 2.9, 0.1, 3.0, 1.4, 1.6, 0.2, 2.5, 0.7, 2.2, 1.1, 1.9][:4 * k]
+    if presorted:
+        scores.sort()
     items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
     start = KPartition(
         k, [KTuple.of(items[i : i + k]) for i in range(0, 4 * k, k)], 0, other)
