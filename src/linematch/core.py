@@ -192,7 +192,7 @@ def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[
     if weight is WeightKind.ABS:
         return list(map(sum, zip(*(map(mul, repeat(2 * i - k + 1), col)
                                    for i, col in enumerate(cols)))))
-    totals = [0] * len(cols[0]) if cols else []
+    totals = [0] * len(cols[0])
     for i, j in combinations(range(k), 2):
         d = list(map(sub, cols[j], cols[i]))
         totals = list(map(add, totals, map(mul, d, d)))

@@ -105,10 +105,6 @@ class TestWithinColumns:
         assert typed_reprs(got) == typed_reprs(
             within_scores(row, weight) for row in table)
 
-    def test_no_columns(self):
-        for weight in WeightKind:
-            assert within_columns([], weight) == []
-
     def test_overflow_and_integers(self):
         cols = [(1e308, 0, 2), (1e308, 1, 2), (1e308, 5, 2)]
         abs_costs = within_columns(cols, WeightKind.ABS)
