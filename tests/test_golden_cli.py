@@ -65,7 +65,8 @@ def test_stdout_matches_golden(capsys, argv, code, digest):
 # bench on six-decimal U(0, 100) floats: the greedy baseline, the exact
 # oracle, local search and (k=3 abs) the hierarchy, costed in floats.  The
 # first two are the oracle_bench benchmark op; the line sizes 64 (k=2) and
-# 8 (k=4) give greedy 8,128 and 35,960 subsets.
+# 8 (k=4) give greedy 8,128 and 35,960 subsets.  At k=5 local search re-splits
+# group pairs at C(9, 4) = 126 splits each (n=4: six pairs).
 FLOAT_BENCH = [
     ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, '6c5d5d96005bbd727a012a8ffca84828a4eb875f28409ef7838ee09585241cdb'),
     ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 1', 0, 'cccaaea20b3ab25ce3ad020ba3df6266f605dbcd28d2d1e05aa53e0140ffdf76'),
@@ -74,6 +75,8 @@ FLOAT_BENCH = [
     ('bench --dist uniform-real --k 3 --weight sq --seed 0 --line-sizes 2,4,16 --tri-sizes 2,4 --instances 2', 0, '78d6e6685fe337f59fda4a78fa71928b33cb98d05aa68f1102a78b23e7011e1b'),
     ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '946296f524ada703a0b61d3db7944776954b4c9e861d1bb54552227b15c77d7d'),
     ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '6f19f8612f1700bc2ecc5fb79cbe7fc6aa04b0eb96f2b2943e873cff98bfdf70'),
+    ('bench --dist uniform-real --k 5 --weight abs --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, 'f246d07120e018997745d99fd67f15c2eaecd8d2768809383f135d570fd54beb'),
+    ('bench --dist uniform-real --k 5 --weight sq --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '7a76b3a4a9a87e66a9bf3e5d6620d537e5849c8d9687051dc2276a99ac7629e0'),
 ]
 
 
