@@ -19,7 +19,6 @@ from linematch.core import (
     SizeError,
     WeightKind,
     sort_items,
-    within_scores,
 )
 from linematch.certify import (
     CertificateEntry,
@@ -79,14 +78,43 @@ K3_SQ_FACTORS = {
 ENTRY_COUNTS = {2: 3, 3: 10, 4: 35, 5: 126, 6: 462, 7: 1716, 8: 6435}
 
 
+# The scalar cost forms as first written, one group at a time; the batched
+# kernel linematch.core.within_columns must return the same bits for every
+# row, and the reference searches below cost their groups with them.
+def abs_within_scores(scores: Sequence[float]) -> float:
+    """Sum of |x_j - x_i| over all pairs of a nondecreasing score sequence.
+
+    Uses the linear form sum((2*i - k - 1) * x_i, i=1..k), which equals the
+    O(k^2) pairwise definition on sorted input.
+    """
+    k = len(scores)
+    return sum((2 * i - k + 1) * x for i, x in enumerate(scores))
+
+
+def sq_within_scores(scores: Sequence[float]) -> float:
+    """Sum of (x_j - x_i)**2 over all pairs; order-independent."""
+    total = 0
+    for i in range(len(scores) - 1):
+        xi = scores[i]
+        for xj in scores[i + 1 :]:
+            d = xj - xi
+            total += d * d
+    return total
+
+
+def within_scores(scores: Sequence[float], weight: WeightKind) -> float:
+    """Within-distance of a nondecreasing score sequence under `weight`."""
+    if weight is WeightKind.ABS:
+        return abs_within_scores(scores)
+    return sq_within_scores(scores)
+
+
 def balance_columns_reference(partition):
     """The column-balancing loop as first written: per-group costs recomputed
-    with within_distance, each permutation scored by a Python-level loop.
+    with within_scores, each permutation scored by a Python-level loop.
     Returns (column_assignment, column_means) for comparison with
     linematch.matching.balance_columns."""
     from itertools import permutations
-
-    from linematch.core import within_distance
 
     k = partition.k
     tuples = partition.tuples
@@ -98,7 +126,7 @@ def balance_columns_reference(partition):
     order = sorted(
         range(n),
         key=lambda i: (
-            -within_distance(tuples[i], partition.weight),
+            -within_scores(tuples[i].scores(), partition.weight),
             tuples[i].members[0].input_rank,
         ),
     )

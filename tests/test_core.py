@@ -20,10 +20,9 @@ from linematch.core import (
     variance_identity_check,
     within_columns,
     within_distance,
-    within_distance_abs,
-    within_distance_sq,
-    within_scores,
 )
+
+from reference_forms import within_scores
 
 
 def tuple_of(*scores):
@@ -41,39 +40,39 @@ def pairwise_sq(scores):
 
 class TestWithinAbs:
     def test_example_345(self):
-        assert within_distance_abs(tuple_of(3, 4, 5)) == 4
+        assert within_distance(tuple_of(3, 4, 5), WeightKind.ABS) == 4
 
     def test_example_189(self):
-        assert within_distance_abs(tuple_of(1, 8, 9)) == 16
+        assert within_distance(tuple_of(1, 8, 9), WeightKind.ABS) == 16
 
     def test_all_equal(self):
-        assert within_distance_abs(tuple_of(7, 7, 7, 7)) == 0
+        assert within_distance(tuple_of(7, 7, 7, 7), WeightKind.ABS) == 0
 
     def test_triple_is_twice_the_range(self):
         rng = random.Random(1)
         for _ in range(50):
             a, b, c = sorted(rng.randint(-50, 50) for _ in range(3))
-            assert within_distance_abs(tuple_of(a, b, c)) == 2 * (c - a)
+            assert within_distance(tuple_of(a, b, c), WeightKind.ABS) == 2 * (c - a)
 
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=16))
     def test_matches_pairwise_definition(self, scores):
         scores = sorted(scores)
-        assert within_distance_abs(tuple_of(*scores)) == pairwise_abs(scores)
+        assert within_distance(tuple_of(*scores), WeightKind.ABS) == pairwise_abs(scores)
 
 
 class TestWithinSq:
     def test_example_123(self):
-        assert within_distance_sq(tuple_of(1, 2, 3)) == 6
+        assert within_distance(tuple_of(1, 2, 3), WeightKind.SQ) == 6
 
     def test_equal_pair(self):
-        assert within_distance_sq(tuple_of(5, 5)) == 0
+        assert within_distance(tuple_of(5, 5), WeightKind.SQ) == 0
 
     def test_unit_pair(self):
-        assert within_distance_sq(tuple_of(0, 1)) == 1
+        assert within_distance(tuple_of(0, 1), WeightKind.SQ) == 1
 
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=12))
     def test_matches_pairwise_definition(self, scores):
-        assert within_distance_sq(tuple_of(*scores)) == pairwise_sq(sorted(scores))
+        assert within_distance(tuple_of(*scores), WeightKind.SQ) == pairwise_sq(sorted(scores))
 
 
 # Score families for the batched kernel: ints, U(0,1) floats, one-decimal
@@ -122,11 +121,11 @@ class TestInvariances:
     def test_translation(self, scores, c):
         base = sorted(scores)
         shifted = [x + c for x in base]
-        assert within_distance_abs(tuple_of(*base)) == within_distance_abs(
-            tuple_of(*shifted)
+        assert within_distance(tuple_of(*base), WeightKind.ABS) == within_distance(
+            tuple_of(*shifted), WeightKind.ABS
         )
-        assert within_distance_sq(tuple_of(*base)) == within_distance_sq(
-            tuple_of(*shifted)
+        assert within_distance(tuple_of(*base), WeightKind.SQ) == within_distance(
+            tuple_of(*shifted), WeightKind.SQ
         )
 
     @given(
@@ -136,22 +135,22 @@ class TestInvariances:
     def test_scaling(self, scores, b):
         base = sorted(scores)
         scaled = [b * x for x in base]
-        assert within_distance_abs(tuple_of(*scaled)) == abs(b) * within_distance_abs(
-            tuple_of(*base)
+        assert within_distance(tuple_of(*scaled), WeightKind.ABS) == abs(b) * within_distance(
+            tuple_of(*base), WeightKind.ABS
         )
-        assert within_distance_sq(tuple_of(*scaled)) == b * b * within_distance_sq(
-            tuple_of(*base)
+        assert within_distance(tuple_of(*scaled), WeightKind.SQ) == b * b * within_distance(
+            tuple_of(*base), WeightKind.SQ
         )
 
     @given(st.lists(st.integers(-100, 100), min_size=2, max_size=8), st.randoms())
     def test_permutation_invariance(self, scores, rnd):
         shuffled = scores[:]
         rnd.shuffle(shuffled)
-        assert within_distance_abs(tuple_of(*scores)) == within_distance_abs(
-            tuple_of(*shuffled)
+        assert within_distance(tuple_of(*scores), WeightKind.ABS) == within_distance(
+            tuple_of(*shuffled), WeightKind.ABS
         )
-        assert within_distance_sq(tuple_of(*scores)) == within_distance_sq(
-            tuple_of(*shuffled)
+        assert within_distance(tuple_of(*scores), WeightKind.SQ) == within_distance(
+            tuple_of(*shuffled), WeightKind.SQ
         )
 
 
@@ -279,7 +278,7 @@ class TestTypes:
             lazy = KPartition.from_sorted_items(k, flat, 0, weight)
             built = KPartition(k, KPartition.from_sorted_items(
                 k, flat, 0, weight).tuples, 0, weight)
-            want = [repr(within_distance(t, weight)) for t in built.tuples]
+            want = [repr(within_scores(t.scores(), weight)) for t in built.tuples]
             for part in (lazy, built):
                 assert list(map(repr, part.group_within)) == want
                 assert part.group_within is part.group_within
