@@ -20,8 +20,6 @@ from .core import (
     sort_items,
     variance_identity_check,
     within_distance,
-    within_distance_abs,
-    within_distance_sq,
 )
 from .matching import BalancedPartition, balance_columns, match_line
 from .oracle import (
@@ -105,6 +103,4 @@ __all__ = [
     "tripartite_lower_bound",
     "variance_identity_check",
     "within_distance",
-    "within_distance_abs",
-    "within_distance_sq",
 ]

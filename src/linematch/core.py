@@ -1,12 +1,13 @@
-"""Domain types and within-group distance functions for score matching.
+"""Domain types and the within-group cost kernel for score matching.
 
 Items carry one real-valued score (age, a propensity scale, ...).  Groups of
 k items are costed by the sum over all member pairs of either the absolute
-difference of scores or the squared difference, one group at a time or many
-at once, bit for bit the same (`within_columns`).  A partition computes its
-group costs once and sums its total once, on first read, from those stored
-group costs.  Everything else here is a pure function; integer scores stay
-in exact integer arithmetic throughout.
+difference of scores or the squared difference.  One kernel,
+`within_columns`, computes that cost for many sorted groups at once; every
+group cost in the package comes from it (`within_distance` is its one-row
+view).  A partition computes its group costs once and sums its total once,
+on first read, from those stored group costs.  Everything else here is a
+pure function; integer scores stay in exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -144,52 +145,19 @@ class KTuple:
             raise ValidationError("group members are not in sorted order")
 
 
-def abs_within_scores(scores: Sequence[float]) -> float:
-    """Sum of |x_j - x_i| over all pairs of a nondecreasing score sequence.
-
-    Uses the linear form sum((2*i - k - 1) * x_i, i=1..k), which equals the
-    O(k^2) pairwise definition on sorted input.
-    """
-    k = len(scores)
-    return sum((2 * i - k + 1) * x for i, x in enumerate(scores))
-
-
-def sq_within_scores(scores: Sequence[float]) -> float:
-    """Sum of (x_j - x_i)**2 over all pairs; order-independent."""
-    total = 0
-    for i in range(len(scores) - 1):
-        xi = scores[i]
-        for xj in scores[i + 1 :]:
-            d = xj - xi
-            total += d * d
-    return total
-
-
-def within_distance_abs(group: KTuple) -> float:
-    """Within-distance of a sorted group under absolute differences."""
-    return abs_within_scores(group.scores())
-
-
-def within_distance_sq(group: KTuple) -> float:
-    """Within-distance of a sorted group under squared differences."""
-    return sq_within_scores(group.scores())
-
-
-def within_scores(scores: Sequence[float], weight: WeightKind) -> float:
-    """Within-distance of a nondecreasing score sequence under `weight`."""
-    if weight is WeightKind.ABS:
-        return abs_within_scores(scores)
-    return sq_within_scores(scores)
-
-
 def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[float]:
     """Within-distance of each row (cols[0][r], ..., cols[k-1][r]) of k
-    nondecreasing score columns, bit-equal to `within_scores` of the row:
-    abs scales column i by 2*i - k + 1 and sums each row with the same
-    builtin `sum`; sq adds the squared differences one column pair at a time,
-    in the scalar loop's pair order, from int 0 (integers stay exact)."""
+    nondecreasing score columns: the one place a group's cost is computed.
+
+    abs uses the linear form sum((2*i - k + 1) * x_i, i=0..k-1), which equals
+    the O(k^2) pairwise definition on sorted input, one builtin `sum` per row
+    from int 0; at k=2 that is x_1 - x_0 with `+ 0`, the same bits (-0.0
+    maps to 0.0).  sq adds the squared differences one column pair at a time,
+    pairs in lexicographic order, from int 0.  Integers stay exact."""
     k = len(cols)
     if weight is WeightKind.ABS:
+        if k == 2:
+            return [d + 0 for d in map(sub, cols[1], cols[0])]
         return list(map(sum, zip(*(map(mul, repeat(2 * i - k + 1), col)
                                    for i, col in enumerate(cols)))))
     totals = [0] * len(cols[0])
@@ -200,7 +168,8 @@ def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[
 
 
 def within_distance(group: KTuple, weight: WeightKind) -> float:
-    return within_scores(group.scores(), weight)
+    """Within-distance of one sorted group: a one-row `within_columns`."""
+    return within_columns([(x,) for x in group.scores()], weight)[0]
 
 
 class KPartition:
@@ -279,15 +248,10 @@ class KPartition:
         """Within-distance of each group, in group order; equal to
         `within_distance(self.tuples[i], self.weight)`, computed once."""
         if self._within is None:
-            k, weight = self.k, self.weight
+            k = self.k
             scores = list(map(_score_of, self._flat))
-            if weight is WeightKind.ABS and k == 2:
-                # bit-equal to within_scores([x0, x1]), whose sum starts at
-                # int 0 and so never yields -0.0; `+ 0` maps -0.0 to 0.0 too
-                within = (d + 0 for d in map(sub, scores[1::2], scores[0::2]))
-            else:
-                within = within_columns([scores[i::k] for i in range(k)], weight)
-            self._within = tuple(within)
+            self._within = tuple(within_columns(
+                [scores[i::k] for i in range(k)], self.weight))
         return self._within
 
     def check(self, items: Sequence[ScoredItem] | None = None) -> None:

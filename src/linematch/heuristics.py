@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .core import (
@@ -25,10 +26,10 @@ from .core import (
     SizeError,
     ValidationError,
     WeightKind,
-    within_scores,
+    within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, tuple_weight
-from .oracle import min_partition
+from .oracle import DEFAULT_BUDGET, min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
 
@@ -209,7 +210,7 @@ def triangle_matching(instance: MultipartiteInstance) -> Matching:
 def local_search_2tuple(
     partition: KPartition,
     weight: WeightKind,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> KPartition:
     """Re-split pairs of groups until no pair admits a cheaper split.
 
@@ -217,6 +218,7 @@ def local_search_2tuple(
     of the 2k concatenated members that keeps the smallest member in the
     first group, and applies the best strictly-cheaper one.  Cost never
     increases and the scan terminates at a pairwise-optimal fixpoint.
+    A pair's C(2k, k) candidate groups are costed in one kernel call.
     """
     k = partition.k
     per_pair = math.comb(2 * k - 1, k - 1)
@@ -227,6 +229,9 @@ def local_search_2tuple(
     groups = [list(t.members) for t in partition.tuples]
     costs = list(KPartition.from_sorted_items(
         k, partition.items(), None, weight).group_within)
+    # every k-subset of the 2k merged positions: either half of any split
+    positions = list(combinations(range(2 * k), k))
+    position_cols = list(zip(*positions))
 
     improved = True
     while improved:
@@ -234,17 +239,17 @@ def local_search_2tuple(
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
-
-                def split_cost(positions):
-                    return within_scores([merged[p].score for p in positions], weight)
-
-                better = min_partition(2 * k, k, split_cost, bound=costs[i] + costs[j])
+                score_at = [m.score for m in merged].__getitem__
+                table = dict(zip(positions, within_columns(
+                    [list(map(score_at, col)) for col in position_cols], weight)))
+                better = min_partition(2 * k, k, table.__getitem__,
+                                       bound=costs[i] + costs[j])
                 if better is not None:
                     (g1, g2), _ = better
                     groups[i] = [merged[p] for p in g1]
                     groups[j] = [merged[p] for p in g2]
-                    costs[i] = split_cost(g1)
-                    costs[j] = split_cost(g2)
+                    costs[i] = table[g1]
+                    costs[j] = table[g2]
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, sum(costs), weight)

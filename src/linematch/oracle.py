@@ -121,8 +121,9 @@ def min_partition(
 
 
 def _subset_costs(subsets: Iterator[Sequence], weight: WeightKind) -> list[float]:
-    """`within_scores` of each nondecreasing subset, costed _SUBSET_CHUNK
-    subsets at a time so that only the costs are held."""
+    """Within-distance of each nondecreasing subset, costed by the
+    `within_columns` kernel _SUBSET_CHUNK subsets at a time so that only the
+    costs are held."""
     costs = []
     for chunk in iter(lambda: list(islice(subsets, _SUBSET_CHUNK)), []):
         costs += within_columns(list(zip(*chunk)), weight)
