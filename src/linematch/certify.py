@@ -41,12 +41,7 @@ from itertools import accumulate, combinations, compress, count, islice, repeat
 from operator import attrgetter, getitem, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .core import (
-    CERTIFIED_MAX_K,
-    CertifiedRangeError,
-    ValidationError,
-    WeightKind,
-)
+from .core import ValidationError, WeightKind, check_certified_k
 
 # A certifier given a `progress` callback calls it every PROGRESS_EVERY splits
 # with (splits done, total splits).
@@ -418,17 +413,6 @@ def _split_batches(
             progress(done + every, total)
 
 
-def _gate(k: int, weight: WeightKind, exploratory: bool) -> None:
-    cap = CERTIFIED_MAX_K[weight]
-    if k < 2:
-        raise ValidationError(f"group size must be at least 2, got {k}")
-    if k > cap and not exploratory:
-        raise CertifiedRangeError(
-            f"certification for weight '{weight.value}' is capped at k<={cap}; "
-            "pass exploratory=True to run beyond the verified range"
-        )
-
-
 def certify_abs(
     k: int,
     exploratory: bool = False,
@@ -444,7 +428,7 @@ def certify_abs(
     roughly quadruples per increment of k.  With collect=False an entry (and
     its suffix-sum proof) is built only for a failing split.
     """
-    _gate(k, WeightKind.ABS, exploratory)
+    check_certified_k(k, WeightKind.ABS, exploratory)
     m = 2 * k
     # weight of the j-th smallest member of a k-group in its cost
     w = [2 * j - k + 1 for j in range(k)]
@@ -513,7 +497,7 @@ def certify_sq(
     marks the entry failed.  With collect=False no form, proof or entry is
     built for a split that verifies.
     """
-    _gate(k, WeightKind.SQ, exploratory)
+    check_certified_k(k, WeightKind.SQ, exploratory)
     m = 2 * k
     others = frozenset(range(2, m + 1))
     entries: list[CertificateEntry] = []

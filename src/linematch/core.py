@@ -326,8 +326,9 @@ def check_certified_k(k: int, weight: WeightKind, uncertified: bool = False) -> 
         raise ValidationError(f"group size must be at least 2, got {k}")
     cap = CERTIFIED_MAX_K[weight]
     if k > cap and not uncertified:
+        # names the CLI flag only: the keyword differs between callers
         raise CertifiedRangeError(
             f"k={k} is outside the certified optimal range for weight "
-            f"'{weight.value}' (abs: k<=16, sq: k<=8); "
-            "pass uncertified=True (CLI: --uncertified) to proceed anyway"
+            f"'{weight.value}' (k<={cap}); rerun with --uncertified to "
+            "proceed anyway"
         )

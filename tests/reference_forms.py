@@ -18,6 +18,7 @@ from linematch.core import (
     ScoredItem,
     SizeError,
     WeightKind,
+    check_certified_k,
     sort_items,
 )
 from linematch.certify import (
@@ -28,7 +29,6 @@ from linematch.certify import (
     QuadraticForm,
     SuffixSumProof,
     _check_bipartition,
-    _gate,
 )
 from linematch.heuristics import EuclideanPoint
 from linematch.multipartite import (
@@ -564,7 +564,7 @@ def certify_abs_reference(
     Entry count is C(2k-1, k-1); per-entry work is O(k), so cost roughly
     quadruples per increment of k.
     """
-    _gate(k, WeightKind.ABS, exploratory)
+    check_certified_k(k, WeightKind.ABS, exploratory)
     m = 2 * k
     base = [0] * m
     _abs_coeffs_into(base, tuple(range(1, k + 1)), +1)
@@ -635,7 +635,7 @@ def certify_sq_reference(
     must pass the suffix-sum criterion.  A failed factorization or a factor
     that is not nonnegative on the sorted cone marks the entry failed.
     """
-    _gate(k, WeightKind.SQ, exploratory)
+    check_certified_k(k, WeightKind.SQ, exploratory)
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
     count = 0

@@ -212,6 +212,14 @@ class TestCertifyCommand:
         assert code == 4
         assert "k<=16" in err
 
+    @pytest.mark.parametrize("argv", ["certify --k 17", "certify --k 9 --weight sq"])
+    def test_out_of_range_message_names_the_cli_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 4
+        assert out == ""
+        assert "--uncertified" in err
+        assert "=True" not in err and "exploratory" not in err
+
     def test_missing_k_exits_4(self, capsys):
         code, _, err = run_cli(capsys, ["certify", "--weight", "abs"])
         assert code == 4
