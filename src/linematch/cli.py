@@ -46,6 +46,7 @@ from .multipartite import (
     tripartite_lower_bound,
 )
 from .oracle import (
+    DEFAULT_BUDGET,
     TRIPARTITE_ORACLE_MAX_N,
     brute_force_assignment,
     brute_force_partition,
@@ -54,7 +55,6 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_BUDGET = 10_000_000
 # certificates with more splits are not collected and report progress on stderr
 COLLECT_LIMIT = 1_000_000
 
