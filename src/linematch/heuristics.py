@@ -231,7 +231,6 @@ def local_search_2tuple(
         k, partition.items(), None, weight).group_within)
     # every k-subset of the 2k merged positions: either half of any split
     positions = list(combinations(range(2 * k), k))
-    position_cols = list(zip(*positions))
 
     improved = True
     while improved:
@@ -239,9 +238,9 @@ def local_search_2tuple(
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
-                score_at = [m.score for m in merged].__getitem__
+                scores = [m.score for m in merged]
                 table = dict(zip(positions, within_columns(
-                    [list(map(score_at, col)) for col in position_cols], weight)))
+                    list(zip(*combinations(scores, k))), weight)))
                 better = min_partition(2 * k, k, table.__getitem__,
                                        bound=costs[i] + costs[j])
                 if better is not None:
