@@ -1,36 +1,35 @@
 """Machine-checked exchange inequalities behind sort-and-chunk optimality.
 
-For a sorted 2k-tuple x_1 <= ... <= x_2k, splitting into the first and last
-k elements must beat every other split into two k-groups.  This module
-proves that mechanically for a given k and weight kind by enumerating all
-C(2k-1, k-1) splits (the one containing x_1, times the complement) and
-certifying that the symbolic cost difference
+For a sorted 2k-tuple x_1 <= ... <= x_2k, the sorted split into lo = {1..k}
+and hi = {k+1..2k} must beat every other split into two k-groups.  A split
+is named by its group A holding x_1; B is the other.  Its symbolic cost
+difference cost(split) - cost(sorted split) must be nonnegative on the cone
+of nondecreasing vectors.  A linear form is exactly when its coefficients
+sum to zero and every suffix sum is nonnegative (Abel summation against the
+cone generators (0,..,0,1,..,1)).
 
-    cost(split) - cost(sorted split)
+No split is checked on its own.  Scanned from x_2k down, a split passes the
+states (c, t): c is a suffix length (1..2k), t the number of A's members in
+it.  Each suffix sum a proof needs depends on the state alone, so a table of
+the O(k^2) reachable states decides all C(2k-1, k-1) splits: a split
+verifies iff every state on its path does.
 
-is nonnegative on the cone of nondecreasing real vectors:
+* abs: the difference is a linear form with suffix sum W(t) + W(c-t) - W(h)
+  - W(c-h) at (c, t), h = min(c, k), where W(t) sums the top t weights
+  w_j = 2j - k + 1 of a group's cost sum(w_j * x_(j)).  An entry reads its
+  suffix sums along its path; its coefficients are their differences.
+* sq: the difference is the quadratic form with zero diagonal and
+  M[a][b] = [same half] - [same group].  It is 2 * u.x * v.x with
+  u = 1_hi - 1_A and v = 1_A - 1_lo: M and u v^T + v u^T depend only on the
+  (half, group) classes of a and b, so the identity is checked once over the
+  4 x 4 classes (the sorted split holds two, every other split all four).
+  The factors' suffix sums at (c, t) are h - t and t - (c - h).
 
-* absolute differences: the difference is a linear form with integer
-  coefficients; it is nonnegative on the sorted cone exactly when its
-  coefficients sum to zero and every suffix sum is nonnegative (Abel
-  summation against the cone generators (0,..,0,1,..,1)).  Per split, one
-  O(k) pass builds the coefficients and one scan of the suffix sums gives
-  the verdict; the sums are kept as the proof when an entry is built.
-
-* squared differences: the difference is a quadratic form with no square
-  terms.  Off the diagonal its matrix holds [same half of the sorted split]
-  - [same group of the split], so each row is one of four, set by the row's
-  half and group; the matrix is assembled from those four rows.  It factors
-  as 2 * L1 * L2 with integer linear forms of disjoint support, recovered
-  exactly from the rank-2 matrix and re-verified entrywise, one whole row
-  against u_i*v + v_i*u at a time.  Each factor then passes the suffix-sum
-  criterion (or, negated, its mirror: total zero and every suffix sum <= 0),
-  from one suffix-sum pass per factor.
-
-All arithmetic is exact (Python integers).  A certificate is a re-checkable
-artifact: every collected entry carries the split, the difference form, and
-the proof data needed to re-verify it independently.  Uncollected runs build
-an entry only for a split that fails.
+An uncollected certificate that no state fails enumerates nothing.
+Otherwise each split's verdict is read from the same table, and an entry is
+built for every split (collected) or every failing one.  All arithmetic is
+exact (Python integers); an entry carries the split, the difference form and
+the proof (suffix sums, or the factors) that re-verify it independently.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, combinations, compress, count, islice, repeat
-from operator import attrgetter, getitem, mod, mul, sub
+from operator import add, attrgetter, getitem, mod, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import ValidationError, WeightKind, check_certified_k
@@ -65,17 +64,6 @@ def _suffix_criterion(coeffs: Sequence[int]) -> bool:
         if s < 0:
             return False
     return s == 0
-
-
-def _nonnegative_on_cone(sums_from_end: list[int]) -> bool:
-    """The suffix-sum criterion, given S_m, ..., S_1 (S_1 is the total):
-    total 0 and every suffix sum >= 0."""
-    return sums_from_end[-1] == 0 and min(sums_from_end) >= 0
-
-
-def _nonpositive_on_cone(sums_from_end: list[int]) -> bool:
-    """The criterion for the negated form: total 0 and every suffix sum <= 0."""
-    return sums_from_end[-1] == 0 and max(sums_from_end) <= 0
 
 
 class _IntText(dict):
@@ -269,33 +257,72 @@ class ExchangeCertificate:
     failures: tuple[CertificateEntry, ...]
 
 
-def _abs_coeffs_into(coeffs: list[int], subset: Sequence[int], sign: int) -> None:
-    k = len(subset)
-    for j, pos in enumerate(subset):
-        coeffs[pos - 1] += sign * (2 * j - k + 1)
+def _abs_weights(k: int) -> list[int]:
+    """w[j], the weight of a k-group's (j+1)-th smallest member in its cost."""
+    return [2 * j - k + 1 for j in range(k)]
 
 
-def _sq_matrix(k: int, first: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the sq difference form for the split whose first group holds
-    the 1-based positions `first`.
+def _fails_criterion(last: bool, *sums: int) -> bool:
+    """The suffix-sum criterion broken at one state: a negative suffix sum,
+    or a nonzero total at the full length (`last`)."""
+    return min(sums) < 0 or (last and any(sums))
 
-    M[a][b] = [a, b in the same half of the sorted split] - [a, b in the same
-    group of the split], and the diagonal is 0 (each position has k-1
-    partners in its group and in its half).  Row a therefore depends only on
-    a's half and a's group, so the matrix is assembled from four row tuples,
-    one per (half, group) class.
-    """
+
+def _abs_states(k: int) -> list[list[int]]:
+    """T[c-1][t], the suffix sum over the last c positions of the abs
+    difference form of a split with t members of A there.  Unreachable
+    states (c - t > k, or t = k below c = 2k) read 0 for any weights."""
+    top = [0, *accumulate(reversed(_abs_weights(k)))]  # W(0..k)
+    table = []
+    for c in range(1, 2 * k + 1):
+        h = min(c, k)
+        table.append([top[t] + top[c - t] - top[h] - top[c - h] if c - t <= k
+                      else 0 for t in range(h + 1)])
+    return table
+
+
+# sq class of a position: 2 * [in hi] + [in A], so 0 = (lo, B), 1 = (lo, A),
+# 2 = (hi, B), 3 = (hi, A); the factors' coefficients by class
+_SQ_U = (0, -1, 1, 0)  # u = 1_hi - 1_A
+_SQ_V = (-1, 0, 0, 1)  # v = 1_A - 1_lo
+
+
+def _sq_cell(p: int, q: int) -> int:
+    """M[a][b] for a in class p, b in class q: [same half] - [same group]."""
+    return int((p ^ q) < 2) - int((p ^ q) & 1 == 0)
+
+
+def _sq_factor_sums(k: int, c: int, t: int) -> tuple[int, int]:
+    """Suffix sums of u and v over the last c positions, t of them in A."""
+    h = min(c, k)
+    return h - t, t - (c - h)
+
+
+def _class_matrix(classes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The sq matrix for positions of the given classes, from one row tuple
+    per class."""
+    rows = [tuple([_sq_cell(p, q) for q in classes]) for p in range(4)]
+    return tuple(map(rows.__getitem__, classes))
+
+
+def _sq_states(k: int) -> list[list[int]]:
+    """Verdict code of each state: 0 holds, 1 a factor breaks the suffix-sum
+    criterion, 2 the class identity M = u v^T + v u^T fails.  The identity
+    is charged to c = k, where t = 0 only on the sorted split's path."""
+    def fails(classes: Sequence[int]) -> bool:
+        return any(_sq_cell(p, q) != _SQ_U[p] * _SQ_V[q] + _SQ_V[p] * _SQ_U[q]
+                   for p in classes for q in classes)
+
+    identity = (2 * fails((1, 2)), 2 * fails(range(4)))
     m = 2 * k
-    in_first = [0] * m
-    for p in first:
-        in_first[p - 1] = 1
-    low = (1,) * k + (0,) * k
-    high = (0,) * k + (1,) * k
-    low_rows = (tuple(map(sub, in_first, high)), tuple(map(sub, low, in_first)))
-    high_rows = (tuple(map(sub, in_first, low)), tuple(map(sub, high, in_first)))
-    return tuple(map(low_rows.__getitem__, in_first[:k])) + tuple(
-        map(high_rows.__getitem__, in_first[k:])
-    )
+    table = []
+    for c in range(1, m + 1):
+        row = [int(c - t <= k and _fails_criterion(c == m, *_sq_factor_sums(k, c, t)))
+               for t in range(min(c, k) + 1)]
+        if c == k:
+            row = [max(code, identity[t > 0]) for t, code in enumerate(row)]
+        table.append(row)
+    return table
 
 
 def _factor_pair(
@@ -338,23 +365,6 @@ def _factor_pair(
     return tuple(u), tuple(v)
 
 
-def _cone_sign(u: Sequence[int], v: Sequence[int]) -> int:
-    """+1 if both factors are nonnegative on the sorted cone, -1 if both
-    negated factors are, else 0.
-
-    A form is nonnegative on the cone iff its total is 0 and every suffix sum
-    is >= 0, so its negation is iff the total is 0 and every suffix sum is
-    <= 0: one suffix-sum pass per factor decides both orientations.
-    """
-    su = list(accumulate(reversed(u)))
-    sv = list(accumulate(reversed(v)))
-    if _nonnegative_on_cone(su) and _nonnegative_on_cone(sv):
-        return 1
-    if _nonpositive_on_cone(su) and _nonpositive_on_cone(sv):
-        return -1
-    return 0
-
-
 def _check_bipartition(k: int, first_half: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     first = tuple(sorted(first_half))
     m = 2 * k
@@ -379,17 +389,17 @@ def difference_form(
     {1..k | k+1..2k} yields the zero form.
     """
     first, second = _check_bipartition(k, first_half)
-    if weight is WeightKind.ABS:
-        m = 2 * k
-        low = tuple(range(1, k + 1))
-        high = tuple(range(k + 1, m + 1))
-        coeffs = [0] * m
-        _abs_coeffs_into(coeffs, first, +1)
-        _abs_coeffs_into(coeffs, second, +1)
-        _abs_coeffs_into(coeffs, low, -1)
-        _abs_coeffs_into(coeffs, high, -1)
-        return LinearForm(tuple(coeffs))
-    return QuadraticForm(_sq_matrix(k, first))
+    m = 2 * k
+    if weight is WeightKind.SQ:
+        return QuadraticForm(_class_matrix(
+            [2 * (p > k) + (p in first) for p in range(1, m + 1)]))
+    w = _abs_weights(k)
+    coeffs = [0] * m
+    for group, sign in ((first, 1), (second, 1), (range(1, k + 1), -1),
+                        (range(k + 1, m + 1), -1)):
+        for pos, c in zip(group, w):
+            coeffs[pos - 1] += sign * c
+    return LinearForm(tuple(coeffs))
 
 
 def _split_batches(
@@ -413,6 +423,48 @@ def _split_batches(
             progress(done + every, total)
 
 
+def _certify(
+    k: int,
+    weight: WeightKind,
+    states: list[list[int]],
+    entry_form: Callable[[list[int], list[int], int], tuple],
+    reasons: tuple[str, ...],
+    collect: bool,
+    progress: Progress | None,
+) -> ExchangeCertificate:
+    """The certificate decided by the states' verdict codes: a split's code
+    is the largest on its path, 0 if it verifies.  Splits are enumerated
+    only when entries are collected or some state fails; entry_form(bits,
+    path, code) builds an entry's (form, proof) from its A-membership bits
+    and its t, both by suffix length 1..2k."""
+    m = 2 * k
+    entries: list[CertificateEntry] = []
+    failures: list[CertificateEntry] = []
+    if collect or any(map(any, states)):
+        others = frozenset(range(2, m + 1))
+        start = [0] * (m - 1) + [1]  # x_1, scanned last, is in A
+        for batch in _split_batches(k, progress):
+            for companions in batch:
+                bits = start.copy()
+                for pos in companions:
+                    bits[m - pos] = 1
+                path = list(accumulate(bits))
+                code = max(map(getitem, states, path))
+                if code or collect:
+                    entry = CertificateEntry(
+                        (1,) + companions[::-1],
+                        tuple(sorted(others.difference(companions))),
+                        *entry_form(bits, path, code), not code, reasons[code])
+                    if collect:
+                        entries.append(entry)
+                    if code:
+                        failures.append(entry)
+    entries.reverse()
+    failures.sort(key=attrgetter("first"))  # lexicographic split order
+    return ExchangeCertificate(k, weight, math.comb(m - 1, k - 1),
+                               not failures, tuple(entries), tuple(failures))
+
+
 def certify_abs(
     k: int,
     exploratory: bool = False,
@@ -422,62 +474,25 @@ def certify_abs(
 ) -> ExchangeCertificate:
     """Certify sorted-split minimality for absolute differences at size k.
 
-    Checks the suffix-sum criterion on every split's difference form.
-    Entry count is C(2k-1, k-1); per split, one O(k) walk builds the
-    coefficients and one scan of the suffix sums gives the verdict, so cost
-    roughly quadruples per increment of k.  With collect=False an entry (and
-    its suffix-sum proof) is built only for a failing split.
+    Checks the suffix-sum criterion on the table of the O(k^2) states'
+    suffix sums.  A collected or failing entry reads its suffix sums from
+    the table along its path, O(k) per split.
     """
     check_certified_k(k, WeightKind.ABS, exploratory)
-    m = 2 * k
-    # weight of the j-th smallest member of a k-group in its cost
-    w = [2 * j - k + 1 for j in range(k)]
-    neg_base = [-c for c in w] * 2  # minus the sorted split's cost
-    neg_base[0] += w[0]  # x_1 leads the first group of every split
-    w_companions = w[:0:-1]  # largest companion first
-    others = frozenset(range(2, m + 1))
+    table = _abs_states(k)
+    states = [[int(_fails_criterion(c == 2 * k, s)) for s in row]
+              for c, row in enumerate(table, 1)]
 
-    entries: list[CertificateEntry] = []
-    failures: list[CertificateEntry] = []
-    for batch in _split_batches(k, progress):
-        for companions in batch:
-            coeffs = neg_base.copy()
-            for pos, c in zip(companions, w_companions):
-                coeffs[pos - 1] += c
-            # complement walk: positions m..2 not in companions, in order
-            ptr = 0
-            j = k - 1
-            for pos in range(m, 1, -1):
-                if ptr < k - 1 and companions[ptr] == pos:
-                    ptr += 1
-                else:
-                    coeffs[pos - 1] += w[j]
-                    j -= 1
-            ok = _suffix_criterion(coeffs)
-            if ok and not collect:
-                continue
-            entry = CertificateEntry(
-                (1,) + companions[::-1],
-                tuple(sorted(others.difference(companions))),
-                LinearForm(tuple(coeffs)),
-                SuffixSumProof(tuple(_suffix_sums(coeffs))),
-                ok,
-                "" if ok else "suffix-sum criterion failed",
-            )
-            if collect:
-                entries.append(entry)
-            if not ok:
-                failures.append(entry)
-    entries.reverse()
-    failures.sort(key=attrgetter("first"))  # lexicographic split order
-    return ExchangeCertificate(
-        k=k,
-        weight=WeightKind.ABS,
-        entry_count=math.comb(m - 1, k - 1),
-        verified=not failures,
-        entries=tuple(entries),
-        failures=tuple(failures),
-    )
+    def entry_form(bits, path, code):
+        sums = list(map(getitem, table, path))  # S_2k, ..., S_1
+        sums.reverse()
+        # exact-size tuples: a tuple built from an iterator keeps its
+        # over-allocated block, which shows in a collected run's peak RSS
+        coeffs = list(map(sub, sums, sums[1:] + [0]))
+        return LinearForm(tuple(coeffs)), SuffixSumProof(tuple(sums))
+
+    return _certify(k, WeightKind.ABS, states, entry_form,
+                    ("", "suffix-sum criterion failed"), collect, progress)
 
 
 def certify_sq(
@@ -489,61 +504,31 @@ def certify_sq(
 ) -> ExchangeCertificate:
     """Certify sorted-split minimality for squared differences at size k.
 
-    Every split's quadratic difference form is assembled from its four
-    distinct rows, factored as 2 * L1 * L2 with exact integer arithmetic
-    (re-verified entrywise, row by row), and both factors must pass the
-    suffix-sum criterion, in one orientation or both negated.  A failed
-    factorization or a factor that is not nonnegative on the sorted cone
-    marks the entry failed.  With collect=False no form, proof or entry is
-    built for a split that verifies.
+    Checks the class identity of the factors u = 1_hi - 1_A, v = 1_A - 1_lo
+    once and their suffix sums on the O(k^2) states.  A collected or failing
+    entry carries its matrix; a verified one also the factors, sorted (zero
+    for the sorted split's zero form).
     """
     check_certified_k(k, WeightKind.SQ, exploratory)
-    m = 2 * k
-    others = frozenset(range(2, m + 1))
-    entries: list[CertificateEntry] = []
-    failures: list[CertificateEntry] = []
-    for batch in _split_batches(k, progress):
-        for companions in batch:
-            mat = _sq_matrix(k, (1,) + companions)
-            pair = _factor_pair(mat)
-            sign = 0 if pair is None else _cone_sign(*pair)
-            if sign and not collect:
-                continue
-            proof: FactorProof | None = None
-            reason = ""
-            if pair is None:
-                reason = "no factorization into two linear forms"
-            elif not sign:
-                reason = "factor not nonnegative on the sorted cone"
-            else:
-                u, v = pair
-                if sign < 0:
-                    u = tuple(-c for c in u)
-                    v = tuple(-c for c in v)
-                left, right = sorted((u, v))
-                proof = FactorProof(LinearForm(left), LinearForm(right))
-            entry = CertificateEntry(
-                (1,) + companions[::-1],
-                tuple(sorted(others.difference(companions))),
-                QuadraticForm(mat),
-                proof,
-                bool(sign),
-                reason,
-            )
-            if collect:
-                entries.append(entry)
-            if not sign:
-                failures.append(entry)
-    entries.reverse()
-    failures.sort(key=attrgetter("first"))  # lexicographic split order
-    return ExchangeCertificate(
-        k=k,
-        weight=WeightKind.SQ,
-        entry_count=math.comb(m - 1, k - 1),
-        verified=not failures,
-        entries=tuple(entries),
-        failures=tuple(failures),
-    )
+    halves = [0] * k + [2] * k
+    zero = LinearForm((0,) * (2 * k))
+
+    def entry_form(bits, path, code):
+        classes = list(map(add, halves, reversed(bits)))
+        if code:
+            proof = None
+        elif path[k - 1]:  # A reaches into hi: not the sorted split
+            left, right = sorted((tuple([_SQ_U[c] for c in classes]),
+                                  tuple([_SQ_V[c] for c in classes])))
+            proof = FactorProof(LinearForm(left), LinearForm(right))
+        else:
+            proof = FactorProof(zero, zero)
+        return QuadraticForm(_class_matrix(classes)), proof
+
+    return _certify(k, WeightKind.SQ, _sq_states(k), entry_form,
+                    ("", "factor not nonnegative on the sorted cone",
+                     "no factorization into two linear forms"),
+                    collect, progress)
 
 
 def _render_tuple(values: Iterable[int], ints: _IntText) -> str:

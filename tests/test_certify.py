@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +334,12 @@ class TestReferenceEquality:
             k, collect=collect
         )
 
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_uncollected_certify_abs_equals_reference_beyond_k9(self, k):
+        assert certify_abs(k, collect=False) == certify_abs_reference(
+            k, collect=False
+        )
+
     @pytest.mark.parametrize("collect", [True, False])
     @pytest.mark.parametrize("k", range(2, 9))
     def test_certify_sq_equals_reference(self, k, collect):
@@ -360,28 +366,28 @@ class TestReferenceEquality:
             factor_as_double_product_reference(form)
         )
 
-    @given(
-        st.lists(st.integers(-3, 3), min_size=1, max_size=6),
-        st.lists(st.integers(-3, 3), min_size=1, max_size=6),
-    )
-    def test_cone_sign_matches_negated_forms(self, u, v):
-        lu, lv = LinearForm(tuple(u)), LinearForm(tuple(v))
-        if lu.is_cone_nonnegative() and lv.is_cone_nonnegative():
-            expected = 1
-        elif (-lu).is_cone_nonnegative() and (-lv).is_cone_nonnegative():
-            expected = -1
-        else:
-            expected = 0
-        assert certify._cone_sign(u, v) == expected
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+    def test_state_criterion_matches_linear_forms(self, coeffs):
+        # the per-state check, applied to every suffix sum of a form, is the
+        # whole-form criterion, in both orientations
+        for form in (LinearForm(tuple(coeffs)), -LinearForm(tuple(coeffs))):
+            m = len(form.coeffs)
+            sums = accumulate(reversed(form.coeffs))
+            by_states = not any(
+                certify._fails_criterion(c == m, s) for c, s in enumerate(sums, 1)
+            )
+            assert by_states == form.is_cone_nonnegative()
 
     def test_mixed_orientation_factors_fail(self, monkeypatch):
-        # 2*(x4 - x1)*(x2 - x3): the first factor is nonnegative on the
-        # sorted cone, the second has suffix sum -1 at x3, and negating both
-        # breaks the first, so every split must fail, collected or not
-        matrix = tuple(map(tuple, symmetric_double_product(
-            [-1, 0, 0, 1], [0, 1, -1, 0]
-        )))
-        monkeypatch.setattr(certify, "_sq_matrix", lambda k, first: matrix)
+        # u negated, v as is: v stays nonnegative on the sorted cone while -u
+        # has a negative suffix sum on every split's path (h - t >= 1 at
+        # c = k), so every split must fail, collected or not
+        def mixed(k, c, t):
+            su, sv = factor_sums(k, c, t)
+            return -su, sv
+
+        factor_sums = certify._sq_factor_sums
+        monkeypatch.setattr(certify, "_sq_factor_sums", mixed)
         for collect in (True, False):
             cert = certify_sq(2, collect=collect)
             assert not cert.verified
@@ -397,7 +403,7 @@ class TestReferenceEquality:
         # every split rejected: failures come in lexicographic split order,
         # collected entries in the reference's colex order, and each failure
         # carries the reference's form and suffix sums
-        monkeypatch.setattr(certify, "_suffix_criterion", lambda coeffs: False)
+        monkeypatch.setattr(certify, "_fails_criterion", lambda last, *sums: True)
         cert = certify_abs(4, collect=collect)
         reference = {e.first: e for e in certify_abs_reference(4).entries}
         assert not cert.verified
@@ -414,6 +420,160 @@ class TestReferenceEquality:
         assert [e.first for e in cert.entries] == (list(reference) if collect else [])
 
 
+@st.composite
+def splits(draw, max_k=16):
+    """(k, first group) of a random split, x_1's group listed ascending."""
+    k = draw(st.integers(2, max_k))
+    companions = draw(
+        st.sets(st.integers(2, 2 * k), min_size=k - 1, max_size=k - 1)
+    )
+    return k, (1,) + tuple(sorted(companions))
+
+
+def path_of(k, first):
+    """t(c) for c = 1..2k: members of `first` among the last c positions."""
+    members = set(first)
+    return list(accumulate(int(p in members) for p in range(2 * k, 0, -1)))
+
+
+def every_split(k):
+    return [(1,) + c for c in combinations(range(2, 2 * k + 1), k - 1)]
+
+
+class TestStateTable:
+    @settings(max_examples=200)
+    @given(splits())
+    def test_abs_table_is_suffix_sums_of_difference_form(self, split):
+        k, first = split
+        table = certify._abs_states(k)
+        sums = difference_form(k, first, WeightKind.ABS).suffix_sums()
+        # S_j is the suffix of length c = 2k - j + 1
+        assert [table[c - 1][t] for c, t in enumerate(path_of(k, first), 1)] == (
+            list(reversed(sums))
+        )
+
+    @settings(max_examples=100)
+    @given(splits())
+    def test_sq_closed_form_factors(self, split):
+        # u = 1_hi - 1_A and v = 1_A - 1_lo double to the difference form,
+        # and their suffix sums are the state table's
+        k, first = split
+        m = 2 * k
+        members = set(first)
+        u = tuple(int(p > k) - int(p in members) for p in range(1, m + 1))
+        v = tuple(int(p in members) - int(p <= k) for p in range(1, m + 1))
+        matrix = tuple(
+            tuple(u[a] * v[b] + v[a] * u[b] for b in range(m)) for a in range(m)
+        )
+        assert difference_form(k, first, WeightKind.SQ).matrix == matrix
+        sums = [certify._sq_factor_sums(k, c, t)
+                for c, t in enumerate(path_of(k, first), 1)]
+        assert [su for su, _ in sums] == list(
+            reversed(LinearForm(u).suffix_sums())
+        )
+        assert [sv for _, sv in sums] == list(
+            reversed(LinearForm(v).suffix_sums())
+        )
+
+    def test_verified_uncollected_certificates_enumerate_nothing(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
+
+        monkeypatch.setattr(certify, "_split_batches", refuse)
+        for k in range(2, 17):
+            assert certify_abs(k, collect=False).verified
+            assert certify_sq(k, exploratory=True, collect=False).verified
+
+
+def abs_form_from_weights(k, first, w):
+    """The abs difference form for weights w by direct assembly: each
+    position's weight by rank in its group minus by rank in its half."""
+    m = 2 * k
+    second = [p for p in range(1, m + 1) if p not in first]
+    coeffs = [0] * m
+    for group, sign in ((first, 1), (second, 1), (range(1, k + 1), -1),
+                        (range(k + 1, m + 1), -1)):
+        for rank, p in enumerate(group):
+            coeffs[p - 1] += sign * w[rank]
+    return LinearForm(tuple(coeffs))
+
+
+def sq_matrix_from_cells(k, first, cell):
+    """The sq matrix with M[a][b] = cell(class of a, class of b), cell by
+    cell, class = 2 * [in hi] + [in first]."""
+    members = set(first)
+    classes = [2 * (p > k) + (p in members) for p in range(1, 2 * k + 1)]
+    return tuple(tuple(cell(p, q) for q in classes) for p in classes)
+
+
+def assert_failures(cert, expected, collect):
+    """`expected` maps every split to its failing entry's (form, proof,
+    reason), or None if it verifies."""
+    failing = [first for first in sorted(expected) if expected[first]]
+    assert not cert.verified
+    assert [e.first for e in cert.failures] == failing
+    for e in cert.failures:
+        assert not e.ok and (e.form, e.proof, e.reason) == expected[e.first]
+    if collect:
+        assert {e.first: e.ok for e in cert.entries} == {
+            first: not expected[first] for first in expected
+        }
+    else:
+        assert cert.entries == ()
+
+
+class TestMutations:
+    """A bad abs weight and a wrong sq class cell must fail exactly the
+    splits that a per-split recomputation rejects, collected or not."""
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_bad_abs_weight(self, monkeypatch, k, collect):
+        # the two smallest members' weights swapped
+        w = certify._abs_weights(k)
+        w[0], w[1] = w[1], w[0]
+        monkeypatch.setattr(certify, "_abs_weights", lambda k: list(w))
+        expected = {}
+        for first in every_split(k):
+            form = abs_form_from_weights(k, first, w)
+            expected[first] = None if form.is_cone_nonnegative() else (
+                form, SuffixSumProof(form.suffix_sums()),
+                "suffix-sum criterion failed",
+            )
+        assert 0 < sum(map(bool, expected.values())) < len(expected)
+        assert_failures(certify_abs(k, collect=collect), expected, collect)
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize(  # classes 0..3: (lo, B), (lo, A), (hi, B), (hi, A)
+        "p,q", [(0, 3), (1, 2), (0, 0), (3, 1)],
+        ids=["loB-hiA", "loA-hiB", "loB-loB", "hiA-loA"],
+    )
+    def test_wrong_sq_class_cell(self, monkeypatch, p, q, collect):
+        cell = certify._sq_cell
+
+        def wrong(a, b):
+            return cell(a, b) + ((a, b) == (p, q))
+
+        monkeypatch.setattr(certify, "_sq_cell", wrong)
+        k = 4
+        expected = {}
+        for first in every_split(k):
+            members = set(first)
+            u = [int(a > k) - int(a in members) for a in range(1, 2 * k + 1)]
+            v = [int(a in members) - int(a <= k) for a in range(1, 2 * k + 1)]
+            matrix = sq_matrix_from_cells(k, first, wrong)
+            doubled = tuple(tuple(ua * vb + va * ub for ub, vb in zip(u, v))
+                            for ua, va in zip(u, v))
+            expected[first] = None if matrix == doubled else (
+                QuadraticForm(matrix), None, "no factorization into two linear forms"
+            )
+        assert_failures(certify_sq(k, collect=collect), expected, collect)
+        uncollected = certify_sq(k, collect=False).failures
+        assert uncollected == certify_sq(k).failures
+
+
 class TestProgress:
     @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
     def test_callback_every_interval(self, monkeypatch, certifier):
@@ -423,25 +583,39 @@ class TestProgress:
         assert calls == [(10, 35), (20, 35), (30, 35)]
         assert cert == certifier(4)
 
-    @pytest.mark.parametrize(
-        "certifier, per_split",
-        [(certify_abs, "_suffix_criterion"), (certify_sq, "_sq_matrix")],
-    )
-    def test_callback_counts_finished_splits(self, monkeypatch, certifier, per_split):
-        # each report comes after its `done` splits were checked, not before
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_callback_counts_finished_splits(self, monkeypatch, certifier):
+        # each report comes after its `done` splits were checked, not before;
+        # a collected certificate builds one entry per split
         monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
         checked = []
-        step = getattr(certify, per_split)
+        entry = certify.CertificateEntry
 
         def counted(*args):
             checked.append(None)
-            return step(*args)
+            return entry(*args)
 
-        monkeypatch.setattr(certify, per_split, counted)
+        monkeypatch.setattr(certify, "CertificateEntry", counted)
         seen = []
         certifier(4, progress=lambda done, total: seen.append((done, len(checked))))
         assert seen == [(10, 10), (20, 20), (30, 30)]
         assert len(checked) == 35
+
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_uncollected_runs_report_only_while_enumerating(
+        self, monkeypatch, certifier
+    ):
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
+        calls = []
+        cert = certifier(4, collect=False, progress=lambda *a: calls.append(a))
+        assert cert.verified and calls == []
+        # one failing state: the splits are enumerated to list the failures
+        monkeypatch.setattr(
+            certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
+        )
+        cert = certifier(4, collect=False, progress=lambda *a: calls.append(a))
+        assert len(cert.failures) == 35
+        assert calls == [(10, 35), (20, 35), (30, 35)]
 
 
 class TestRender:
@@ -491,6 +665,10 @@ class TestRender:
 
 
 class TestGrowthLaw:
+    """Collected certificates still build an entry per split, so their cost
+    follows C(2k-1, k-1); uncollected ones that verify enumerate nothing
+    (TestStateTable.test_verified_uncollected_certificates_enumerate_nothing)."""
+
     def _time_certify(self, k):
         # min over repeated runs is the noise-robust estimator for
         # deterministic CPU-bound work
@@ -499,7 +677,7 @@ class TestGrowthLaw:
         reps = 0
         while spent < 0.1 or reps < 3:
             t0 = time.perf_counter()
-            certify_abs(k, collect=False)
+            certify_abs(k)
             elapsed = time.perf_counter() - t0
             spent += elapsed
             best = elapsed if best is None else min(best, elapsed)
@@ -511,8 +689,8 @@ class TestGrowthLaw:
     def test_cost_roughly_quadruples_per_k(self):
         last_ratios = None
         for _ in range(3):  # timing property; shield against load spikes
-            times = {k: self._time_certify(k) for k in range(6, 11)}
-            last_ratios = [times[k + 1] / times[k] for k in range(6, 10)]
+            times = {k: self._time_certify(k) for k in range(5, 10)}
+            last_ratios = [times[k + 1] / times[k] for k in range(5, 9)]
             if all(3.0 < r < 6.0 for r in last_ratios):
                 return
         raise AssertionError(

@@ -4,11 +4,11 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 
 from linematch import certify, cli
-from linematch.certify import certificate_render, certify_abs
 from linematch.cli import main
 
 PROGRESS_LINE = re.compile(
@@ -248,34 +248,51 @@ class TestCertifyCommand:
         assert code == 0
         assert err == ""
 
-    def test_long_certificates_report_progress_on_stderr(self, capsys, monkeypatch):
-        code, plain, _ = run_cli(capsys, ["certify", "--full-range", "--weight", "sq"])
-        assert code == 0
-        # k=7 (1716 splits) and k=8 (6435) now count as long
-        monkeypatch.setattr(cli, "COLLECT_LIMIT", 1000)
-        monkeypatch.setattr(certify, "PROGRESS_EVERY", 1000)
-        code, out, err = run_cli(capsys, ["certify", "--full-range", "--weight", "sq"])
-        assert code == 0
-        assert out == plain
-        lines = err.splitlines()
-        parsed = [PROGRESS_LINE.fullmatch(line) for line in lines]
-        assert all(parsed), lines
-        assert [(p[1], p[2], int(p[3]), int(p[4])) for p in parsed] == [
-            ("7", "sq", 1000, 1716)
-        ] + [("8", "sq", done, 6435) for done in range(1000, 6001, 1000)]
-
-    def test_long_single_certificate_is_uncollected_with_progress(
-        self, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "argv", ["certify --full-range", "certify --k 12",
+                 "certify --full-range --weight sq"],
+    )
+    def test_verified_uncollected_certificates_enumerate_nothing(
+        self, capsys, monkeypatch, argv
     ):
-        monkeypatch.setattr(cli, "COLLECT_LIMIT", 100)
-        monkeypatch.setattr(certify, "PROGRESS_EVERY", 200)
-        code, out, err = run_cli(capsys, ["certify", "--k", "6"])
-        assert code == 0
-        assert out == certificate_render(certify_abs(6, collect=False)) + "\n"
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
+
+        monkeypatch.setattr(certify, "_split_batches", refuse)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, argv.split())
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and err == ""
+        assert "verified=false" not in out
+
+    @pytest.mark.parametrize(
+        "argv, collect_limit, every, expected",
+        [
+            # k=7 (1716 splits) and k=8 (6435) count as long
+            ("certify --full-range --weight sq", 1000, 1000,
+             [("7", "sq", 1000, 1716)]
+             + [("8", "sq", done, 6435) for done in range(1000, 6001, 1000)]),
+            ("certify --k 6", 100, 200,
+             [("6", "abs", 200, 462), ("6", "abs", 400, 462)]),
+        ],
+        ids=["full-range-sq", "k6-abs"],
+    )
+    def test_uncollected_failing_certificates_report_progress(
+        self, capsys, monkeypatch, argv, collect_limit, every, expected
+    ):
+        # one failing state, the full suffix, fails every split: the splits
+        # are enumerated to list the failures, with the same progress lines
+        monkeypatch.setattr(
+            certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
+        )
+        monkeypatch.setattr(cli, "COLLECT_LIMIT", collect_limit)
+        monkeypatch.setattr(certify, "PROGRESS_EVERY", every)
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 1
+        assert "FAILED(" in out
         parsed = [PROGRESS_LINE.fullmatch(line) for line in err.splitlines()]
-        assert [p.group(1, 2, 3, 4) for p in parsed] == [
-            ("6", "abs", "200", "462"), ("6", "abs", "400", "462")
-        ]
+        assert all(parsed), err
+        assert [(p[1], p[2], int(p[3]), int(p[4])) for p in parsed] == expected
 
     def test_full_range_small_weight_sq(self, capsys):
         # sq full range is k <= 8; entry work stays small enough for a test
