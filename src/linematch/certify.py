@@ -4,15 +4,15 @@ For a sorted 2k-tuple x_1 <= ... <= x_2k, the sorted split into lo = {1..k}
 and hi = {k+1..2k} must beat every other split into two k-groups.  A split
 is named by its group A holding x_1; B is the other.  Its symbolic cost
 difference cost(split) - cost(sorted split) must be nonnegative on the cone
-of nondecreasing vectors.  A linear form is exactly when its coefficients
-sum to zero and every suffix sum is nonnegative (Abel summation against the
-cone generators (0,..,0,1,..,1)).
+of nondecreasing vectors, where a linear form is nonnegative exactly when
+its coefficients sum to zero and every suffix sum is nonnegative (Abel
+summation against the cone generators (0,..,0,1,..,1)).
 
-No split is checked on its own.  Scanned from x_2k down, a split passes the
-states (c, t): c is a suffix length (1..2k), t the number of A's members in
-it.  Each suffix sum a proof needs depends on the state alone, so a table of
-the O(k^2) reachable states decides all C(2k-1, k-1) splits: a split
-verifies iff every state on its path does.
+Scanned from x_2k down, a split passes states (c, t): c is a suffix length
+(1..2k), t the number of A's members in it.  Each suffix sum a proof needs
+depends on the state alone, so a table of the O(k^2) reachable states
+decides all C(2k-1, k-1) splits: a split verifies iff every state on its
+path does.
 
 * abs: the difference is a linear form with suffix sum W(t) + W(c-t) - W(h)
   - W(c-h) at (c, t), h = min(c, k), where W(t) sums the top t weights
