@@ -26,21 +26,25 @@ path does.
   The factors' suffix sums at (c, t) are h - t and t - (c - h).
 
 An uncollected certificate that no state fails enumerates nothing.
-Otherwise each split's verdict is read from the same table, and an entry is
-built for every split (collected) or every failing one.  All arithmetic is
-exact (Python integers); an entry carries the split, the difference form and
-the proof (suffix sums, or the factors) that re-verify it independently.
+Otherwise the splits are walked as joins of a top half (positions
+k+1..2k) and a bottom half (1..k), each tabulated once from the table, and
+an entry is built for every split (collected) or every failing one;
+certificate_chunks joins a collected certificate's lines from the halves'
+texts instead.  All arithmetic is exact (Python integers); an entry carries
+the split, the difference form and the proof (suffix sums, or the factors)
+that re-verify it independently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, count, islice, repeat
-from operator import add, attrgetter, getitem, mod, mul, sub
+from itertools import accumulate, compress, count, islice, product, repeat
+from operator import add, attrgetter, getitem, mod, mul, not_, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .core import ValidationError, WeightKind, check_certified_k
+from .core import EnumerationBudgetError, ValidationError, WeightKind, check_certified_k
+from .oracle import DEFAULT_BUDGET
 
 # A certifier given a `progress` callback calls it every PROGRESS_EVERY splits
 # with (splits done, total splits).
@@ -55,47 +59,33 @@ def _suffix_sums(coeffs: Sequence[int]) -> list[int]:
     return sums
 
 
-def _suffix_criterion(coeffs: Sequence[int]) -> bool:
-    """The suffix-sum criterion on c_1..c_m: total 0 and every suffix sum
-    >= 0, scanned from c_m and stopped at the first negative sum."""
-    s = 0
-    for c in reversed(coeffs):
-        s += c
-        if s < 0:
-            return False
-    return s == 0
+def _term(c: int, body: str) -> str:
+    """The term c*body as a form's text holds it, after a space: " -x3",
+    " +2*x1*x4", and "" for c = 0."""
+    if not c:
+        return ""
+    mag = abs(c)
+    return (" -" if c < 0 else " +") + (body if mag == 1 else f"{mag}*{body}")
 
 
-class _IntText(dict):
-    """str(n) for each int n, memoized over one rendering pass."""
-
-    def __missing__(self, n: int) -> str:
-        text = self[n] = str(n)
-        return text
+def _lead(terms: str) -> str:
+    """A form's text from its terms: the first one's space and plus sign
+    dropped, "0" for no terms."""
+    return terms[1:].removeprefix("+") if terms else "0"
 
 
 class _TermText(dict):
-    """Signed term of a linear form keyed by (position, coefficient), e.g.
-    (3, -1) -> "-x3", (3, 2) -> "+2*x3", and "" for a zero coefficient;
-    memoized over one rendering pass."""
+    """_term(c, "x<position>") keyed by (position, c), e.g. (3, -1) ->
+    " -x3"; memoized over one rendering pass."""
 
     def __missing__(self, key: tuple[int, int]) -> str:
         position, c = key
-        if c == 0:
-            text = ""
-        else:
-            mag = abs(c)
-            body = f"x{position}" if mag == 1 else f"{mag}*x{position}"
-            text = ("-" if c < 0 else "+") + body
-        self[key] = text
+        text = self[key] = _term(c, f"x{position}")
         return text
 
 
 def _render_linear(coeffs: Sequence[int], terms: _TermText) -> str:
-    out = " ".join(filter(None, map(terms.__getitem__, enumerate(coeffs, 1))))
-    if not out:
-        return "0"
-    return out[1:] if out[0] == "+" else out
+    return _lead("".join(map(terms.__getitem__, enumerate(coeffs, 1))))
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,8 @@ class LinearForm:
         in the cone both ways) and every suffix sum is nonnegative (the
         step-vector generators).
         """
-        return _suffix_criterion(self.coeffs)
+        sums = _suffix_sums(self.coeffs)
+        return not sums or (sums[0] == 0 and min(sums) >= 0)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -184,30 +175,11 @@ class QuadraticForm:
         return LinearForm(pair[0]), LinearForm(pair[1])
 
     def render(self) -> str:
-        terms = []
-        for i in range(self.m):
-            c = self.matrix[i][i]
-            if c:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                body = f"x{i + 1}^2" if mag == 1 else f"{mag}*x{i + 1}^2"
-                terms.append(f"{sign}{body}")
-        for p in range(self.m):
-            for q in range(p + 1, self.m):
-                c = self.matrix[p][q] + self.matrix[q][p]
-                if c:
-                    sign = "-" if c < 0 else "+"
-                    mag = abs(c)
-                    body = (
-                        f"x{p + 1}*x{q + 1}"
-                        if mag == 1
-                        else f"{mag}*x{p + 1}*x{q + 1}"
-                    )
-                    terms.append(f"{sign}{body}")
-        if not terms:
-            return "0"
-        out = " ".join(terms)
-        return out[1:] if out.startswith("+") else out
+        mat, r = self.matrix, range(self.m)
+        terms = [_term(mat[i][i], f"x{i + 1}^2") for i in r if mat[i][i]]
+        terms += [_term(c, f"x{p + 1}*x{q + 1}") for p in r for q in r[p + 1:]
+                  if (c := mat[p][q] + mat[q][p])]
+        return _lead("".join(terms))
 
 
 DifferenceForm = Union[LinearForm, QuadraticForm]
@@ -402,67 +374,190 @@ def difference_form(
     return LinearForm(tuple(coeffs))
 
 
-def _split_batches(
-    k: int, progress: Progress | None
-) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The companions of x_1 in every split, each listed largest position
-    first, in descending colexicographic order of the first group.
+def _walk(
+    k: int, states: list[list[int]], half: Callable, progress: Progress | None
+) -> Iterator[tuple[tuple, list[tuple]]]:
+    """Every split as its top half (positions k+1..2k, t of them in A) and
+    bottom half (1..k, k - t in A): the tops in colex order, each followed
+    by the bottoms of its t in colex order, so A ascends in colex order.
 
-    They come in batches of PROGRESS_EVERY splits (the last one shorter);
-    each batch must be used up before the next is taken.  With `progress`,
-    progress(done, total) is called after each batch but the last.
-    Reversed, a list of entries built in this order is in the ascending
-    colex order the certificate keeps, with no sort.
+    Each half is tabulated once as (code, half(positions, bits, path)):
+    the largest verdict code on its part of the path, its A-membership bits
+    and the t of each suffix length from its entry on (path[0] is the top's
+    t in a bottom half).  Yields (top, bottoms) runs, cut at every
+    PROGRESS_EVERY splits; with `progress`, progress(done, total) is called
+    after each cut but the last.
     """
-    total = math.comb(2 * k - 1, k - 1)
-    splits = combinations(range(2 * k, 1, -1), k - 1)
-    every = PROGRESS_EVERY
-    for done in range(0, total, every):
-        yield islice(splits, every)
-        if progress is not None and done + every < total:
-            progress(done + every, total)
+    m = 2 * k
+
+    def tabulate(positions: range, scan: tuple[int, ...], t: int) -> tuple:
+        path = list(accumulate(scan, initial=t))  # scan: bits from the end
+        c = m - positions[-1]
+        return (max(map(getitem, states[c:c + k], path[1:])),
+                half(positions, scan[::-1], path))
+
+    bottoms: list[list[tuple]] = [[] for _ in range(k)]  # by the top's t
+    for scan in product((0, 1), repeat=k - 1):  # product's order is colex
+        t = k - 1 - sum(scan)
+        bottoms[t].append(tabulate(range(1, k + 1), scan + (1,), t))
+    total, every, done = math.comb(m - 1, k - 1), PROGRESS_EVERY, 0
+    for scan in islice(product((0, 1), repeat=k), (1 << k) - 1):  # t < k
+        top = tabulate(range(k + 1, m + 1), scan, 0)
+        run = bottoms[sum(scan)]
+        start = 0
+        while start < len(run):
+            stop = min(len(run), start + every - done % every)
+            yield top, run[start:stop]
+            done += stop - start
+            start = stop
+            if progress is not None and done % every == 0 and done < total:
+                progress(done, total)
+
+
+def _groups(positions: range, bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """A half's positions in A and in B."""
+    return tuple(compress(positions, bits)), tuple(compress(positions, map(not_, bits)))
+
+
+def _group_texts(positions: range, bits: Sequence[int]) -> tuple[str, str]:
+    """_groups as a split's line lists them, the bottom's before the top's."""
+    first, second = _groups(positions, bits)
+    if positions[0] == 1:
+        return ",".join(map(str, first)), "".join(map("{},".format, second))
+    return "".join(map(",{}".format, first)), ",".join(map(str, second))
+
+
+# A weight's plan at size k: (states, reasons, half, join).  states[c-1][t]
+# is the verdict code of state (c, t), 0 if it holds, reasons[code] the
+# failure's reason, half a half's value for _walk, led by its positions in A
+# and in B, and join(bottom, top, code) a split's (form, proof) from two
+# values; with `text`, the values hold texts and join gives the split's line.
+
+
+def _statuses(reasons: Sequence[str]) -> list[str]:
+    return ["OK", *(f"FAILED({reason})" for reason in reasons[1:])]
+
+
+def _abs_plan(k: int, text: bool) -> tuple:
+    table = [[0], *_abs_states(k)]  # S(c, t) = table[c][t], 0 at c = 0
+    states = [[int(_fails_criterion(c == 2 * k, s)) for s in row]
+              for c, row in enumerate(table[1:], 1)]
+    reasons = ("", "suffix-sum criterion failed")
+    status, terms = _statuses(reasons), _TermText()
+
+    def half(positions, bits, path):
+        c = 2 * k - positions[-1]
+        sums = list(map(getitem, table[c:c + k + 1], path))
+        coeffs = list(map(sub, sums[1:], sums))  # by suffix length
+        coeffs.reverse()
+        sums = sums[:0:-1]
+        if text:
+            return (*_group_texts(positions, bits), ",".join(map(str, sums)),
+                    "".join(map(terms.__getitem__, zip(positions, coeffs))))
+        return *_groups(positions, bits), tuple(sums), tuple(coeffs)
+
+    def join(bottom, top, code):
+        if text:
+            return (f"{{{bottom[0]}{top[0]}|{bottom[1]}{top[1]}}} :: "
+                    f"{_lead(bottom[3] + top[3])} :: "
+                    f"suffix_sums=({bottom[2]},{top[2]}) {status[code]}")
+        return LinearForm(bottom[3] + top[3]), SuffixSumProof(bottom[2] + top[2])
+
+    return states, reasons, half, join
+
+
+def _sq_plan(k: int, text: bool) -> tuple:
+    reasons = ("", "factor not nonnegative on the sorted cone",
+               "no factorization into two linear forms")
+    status, terms = _statuses(reasons), _TermText()
+    pair = [[_sq_cell(p, q) + _sq_cell(q, p) for q in range(4)] for p in range(4)]
+    zeros = ",".join(["0"] * (2 * k))
+
+    def half(positions, bits, path):
+        hi = positions[0] > k
+        classes = [2 * hi + b for b in bits]
+        factors = [tuple([f[c] for c in classes]) for f in (_SQ_U, _SQ_V)]
+        if not text:
+            return (*_groups(positions, bits), tuple(classes), *factors)
+
+        def row(p, c):  # x_p's terms with the half's later positions
+            return "".join([_term(pair[c][d], f"x{p}*x{q}")
+                            for q, d in zip(positions, classes) if q > p])
+
+        rows = [row(p, c) for p, c in zip(positions, classes)]
+        if hi:  # and every bottom position's row, in B (0) or in A (1)
+            cross = [row(p, c) for p in range(1, k + 1) for c in (0, 1)]
+            rows = "".join(rows)
+        else:  # the keys of its positions' rows in a top's cross rows
+            cross = [2 * i + b for i, b in enumerate(bits)]
+        proof = []
+        for f, coeffs in zip((_SQ_U, _SQ_V), factors):
+            # a bottom's suffix sums start from the top's total, t in A
+            sums = accumulate(reversed(coeffs), initial=0 if hi else
+                              path[0] * f[3] + (k - path[0]) * f[2])
+            proof += ["".join(map(terms.__getitem__, zip(positions, coeffs))),
+                      ",".join(map(str, list(sums)[:0:-1]))]
+        return (*_group_texts(positions, bits), not any(bits), rows, cross,
+                "".join([_term(_sq_cell(c, c), f"x{p}^2")
+                         for p, c in zip(positions, classes)]), *proof)
+
+    def join(bottom, top, code):
+        if not text:
+            form = QuadraticForm(_class_matrix(bottom[2] + top[2]))
+            if code:
+                return form, None
+            if not top[0]:  # the sorted split's zero form
+                zero = LinearForm((0,) * (2 * k))
+                return form, FactorProof(zero, zero)
+            return form, FactorProof(LinearForm(bottom[3] + top[3]),
+                                     LinearForm(bottom[4] + top[4]))
+        b_first, b_second, _, b_rows, b_keys, b_diagonal, b_u, b_us, b_v, b_vs = bottom
+        t_first, t_second, zero, t_rows, t_cross, t_diagonal, t_u, t_us, t_v, t_vs = top
+        line = f"{{{b_first}{t_first}|{b_second}{t_second}}} :: " + _lead(
+            b_diagonal + t_diagonal + "".join(map(add, b_rows, map(
+                t_cross.__getitem__, b_keys))) + t_rows)
+        if code:
+            return f"{line} :: no-proof {status[code]}"
+        if zero:
+            return f"{line} :: factors=2*(0)*(0) suffix_sums=({zeros});({zeros}) OK"
+        return (f"{line} :: factors=2*({_lead(b_u + t_u)})*({_lead(b_v + t_v)})"
+                f" suffix_sums=({b_us},{t_us});({b_vs},{t_vs}) OK")
+
+    return _sq_states(k), reasons, half, join
+
+
+_PLANS = {WeightKind.ABS: _abs_plan, WeightKind.SQ: _sq_plan}
 
 
 def _certify(
-    k: int,
-    weight: WeightKind,
-    states: list[list[int]],
-    entry_form: Callable[[list[int], list[int], int], tuple],
-    reasons: tuple[str, ...],
-    collect: bool,
-    progress: Progress | None,
+    k: int, weight: WeightKind, collect: bool, progress: Progress | None
 ) -> ExchangeCertificate:
     """The certificate decided by the states' verdict codes: a split's code
-    is the largest on its path, 0 if it verifies.  Splits are enumerated
-    only when entries are collected or some state fails; entry_form(bits,
-    path, code) builds an entry's (form, proof) from its A-membership bits
-    and its t, both by suffix length 1..2k."""
-    m = 2 * k
+    is the largest on its path, 0 if it verifies.  Splits are walked only
+    when entries are collected or some state fails, and then at most
+    DEFAULT_BUDGET of them (EnumerationBudgetError before the walk)."""
+    states, reasons, half, entry_form = _PLANS[weight](k, False)
+    total = math.comb(2 * k - 1, k - 1)
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
     if collect or any(map(any, states)):
-        others = frozenset(range(2, m + 1))
-        start = [0] * (m - 1) + [1]  # x_1, scanned last, is in A
-        for batch in _split_batches(k, progress):
-            for companions in batch:
-                bits = start.copy()
-                for pos in companions:
-                    bits[m - pos] = 1
-                path = list(accumulate(bits))
-                code = max(map(getitem, states, path))
+        if total > DEFAULT_BUDGET:
+            raise EnumerationBudgetError(f"certify k={k} would enumerate {total} "
+                                         f"splits, over budget {DEFAULT_BUDGET}")
+        for (t_code, top), bottoms in _walk(k, states, half, progress):
+            for b_code, bottom in bottoms:
+                code = max(b_code, t_code)
                 if code or collect:
                     entry = CertificateEntry(
-                        (1,) + companions[::-1],
-                        tuple(sorted(others.difference(companions))),
-                        *entry_form(bits, path, code), not code, reasons[code])
+                        bottom[0] + top[0], bottom[1] + top[1],
+                        *entry_form(bottom, top, code), not code, reasons[code])
                     if collect:
                         entries.append(entry)
                     if code:
                         failures.append(entry)
-    entries.reverse()
     failures.sort(key=attrgetter("first"))  # lexicographic split order
-    return ExchangeCertificate(k, weight, math.comb(m - 1, k - 1),
-                               not failures, tuple(entries), tuple(failures))
+    return ExchangeCertificate(k, weight, total, not failures, tuple(entries),
+                               tuple(failures))
 
 
 def certify_abs(
@@ -476,23 +571,11 @@ def certify_abs(
 
     Checks the suffix-sum criterion on the table of the O(k^2) states'
     suffix sums.  A collected or failing entry reads its suffix sums from
-    the table along its path, O(k) per split.
+    the table along its path.  Raises EnumerationBudgetError instead of
+    walking more than DEFAULT_BUDGET splits.
     """
     check_certified_k(k, WeightKind.ABS, exploratory)
-    table = _abs_states(k)
-    states = [[int(_fails_criterion(c == 2 * k, s)) for s in row]
-              for c, row in enumerate(table, 1)]
-
-    def entry_form(bits, path, code):
-        sums = list(map(getitem, table, path))  # S_2k, ..., S_1
-        sums.reverse()
-        # exact-size tuples: a tuple built from an iterator keeps its
-        # over-allocated block, which shows in a collected run's peak RSS
-        coeffs = list(map(sub, sums, sums[1:] + [0]))
-        return LinearForm(tuple(coeffs)), SuffixSumProof(tuple(sums))
-
-    return _certify(k, WeightKind.ABS, states, entry_form,
-                    ("", "suffix-sum criterion failed"), collect, progress)
+    return _certify(k, WeightKind.ABS, collect, progress)
 
 
 def certify_sq(
@@ -506,46 +589,29 @@ def certify_sq(
 
     Checks the class identity of the factors u = 1_hi - 1_A, v = 1_A - 1_lo
     once and their suffix sums on the O(k^2) states.  A collected or failing
-    entry carries its matrix; a verified one also the factors, sorted (zero
-    for the sorted split's zero form).
+    entry carries its matrix; a verified one also the factors (u, v), which
+    are in sorted order since u_1 = -1 < 0 = v_1 (zero for the sorted
+    split's zero form).  Raises EnumerationBudgetError as certify_abs does.
     """
     check_certified_k(k, WeightKind.SQ, exploratory)
-    halves = [0] * k + [2] * k
-    zero = LinearForm((0,) * (2 * k))
-
-    def entry_form(bits, path, code):
-        classes = list(map(add, halves, reversed(bits)))
-        if code:
-            proof = None
-        elif path[k - 1]:  # A reaches into hi: not the sorted split
-            left, right = sorted((tuple([_SQ_U[c] for c in classes]),
-                                  tuple([_SQ_V[c] for c in classes])))
-            proof = FactorProof(LinearForm(left), LinearForm(right))
-        else:
-            proof = FactorProof(zero, zero)
-        return QuadraticForm(_class_matrix(classes)), proof
-
-    return _certify(k, WeightKind.SQ, _sq_states(k), entry_form,
-                    ("", "factor not nonnegative on the sorted cone",
-                     "no factorization into two linear forms"),
-                    collect, progress)
+    return _certify(k, WeightKind.SQ, collect, progress)
 
 
-def _render_tuple(values: Iterable[int], ints: _IntText) -> str:
-    return "(" + ",".join(map(ints.__getitem__, values)) + ")"
+def _render_tuple(values: Iterable[int]) -> str:
+    return "(" + ",".join(map(str, values)) + ")"
 
 
-def _render_entry(entry: CertificateEntry, ints: _IntText, terms: _TermText) -> str:
+def _render_entry(entry: CertificateEntry, terms: _TermText) -> str:
     proof = entry.proof
     if isinstance(proof, SuffixSumProof):
-        proof_text = "suffix_sums=" + _render_tuple(proof.suffix_sums, ints)
+        proof_text = "suffix_sums=" + _render_tuple(proof.suffix_sums)
     elif isinstance(proof, FactorProof):
         left, right = proof.left.coeffs, proof.right.coeffs
         proof_text = (
             f"factors={proof.scale}*({_render_linear(left, terms)})"
             f"*({_render_linear(right, terms)})"
-            f" suffix_sums={_render_tuple(_suffix_sums(left), ints)}"
-            f";{_render_tuple(_suffix_sums(right), ints)}"
+            f" suffix_sums={_render_tuple(_suffix_sums(left))}"
+            f";{_render_tuple(_suffix_sums(right))}"
         )
     else:
         proof_text = "no-proof"
@@ -556,27 +622,47 @@ def _render_entry(entry: CertificateEntry, ints: _IntText, terms: _TermText) -> 
         form_text = form.render()
     status = "OK" if entry.ok else f"FAILED({entry.reason})"
     return (
-        f"{{{','.join(map(ints.__getitem__, entry.first))}"
-        f"|{','.join(map(ints.__getitem__, entry.second))}}}"
+        f"{{{','.join(map(str, entry.first))}|{','.join(map(str, entry.second))}}}"
         f" :: {form_text} :: {proof_text} {status}"
     )
+
+
+def _header(cert: ExchangeCertificate) -> str:
+    return (f"k={cert.k} weight={cert.weight.value} entries={cert.entry_count} "
+            f"verified={'true' if cert.verified else 'false'}")
 
 
 def certificate_render(cert: ExchangeCertificate) -> str:
     """Stable text rendering: header, then one line per entry in
     colexicographic split order."""
-    lines = [
-        f"k={cert.k} weight={cert.weight.value} entries={cert.entry_count} "
-        f"verified={'true' if cert.verified else 'false'}"
-    ]
-    ints, terms = _IntText(), _TermText()
+    lines = [_header(cert)]
+    terms = _TermText()
     if cert.entries:
-        lines.extend(_render_entry(e, ints, terms) for e in cert.entries)
+        lines.extend(_render_entry(e, terms) for e in cert.entries)
     else:
         if cert.entry_count:
             lines.append(f"({cert.entry_count} entries not collected)")
-        lines.extend(_render_entry(e, ints, terms) for e in cert.failures)
+        lines.extend(_render_entry(e, terms) for e in cert.failures)
     return "\n".join(lines)
+
+
+_CHUNK_LINES = 1024
+
+
+def certificate_chunks(cert: ExchangeCertificate) -> Iterator[str]:
+    """certificate_render of the collected certificate of cert.k and
+    cert.weight, with cert's verdict in the header, plus a newline: yielded
+    in chunks of about _CHUNK_LINES lines, each line joined from the texts of
+    its split's two halves, so no entry, form or proof object is built."""
+    states, _, half, line = _PLANS[cert.weight](cert.k, True)
+    lines = [_header(cert)]
+    for (t_code, top), bottoms in _walk(cert.k, states, half, None):
+        lines += [line(bottom, top, max(b_code, t_code)) for b_code, bottom in bottoms]
+        if len(lines) >= _CHUNK_LINES:
+            yield "\n".join(lines) + "\n"
+            lines = []
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 __all__ = [
@@ -586,6 +672,7 @@ __all__ = [
     "LinearForm",
     "QuadraticForm",
     "SuffixSumProof",
+    "certificate_chunks",
     "certificate_render",
     "certify_abs",
     "certify_sq",

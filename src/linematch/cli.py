@@ -3,8 +3,10 @@
 Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
 input CSV; 3 item count not divisible by k; 4 k below 2, or outside the
 certified range without --uncertified; 5 enumeration budget exceeded (a
-requested bench oracle, a greedy or local-search step, or an uncertified
-certificate with more than DEFAULT_BUDGET splits).
+requested bench oracle, a greedy or local-search step, or a certificate
+whose state table fails a state and that would enumerate more than
+DEFAULT_BUDGET splits to list the failures; a verified one enumerates
+nothing unless collected, and a collected one has at most COLLECT_LIMIT).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .certify import certificate_render, certify_abs, certify_sq
+from .certify import certificate_chunks, certificate_render, certify_abs, certify_sq
 from .core import (
     CERTIFIED_MAX_K,
     CertifiedRangeError,
@@ -55,7 +57,8 @@ from .oracle import (
 )
 
 SCHEMA_VERSION = 1
-# certificates with more splits are not collected and report progress on stderr
+# certificates with more splits are not collected and report progress on
+# stderr; collected ones are streamed from the state table's halves
 COLLECT_LIMIT = 1_000_000
 
 EXIT_OK = 0
@@ -287,33 +290,27 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     certifier = certify_abs if cfg.weight is WeightKind.ABS else certify_sq
-
-    if cfg.full_range:
-        cap = CERTIFIED_MAX_K[cfg.weight]
-        all_ok = True
-        for k in range(2, cap + 1):
-            splits = math.comb(2 * k - 1, k - 1)
-            cert = certifier(k, collect=False,
+    ks = range(2, CERTIFIED_MAX_K[cfg.weight] + 1) if cfg.full_range else [cfg.k]
+    all_ok = True
+    for k in ks:
+        splits = math.comb(2 * k - 1, k - 1) if k >= 2 else 0
+        try:
+            # the verdict; splits are enumerated only to list failures
+            cert = certifier(k, exploratory=cfg.uncertified, collect=False,
                              progress=_progress(k, cfg.weight, splits, err))
+        except (CertifiedRangeError, ValidationError) as exc:
+            _emit(f"error: {exc}", err)
+            return EXIT_BAD_RANGE
+        except EnumerationBudgetError as exc:
+            _emit(f"error: {exc}", err)
+            return EXIT_BUDGET
+        if cfg.full_range or splits > COLLECT_LIMIT:
             _emit(certificate_render(cert), out)
-            all_ok = all_ok and cert.verified
-        return EXIT_OK if all_ok else EXIT_CERT_FAILED
-
-    entries = math.comb(2 * cfg.k - 1, cfg.k - 1) if cfg.k >= 2 else 0
-    if (cfg.uncertified and cfg.k > CERTIFIED_MAX_K[cfg.weight]
-            and entries > DEFAULT_BUDGET):
-        _emit(f"error: certify k={cfg.k} would enumerate {entries} splits, "
-              f"over budget {DEFAULT_BUDGET}", err)
-        return EXIT_BUDGET
-    try:
-        cert = certifier(cfg.k, exploratory=cfg.uncertified,
-                         collect=entries <= COLLECT_LIMIT,
-                         progress=_progress(cfg.k, cfg.weight, entries, err))
-    except (CertifiedRangeError, ValidationError) as exc:
-        _emit(f"error: {exc}", err)
-        return EXIT_BAD_RANGE
-    _emit(certificate_render(cert), out)
-    return EXIT_OK if cert.verified else EXIT_CERT_FAILED
+        else:
+            for chunk in certificate_chunks(cert):
+                out.write(chunk)
+        all_ok = all_ok and cert.verified
+    return EXIT_OK if all_ok else EXIT_CERT_FAILED
 
 
 def _ratio(cost: float, reference: float) -> float:

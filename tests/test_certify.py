@@ -18,7 +18,12 @@ from linematch.certify import (
     certify_sq,
     difference_form,
 )
-from linematch.core import CertifiedRangeError, ValidationError, WeightKind
+from linematch.core import (
+    CertifiedRangeError,
+    EnumerationBudgetError,
+    ValidationError,
+    WeightKind,
+)
 
 from reference_forms import (
     ENTRY_COUNTS,
@@ -481,10 +486,24 @@ class TestStateTable:
         def refuse(*args):
             raise AssertionError("the splits were enumerated")
 
-        monkeypatch.setattr(certify, "_split_batches", refuse)
+        monkeypatch.setattr(certify, "_walk", refuse)
         for k in range(2, 17):
             assert certify_abs(k, collect=False).verified
             assert certify_sq(k, exploratory=True, collect=False).verified
+
+
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_collected_certificates_over_budget_raise_before_walking(
+        self, monkeypatch, certifier
+    ):
+        # C(27, 13) = 20,058,300 entries would exceed the default budget
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
+
+        monkeypatch.setattr(certify, "_walk", refuse)
+        with pytest.raises(EnumerationBudgetError, match="20058300 splits"):
+            certifier(14, exploratory=True)
+        assert certifier(14, exploratory=True, collect=False).verified
 
 
 def abs_form_from_weights(k, first, w):
@@ -665,8 +684,9 @@ class TestRender:
 
 
 class TestGrowthLaw:
-    """Collected certificates still build an entry per split, so their cost
-    follows C(2k-1, k-1); uncollected ones that verify enumerate nothing
+    """Collected certificates still build an entry per split, joined from
+    two halves tabulated once (3 * 2^(k-1) of them), so their cost follows
+    C(2k-1, k-1); uncollected ones that verify enumerate nothing
     (TestStateTable.test_verified_uncollected_certificates_enumerate_nothing)."""
 
     def _time_certify(self, k):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -228,17 +229,55 @@ class TestCertifyCommand:
     def test_uncertified_over_budget_exits_5_before_enumerating(
         self, capsys, monkeypatch, k, weight
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the certificate enumeration started")
+        # one failing state: the splits would be enumerated to list the
+        # failures, which is over the budget
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
 
-        monkeypatch.setattr(cli, "certify_abs", refuse)
-        monkeypatch.setattr(cli, "certify_sq", refuse)
+        monkeypatch.setattr(certify, "_walk", refuse)
+        monkeypatch.setattr(
+            certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
+        )
         code, out, err = run_cli(
             capsys, ["certify", "--k", str(k), "--weight", weight, "--uncertified"]
         )
         assert code == 5
         assert out == ""
         assert f"{math.comb(2 * k - 1, k - 1)} splits" in err
+
+    def test_failing_certified_k_over_budget_exits_5_before_enumerating(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
+
+        monkeypatch.setattr(certify, "_walk", refuse)
+        monkeypatch.setattr(
+            certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
+        )
+        code, out, err = run_cli(capsys, ["certify", "--k", "14"])
+        assert (code, out) == (5, "")
+        assert "20058300 splits, over budget 10000000" in err
+
+    @pytest.mark.parametrize("k,weight", [(40, "abs"), (17, "abs"), (14, "sq")])
+    def test_uncertified_verified_certificates_over_budget_print_the_header(
+        self, capsys, monkeypatch, k, weight
+    ):
+        # a verified uncollected certificate enumerates nothing, so the budget
+        # does not apply to it
+        def refuse(*args):
+            raise AssertionError("the splits were enumerated")
+
+        monkeypatch.setattr(certify, "_walk", refuse)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["certify", "--k", str(k), "--weight", weight, "--uncertified"]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and err == ""
+        splits = math.comb(2 * k - 1, k - 1)
+        assert out == (f"k={k} weight={weight} entries={splits} verified=true\n"
+                       f"({splits} entries not collected)\n")
 
     @pytest.mark.parametrize(
         "argv", [["certify", "--k", "9"], ["certify", "--full-range", "--weight", "sq"]]
@@ -258,7 +297,7 @@ class TestCertifyCommand:
         def refuse(*args):
             raise AssertionError("the splits were enumerated")
 
-        monkeypatch.setattr(certify, "_split_batches", refuse)
+        monkeypatch.setattr(certify, "_walk", refuse)
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, argv.split())
         assert time.perf_counter() - t0 < 1.0
@@ -293,6 +332,78 @@ class TestCertifyCommand:
         parsed = [PROGRESS_LINE.fullmatch(line) for line in err.splitlines()]
         assert all(parsed), err
         assert [(p[1], p[2], int(p[3]), int(p[4])) for p in parsed] == expected
+
+    @pytest.mark.parametrize(
+        "argv,certifier,k",
+        [(f"certify --k {k}", certify.certify_abs, k) for k in range(2, 11)]
+        + [(f"certify --k {k} --weight sq", certify.certify_sq, k) for k in range(2, 9)]
+        + [("certify --k 9 --weight sq --uncertified", certify.certify_sq, 9)],
+    )
+    def test_streamed_certificate_equals_rendered_entries(
+        self, capsys, argv, certifier, k
+    ):
+        code, out, _ = run_cli(capsys, argv.split())
+        cert = certifier(k, exploratory=True)
+        assert code == (0 if cert.verified else 1)
+        assert out == certify.certificate_render(cert) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,certifier,k,name,bad",
+        [
+            # states with suffix sum 2 fail: OK and FAILED lines interleave
+            ("certify --k 5", certify.certify_abs, 5, "_fails_criterion",
+             lambda real: lambda last, *sums: real(last, *sums) or 2 in sums),
+            # factor sums (0, 0) fail, the sorted split's at its entry
+            ("certify --k 4 --weight sq", certify.certify_sq, 4, "_fails_criterion",
+             lambda real: lambda last, *sums: real(last, *sums) or sums == (1, 1)),
+            # a wrong (lo, B) diagonal cell: every split but the sorted one
+            # fails the class identity and prints x^2 terms
+            ("certify --k 4 --weight sq", certify.certify_sq, 4, "_sq_cell",
+             lambda real: lambda p, q: real(p, q) + (p == q == 0)),
+        ],
+        ids=["abs-criterion", "sq-criterion", "sq-cell"],
+    )
+    def test_streamed_failing_certificate_equals_rendered_entries(
+        self, capsys, monkeypatch, argv, certifier, k, name, bad
+    ):
+        monkeypatch.setattr(certify, name, bad(getattr(certify, name)))
+        code, out, _ = run_cli(capsys, argv.split())
+        cert = certifier(k)
+        assert not cert.verified and 0 < len(cert.failures) < len(cert.entries)
+        assert code == 1
+        assert out == certify.certificate_render(cert) + "\n"
+        assert "verified=false" in out and "FAILED(" in out and " OK\n" in out
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [("certify --k 9",
+          "4ed6b63062f4f0be58138d9b58cf1a576feb8d87826fdb09cfd3189c44170d92"),
+         ("certify --k 8 --weight sq",
+          "edde7546b3a34844ae610fbfe801923fd81be737ecf4b081c2b978e09cc04047")],
+    )
+    def test_collected_certificate_streams_without_entry_objects(
+        self, monkeypatch, argv, digest
+    ):
+        # no entry, form or proof object and no single document-sized write
+        def refuse(*args, **kwargs):
+            raise AssertionError("an entry object was built")
+
+        for name in ("CertificateEntry", "LinearForm", "QuadraticForm",
+                     "SuffixSumProof", "FactorProof"):
+            monkeypatch.setattr(certify, name, refuse)
+        writes = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out, err = Out(), io.StringIO()
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv.split()))
+        assert cli.cmd_certify(cfg, out, err) == 0
+        assert err.getvalue() == ""
+        assert len(writes) > 1
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
     def test_full_range_small_weight_sq(self, capsys):
         # sq full range is k <= 8; entry work stays small enough for a test

@@ -30,6 +30,7 @@ GOLDEN = [
     ('certify --k 7', 0, '535be4a0701a3097d0dc1f435f36e8d5ade2c6a633e903fc57b13486a5710905'),
     ('certify --k 8', 0, '449c842c3ad98f0714f42ab0f32b085519a0fa332aa124a08081458bb8f255f0'),
     ('certify --k 9', 0, '4ed6b63062f4f0be58138d9b58cf1a576feb8d87826fdb09cfd3189c44170d92'),
+    ('certify --k 10', 0, '7937ce51113cda018e7f4e9608c74baeccca834bd404343df0800b85bdb66385'),
     ('certify --k 2 --weight sq', 0, '876ce0cc7187f74a77297f1dadc3b00c4979d2827ea2004612209d3caef5f080'),
     ('certify --k 3 --weight sq', 0, 'c2bf8cce74c0389862fa93caf5eafc1a0382452a92f995a143d71c4b6d399f08'),
     ('certify --k 4 --weight sq', 0, '9075f39e1d2e7af31495759db7d452a833928085fcc95d1c4e907f1b10cf2672'),
