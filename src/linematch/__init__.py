@@ -9,6 +9,7 @@ from .core import (
     CERTIFIED_MAX_K,
     ArityError,
     CertifiedRangeError,
+    Cohort,
     EnumerationBudgetError,
     KPartition,
     KTuple,
@@ -64,6 +65,7 @@ __all__ = [
     "BalancedPartition",
     "CERTIFIED_MAX_K",
     "CertifiedRangeError",
+    "Cohort",
     "EnumerationBudgetError",
     "EuclideanPoint",
     "ExchangeCertificate",

@@ -16,17 +16,19 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .certify import certificate_chunks, certificate_render, certify_abs, certify_sq
 from .core import (
     CERTIFIED_MAX_K,
     CertifiedRangeError,
+    Cohort,
     EnumerationBudgetError,
     ScoredItem,
     SizeError,
@@ -68,8 +70,9 @@ EXIT_BAD_SIZE = 3
 EXIT_BAD_RANGE = 4
 EXIT_BUDGET = 5
 
-_id_of = attrgetter("id")
-_score_of = attrgetter("score")
+# rows per batch `read_cohort_csv` checks in bulk, and per chunk the match
+# writers write: bounds the memory of both beyond the columns themselves
+BATCH_ROWS = 4096
 
 
 @dataclass
@@ -109,10 +112,12 @@ class CsvError(Exception):
     pass
 
 
-def read_cohort_csv(path: str) -> list[ScoredItem]:
-    """Parse an `id,score` CSV into ScoredItems, naming the offending line
-    on any malformation, bytes that are not UTF-8 included.  A leading UTF-8
-    byte-order mark is skipped."""
+def read_cohort_csv(path: str) -> Cohort:
+    """Parse an `id,score` CSV into a Cohort, naming the offending line on
+    any malformation, bytes that are not UTF-8 included.  A leading UTF-8
+    byte-order mark is skipped.  Rows are read in batches of BATCH_ROWS and
+    each batch is checked in bulk; a batch that fails a check or holds a
+    blank row is walked row by row to name its first bad line."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -128,38 +133,70 @@ def read_cohort_csv(path: str) -> list[ScoredItem]:
                 raise CsvError(
                     f"{path}: line 1: expected header 'id,score', got {','.join(header)!r}"
                 )
-            items = []
+            ids: list[str] = []
+            scores: list[float] = []
             seen: set[str] = set()
-            append, remember, isfinite = items.append, seen.add, math.isfinite
-            rank = 0
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-                item_id = row[0].strip()
-                if not item_id:
-                    raise CsvError(f"{path}: line {line_no}: empty id")
-                if item_id in seen:
-                    raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
-                try:
-                    score = float(row[1])
-                except ValueError:
-                    raise CsvError(
-                        f"{path}: line {line_no}: score {row[1]!r} is not a number"
-                    )
-                if not isfinite(score):
-                    raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
-                remember(item_id)
-                append(ScoredItem(item_id, score, rank))
-                rank += 1
+            line_no = 2  # the line of the batch's first row
+            while rows := list(islice(reader, BATCH_ROWS)):
+                if not _take_batch(rows, ids, scores, seen):
+                    _take_rows(path, rows, line_no, ids, scores, seen)
+                line_no += len(rows)
     except UnicodeDecodeError:
         with open(path, "rb") as raw:
             # the first line whose bytes do not survive a UTF-8 round trip
             line_no = next(n for n, line in enumerate(raw, start=1)
                            if line.decode("utf-8", "replace").encode() != line)
         raise CsvError(f"{path}: line {line_no}: not valid UTF-8") from None
-    return items
+    return Cohort(ids, scores)
+
+
+def _take_batch(rows, ids, scores, seen) -> bool:
+    """Append a batch of rows to the columns if every row passes the checks
+    of `_take_rows`, made in bulk; on False, nothing has changed."""
+    if set(map(len, rows)) != {2}:
+        return False
+    batch_ids, texts = zip(*rows)
+    batch_ids = list(map(str.strip, batch_ids))
+    try:
+        batch_scores = list(map(float, texts))
+    except ValueError:
+        return False
+    if not all(batch_ids) or not all(map(math.isfinite, batch_scores)):
+        return False
+    seen.update(batch_ids)
+    if len(seen) != len(ids) + len(batch_ids):  # a duplicate id
+        seen.clear()
+        seen.update(ids)
+        return False
+    ids += batch_ids
+    scores += batch_scores
+    return True
+
+
+def _take_rows(path, rows, line_no, ids, scores, seen) -> None:
+    """Append rows to the columns one by one, blank rows skipped, raising
+    CsvError that names the first bad one; `line_no` is the first row's."""
+    for line_no, row in enumerate(rows, start=line_no):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
+        item_id = row[0].strip()
+        if not item_id:
+            raise CsvError(f"{path}: line {line_no}: empty id")
+        if item_id in seen:
+            raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
+        try:
+            score = float(row[1])
+        except ValueError:
+            raise CsvError(
+                f"{path}: line {line_no}: score {row[1]!r} is not a number"
+            )
+        if not math.isfinite(score):
+            raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
+        seen.add(item_id)
+        ids.append(item_id)
+        scores.append(score)
 
 
 def _emit(text: str, out) -> None:
@@ -172,12 +209,12 @@ def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        items = read_cohort_csv(cfg.input)
+        cohort = read_cohort_csv(cfg.input)
     except CsvError as exc:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_CSV
     try:
-        partition = match_line(items, cfg.k, cfg.weight, uncertified=cfg.uncertified)
+        partition = match_line(cohort, cfg.k, cfg.weight, uncertified=cfg.uncertified)
     except SizeError as exc:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_SIZE
@@ -189,26 +226,45 @@ def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_RANGE
 
-    members = partition.items()
     slots = column_means = None
     if cfg.balance:
         balanced = balance_columns(partition)
         slots = _member_slots(balanced.column_assignment, cfg.k)
         column_means = balanced.column_means
     if cfg.format == "json":
-        out.write(_match_json(cfg, partition, members, slots, column_means))
+        _match_json(cfg, partition, slots, column_means, out)
     else:
-        within = partition.group_within
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["group", "id", "score", "slot", "within"])
-        writer.writerows(
-            (i // cfg.k, m.id, m.score, "" if slots is None else slots[i],
-             within[i // cfg.k])
-            for i, m in enumerate(members)
-        )
-        out.write(buf.getvalue())
+        _match_csv(partition, slots, out)
     return EXIT_OK
+
+
+def _chunks(partition):
+    """(first group, end group, first row, end row) of each output chunk:
+    BATCH_ROWS rows, or one group when a group is larger."""
+    k, n = partition.k, partition.n
+    step = max(1, BATCH_ROWS // k)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield start, stop, start * k, stop * k
+
+
+def _match_csv(partition, slots, out) -> None:
+    """The match CSV, `group,id,score,slot,within` rows written by
+    `csv.writer`, one chunk of rows per write."""
+    ids, scores, _ = partition.columns()
+    within = partition.group_within
+    k = partition.k
+    out.write("group,id,score,slot,within\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for start, stop, a, b in _chunks(partition):
+        writer.writerows(zip(
+            chain.from_iterable(map(repeat, range(start, stop), repeat(k))),
+            ids[a:b], scores[a:b], repeat("") if slots is None else slots[a:b],
+            chain.from_iterable(map(repeat, within[start:stop], repeat(k)))))
+        out.write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
 
 
 def _member_slots(assignment, k: int) -> list[int]:
@@ -232,42 +288,48 @@ def _json_array(body: str, indent: str) -> str:
     return f"[\n{body}\n{indent}]" if body else "[]"
 
 
-def _match_json(cfg: RunConfig, partition, members, slots, column_means) -> str:
-    """The match document, byte-for-byte what `json.dumps(doc, indent=2)`
-    plus a newline prints for {schema_version, config, groups, total_within,
-    column_means (with --balance)}.  Only the small head goes through
-    json.dumps; each group fills a fixed template, ids are escaped by the C
-    string encoder."""
+def _match_json(cfg: RunConfig, partition, slots, column_means, out) -> None:
+    """Write the match document, byte-for-byte what `json.dumps(doc,
+    indent=2)` plus a newline prints for {schema_version, config, groups,
+    total_within, column_means (with --balance)}, one chunk of groups per
+    write.  Only the small head goes through json.dumps; each group fills a
+    fixed template, ids are escaped by the C string encoder."""
     k = partition.k
-    columns = [list(map(encode_basestring_ascii, map(_id_of, members))),
-               _json_numbers(map(_score_of, members))]
+    ids, scores, _ = partition.columns()
+    within = partition.group_within
     member = '        {\n          "id": %s,\n          "score": %s'
     if slots is not None:
-        columns.append(slots)
         member += ',\n          "slot": %s'
     member += "\n        }"
     template = ('    {\n      "index": %s,\n      "members": [\n'
                 + ",\n".join([member] * k)
                 + '\n      ],\n      "within": %s\n    }')
-    # one run of fields per group: index, each member's columns, within
-    n, run = partition.n, 2 + k * len(columns)
-    fields = [None] * (n * run)
-    fields[0::run] = range(n)
-    for pos in range(k):
-        for c, column in enumerate(columns):
-            fields[1 + pos * len(columns) + c :: run] = column[pos::k]
-    fields[run - 1 :: run] = _json_numbers(partition.group_within)
-    groups = ",\n".join([template] * n) % tuple(fields)
     head = json.dumps(
         {"schema_version": SCHEMA_VERSION, "config": cfg.as_dict()}, indent=2
     )
-    parts = [head[: -len("\n}")], ',\n  "groups": ', _json_array(groups, "  "),
-             ',\n  "total_within": ', *_json_numbers([partition.total_within])]
+    out.write(head[: -len("\n}")] + ',\n  "groups": [')
+    for start, stop, a, b in _chunks(partition):
+        columns = [list(map(encode_basestring_ascii, ids[a:b])),
+                   _json_numbers(scores[a:b])]
+        if slots is not None:
+            columns.append(slots[a:b])
+        # one run of fields per group: index, each member's columns, within
+        run = 2 + k * len(columns)
+        fields = [None] * ((stop - start) * run)
+        fields[0::run] = range(start, stop)
+        for pos in range(k):
+            for c, column in enumerate(columns):
+                fields[1 + pos * len(columns) + c :: run] = column[pos::k]
+        fields[run - 1 :: run] = _json_numbers(within[start:stop])
+        out.write(("\n" if start == 0 else ",\n")
+                  + ",\n".join([template] * (stop - start)) % tuple(fields))
+    parts = ["\n  ]" if partition.n else "]", ',\n  "total_within": ',
+             *_json_numbers([partition.total_within])]
     if column_means is not None:
         means = ",\n".join("    " + x for x in _json_numbers(column_means))
         parts += [',\n  "column_means": ', _json_array(means, "  ")]
     parts.append("\n}\n")
-    return "".join(parts)
+    out.write("".join(parts))
 
 
 def _progress(k: int, weight: WeightKind, splits: int, err):
@@ -526,7 +588,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout left early (`linematch match ... | head`): no
+        # traceback, and stdout goes to devnull so the flush at exit cannot
+        # fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

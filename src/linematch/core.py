@@ -13,7 +13,7 @@ pure function; integer scores stay in exact integer arithmetic throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -74,11 +74,41 @@ class ScoredItem:
         return (self.score, self.input_rank)
 
 
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the generated methods refer, on 3.11, to the class `slots=True` replaced,
+# and raise TypeError from `super()` for a name that is not a field
+ScoredItem.__setattr__ = _frozen_setattr
+ScoredItem.__delattr__ = _frozen_delattr
 _set_id = ScoredItem.id.__set__
 _set_score = ScoredItem.score.__set__
 _set_input_rank = ScoredItem.input_rank.__set__
+_id_of = attrgetter("id")
 _score_of = attrgetter("score")
 _rank_of = attrgetter("input_rank")
+
+
+class Cohort:
+    """Scored subjects as an id column and a score column, in input order:
+    a subject's input rank is its position.  Adopts the lists; the caller
+    must not mutate them afterwards."""
+
+    __slots__ = ("ids", "scores")
+
+    def __init__(self, ids: list[str], scores: list[float]) -> None:
+        if len(ids) != len(scores):
+            raise ValidationError(f"{len(ids)} ids for {len(scores)} scores")
+        self.ids = ids
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def items_from_pairs(pairs: Iterable[tuple[str, float]]) -> list[ScoredItem]:
@@ -175,14 +205,17 @@ def within_distance(group: KTuple, weight: WeightKind) -> float:
 class KPartition:
     """A cover of k*n items by n disjoint k-groups plus the total cost.
 
-    Stored as one flat list, group after group, each group in sorted order;
-    `tuples` is a view of it built on first use.  `group_within` holds each
-    group's cost, computed once on first use.  `total_within` is the total
-    given to the constructor or, when that is None, summed once, on first
-    read, from the stored group costs.
+    Stored as id, score and input-rank columns, group after group, each
+    group in sorted order.  A partition built from items keeps its item
+    list and derives the columns from it once, on first read; one built
+    from columns builds `ScoredItem` and `KTuple` views only on demand
+    (`items()`, `tuples`).  `group_within` holds each group's cost,
+    computed once on first use.  `total_within` is the total given to the
+    constructor or, when that is None, summed once, on first read, from the
+    stored group costs.
     """
 
-    __slots__ = ("k", "weight", "_total", "_tuples", "_flat", "_within")
+    __slots__ = ("k", "weight", "_total", "_tuples", "_flat", "_columns", "_within")
 
     def __init__(
         self,
@@ -200,6 +233,7 @@ class KPartition:
         self.weight = weight
         self._total = total_within
         self._flat = flat
+        self._columns = None
         self._tuples = None
         self._within = None
 
@@ -218,10 +252,31 @@ class KPartition:
         part._flat = flat_sorted
         return part
 
+    @classmethod
+    def from_columns(cls, k: int, ids: list[str], scores: list[float],
+                     ranks: list[int], total_within: float | None,
+                     weight: WeightKind) -> "KPartition":
+        """Chunked view over id, score and input-rank columns already in
+        (score, input_rank) order.  Adopts the lists, as `from_sorted_items`
+        adopts its list."""
+        part = cls(k, (), total_within, weight)
+        part._flat = None
+        part._columns = (ids, scores, ranks)
+        return part
+
+    def columns(self) -> tuple[list[str], list[float], list[int]]:
+        """The id, score and input-rank columns, group after group, each
+        group in sorted order.  The caller must not mutate them."""
+        if self._columns is None:
+            flat = self._flat
+            self._columns = (list(map(_id_of, flat)), list(map(_score_of, flat)),
+                             list(map(_rank_of, flat)))
+        return self._columns
+
     @property
     def tuples(self) -> list[KTuple]:
         if self._tuples is None:
-            flat, k = self._flat, self.k
+            flat, k = self.items(), self.k
             self._tuples = [
                 KTuple(tuple(flat[i : i + k])) for i in range(0, len(flat), k)
             ]
@@ -229,10 +284,13 @@ class KPartition:
 
     @property
     def n(self) -> int:
-        return len(self._flat) // self.k
+        flat = self._flat
+        return len(self._columns[0] if flat is None else flat) // self.k
 
     def items(self) -> list[ScoredItem]:
         """All members, group after group, each group in sorted order."""
+        if self._flat is None:
+            return list(map(ScoredItem, *self._columns))
         return list(self._flat)
 
     @property
@@ -249,7 +307,7 @@ class KPartition:
         `within_distance(self.tuples[i], self.weight)`, computed once."""
         if self._within is None:
             k = self.k
-            scores = list(map(_score_of, self._flat))
+            scores = self.columns()[1]
             self._within = tuple(within_columns(
                 [scores[i::k] for i in range(k)], self.weight))
         return self._within
@@ -282,7 +340,7 @@ class KPartition:
         return (
             self.k == other.k
             and self.weight == other.weight
-            and self._flat == other._flat
+            and self.columns() == other.columns()
         )
 
     def __repr__(self) -> str:

@@ -3,9 +3,9 @@
 Sorting the scores and cutting consecutive blocks of k minimizes the summed
 within-group distance for both weight kinds, within the certified k range
 (see the certify module for the machine-checked exchange inequalities that
-back this).  Runtime is the sort: the partition adopts the sorted list,
-costs each group on first read, and sums the total once, on first read,
-from those stored group costs.
+back this).  Runtime is the sort: the partition adopts the sorted list (or,
+for a `Cohort`, the sorted columns), costs each group on first read, and
+sums the total once, on first read, from those stored group costs.
 
 Also provides the column-balancing pass that reassigns members to treatment
 slots so per-slot score means come out nearly equal, without touching the
@@ -21,13 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from operator import add, attrgetter
+from operator import add
 from typing import Sequence
 
 from .core import (
+    Cohort,
     KPartition,
     ScoredItem,
     SizeError,
+    ValidationError,
     WeightKind,
     check_certified_k,
     sort_items,
@@ -35,11 +37,8 @@ from .core import (
 )
 
 
-_score_of = attrgetter("score")
-
-
 def match_line(
-    items: Sequence[ScoredItem],
+    items: Sequence[ScoredItem] | Cohort,
     k: int,
     weight: WeightKind,
     uncertified: bool = False,
@@ -47,7 +46,10 @@ def match_line(
     """Partition items into groups of k with minimal total within-distance.
 
     Sorts by (score, input_rank) and takes consecutive blocks of k; nothing
-    else runs over the items, so the sort is the whole cost.  The group
+    else runs over the items, so the sort is the whole cost.  A `Cohort`
+    is sorted by one stable index sort on its score column, which is the
+    same order because its input ranks are its row order; the partition
+    holds the sorted columns and builds no item.  The group
     costs (`KPartition.group_within`) are computed on first read, and the
     total (`KPartition.total_within`) is summed once from them.  The result is
     provably minimal for k within the certified range (abs: 16, sq: 8);
@@ -60,6 +62,16 @@ def match_line(
     check_certified_k(k, weight, uncertified)
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
+    if isinstance(items, Cohort):
+        ids, scores = items.ids, items.scores
+        if not all(map(isfinite, scores)):
+            bad = next(i for i, s in enumerate(scores) if not isfinite(s))
+            raise ValidationError(
+                f"non-finite score {scores[bad]!r} for id {ids[bad]!r}")
+        order = sorted(range(len(scores)), key=scores.__getitem__)
+        return KPartition.from_columns(
+            k, list(map(ids.__getitem__, order)),
+            list(map(scores.__getitem__, order)), order, None, weight)
     return KPartition.from_sorted_items(k, sort_items(items), None, weight)
 
 
@@ -108,9 +120,10 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
     if n == 0:
         return BalancedPartition(partition, (), ())
 
-    members = partition.items()
-    groups = list(zip(*[iter(map(_score_of, members))] * k))  # scores per group
-    order = sorted(range(n), key=lambda i: (-within[i], members[i * k].input_rank))
+    _, scores, ranks = partition.columns()
+    groups = list(zip(*[iter(scores)] * k))  # scores per group
+    first_ranks = ranks[::k]
+    order = sorted(range(n), key=lambda i: (-within[i], first_ranks[i]))
     sums = list(map(add, [0] * k, groups[order[0]]))
     assignment: list[tuple[int, ...]] = [identity] * n
     for idx in order[1:]:

@@ -762,3 +762,80 @@ def read_cohort_csv_reference(path):
                            if line.decode("utf-8", "replace").encode() != line)
         raise CsvError(f"{path}: line {line_no}: not valid UTF-8") from None
     return items
+
+
+# The match pipeline as it was before the columnar CLI, kept as a
+# reference: one ScoredItem per row from read_cohort_csv_reference, the item
+# sort of match_line, and the writers filling one document-sized string
+# from the partition's item list.
+
+
+def match_stdout_reference(argv):
+    """stdout of `linematch match` for argv, as the item pipeline printed
+    it; the input must be a valid cohort."""
+    import csv
+    import io
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    from linematch.cli import (
+        SCHEMA_VERSION,
+        _json_array,
+        _json_numbers,
+        build_parser,
+        config_from_args,
+    )
+    from linematch.matching import balance_columns, match_line
+
+    cfg = config_from_args(build_parser().parse_args(argv))
+    items = read_cohort_csv_reference(cfg.input)
+    partition = match_line(items, cfg.k, cfg.weight, uncertified=cfg.uncertified)
+    members = partition.items()
+    slots = column_means = None
+    if cfg.balance:
+        balanced = balance_columns(partition)
+        inverse = {perm: [perm.index(pos) for pos in range(cfg.k)]
+                   for perm in set(balanced.column_assignment)}
+        slots = [slot for perm in balanced.column_assignment
+                 for slot in inverse[perm]]
+        column_means = balanced.column_means
+    within = partition.group_within
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["group", "id", "score", "slot", "within"])
+        writer.writerows(
+            (i // cfg.k, m.id, m.score, "" if slots is None else slots[i],
+             within[i // cfg.k])
+            for i, m in enumerate(members)
+        )
+        return buf.getvalue()
+    k = partition.k
+    columns = [[encode_basestring_ascii(m.id) for m in members],
+               _json_numbers(m.score for m in members)]
+    member = '        {\n          "id": %s,\n          "score": %s'
+    if slots is not None:
+        columns.append(slots)
+        member += ',\n          "slot": %s'
+    member += "\n        }"
+    template = ('    {\n      "index": %s,\n      "members": [\n'
+                + ",\n".join([member] * k)
+                + '\n      ],\n      "within": %s\n    }')
+    n, run = partition.n, 2 + k * len(columns)
+    fields = [None] * (n * run)
+    fields[0::run] = range(n)
+    for pos in range(k):
+        for c, column in enumerate(columns):
+            fields[1 + pos * len(columns) + c :: run] = column[pos::k]
+    fields[run - 1 :: run] = _json_numbers(within)
+    groups = ",\n".join([template] * n) % tuple(fields)
+    head = json.dumps(
+        {"schema_version": SCHEMA_VERSION, "config": cfg.as_dict()}, indent=2
+    )
+    parts = [head[: -len("\n}")], ',\n  "groups": ', _json_array(groups, "  "),
+             ',\n  "total_within": ', *_json_numbers([partition.total_within])]
+    if column_means is not None:
+        means = ",\n".join("    " + x for x in _json_numbers(column_means))
+        parts += [',\n  "column_means": ', _json_array(means, "  ")]
+    parts.append("\n}\n")
+    return "".join(parts)

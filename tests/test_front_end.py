@@ -1,5 +1,5 @@
 """The `match` front end against its first-written forms: `sort_items`,
-`read_cohort_csv` and the `ScoredItem` value type."""
+`read_cohort_csv` (and its batches) and the `ScoredItem` value type."""
 
 import csv
 import dataclasses
@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_forms import read_cohort_csv_reference, sort_items_reference
 
-from linematch.cli import CsvError, read_cohort_csv
-from linematch.core import ScoredItem, ValidationError, sort_items
+from linematch.cli import BATCH_ROWS, CsvError, read_cohort_csv
+from linematch.core import Cohort, ScoredItem, ValidationError, sort_items
 
 SORT_SCORES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2, 0]),  # heavy ties, signed zeros
@@ -84,9 +84,18 @@ def cohort_texts(draw):
     return bom + header + eol + buf.getvalue()
 
 
+def cohort_items(parsed):
+    """A Cohort's rows as ScoredItems, the row being the input rank; an item
+    list as it is."""
+    if isinstance(parsed, Cohort):
+        return list(map(ScoredItem, parsed.ids, parsed.scores, range(len(parsed))))
+    return parsed
+
+
 def _outcome(reader, path):
     try:
-        return [(it.id, repr(it.score), it.input_rank) for it in reader(path)]
+        return [(it.id, repr(it.score), it.input_rank)
+                for it in cohort_items(reader(path))]
     except CsvError as exc:
         return f"CsvError: {exc}"
 
@@ -106,7 +115,45 @@ def test_read_cohort_csv_equals_reference(cohort_path, text):
 def test_read_cohort_csv_counts_ranks_over_blank_lines(tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text("\ufeffid,score\n\n a ,1\n\nb,2.5\n", encoding="utf-8")
-    assert read_cohort_csv(path) == [ScoredItem("a", 1.0, 0), ScoredItem("b", 2.5, 1)]
+    assert cohort_items(read_cohort_csv(path)) == [
+        ScoredItem("a", 1.0, 0), ScoredItem("b", 2.5, 1)]
+
+
+def _batches(n):
+    return [f"p{i},{i % 97}.5\n" for i in range(n)]
+
+
+# each fault placed past the first batch, most in a later row of the batch
+LATE_FAULTS = {
+    "field_count": lambda rows: rows[:BATCH_ROWS + 7] + ["x,1,2\n"] + rows[BATCH_ROWS + 7:],
+    "empty_id": lambda rows: rows[:-3] + [" ,1\n"] + rows[-3:],
+    "duplicate_across_batches": lambda rows: rows + ["p5,3\n"],
+    "nan_in_last_row": lambda rows: rows + ["last,nan\n"],
+    "not_a_number": lambda rows: rows[:BATCH_ROWS] + ["y,1.2.3\n"] + rows[BATCH_ROWS:],
+    "blank_rows_then_duplicate": lambda rows: (
+        rows[:BATCH_ROWS + 1] + ["\n", "\r\n"] + rows[BATCH_ROWS + 1:] + ["p1,0\n"]),
+    "blank_rows_only": lambda rows: rows[:BATCH_ROWS * 2] + ["\n"] + rows[BATCH_ROWS * 2:],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_read_cohort_csv_names_late_lines_as_reference(tmp_path, fault):
+    path = tmp_path / "cohort.csv"
+    rows = LATE_FAULTS[fault](_batches(2 * BATCH_ROWS + 50))
+    path.write_text("id,score\n" + "".join(rows), encoding="utf-8", newline="")
+    got = _outcome(read_cohort_csv, path)
+    assert got == _outcome(read_cohort_csv_reference, path)
+    assert isinstance(got, str) == (fault != "blank_rows_only")
+
+
+def test_read_cohort_csv_names_late_invalid_utf8_as_reference(tmp_path):
+    path = tmp_path / "cohort.csv"
+    rows = _batches(BATCH_ROWS + 10)
+    rows[BATCH_ROWS + 4] = "\udce9,1\n"
+    path.write_bytes(("id,score\n" + "".join(rows)).encode("utf-8", "surrogateescape"))
+    got = _outcome(read_cohort_csv, path)
+    assert got == _outcome(read_cohort_csv_reference, path)
+    assert got.endswith(f"line {BATCH_ROWS + 6}: not valid UTF-8")
 
 
 # the class as `@dataclass(frozen=True, slots=True)` generates it
@@ -123,12 +170,18 @@ FIELD_VALUES = st.tuples(st.sampled_from(["a", "b", "é", ""]),
 class TestScoredItemContract:
     def test_assignment_and_deletion_raise_frozen_instance_error(self):
         item = ScoredItem("a", 1.5, 0)
-        for name in ("id", "score", "input_rank"):
+        for name in ("id", "score", "input_rank", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(item, name, 1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(item, name)
         assert item == ScoredItem("a", 1.5, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot assign to field 'other'"):
+            item.other = 1
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="cannot delete field 'other'"):
+            del item.other
 
     @given(FIELD_VALUES, FIELD_VALUES)
     def test_eq_hash_repr_as_generated(self, a, b):

@@ -2,16 +2,27 @@
 
 The expected bytes are rebuilt here the straightforward way: one dict per
 group and member from library values, then `json.dumps(doc, indent=2)` or
-`csv.writer`.  The CLI must print exactly those bytes.
+`csv.writer`.  The CLI must print exactly those bytes.  The columnar CLI
+must also print what the item pipeline printed
+(`reference_forms.match_stdout_reference`), and stream it in chunks
+without building an item or a group object.
 """
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_forms import match_stdout_reference
 
-from linematch.cli import main
+from linematch.cli import BATCH_ROWS, config_from_args, build_parser, cmd_match, main
 from linematch.core import WeightKind, items_from_pairs, within_distance
 from linematch.matching import balance_columns, match_line
 
@@ -104,3 +115,104 @@ def test_fixtures_reach_the_edge_renderings(tmp_path):
     assert '"id": "\\u00e9"' in specials and '"id": "q\\"uote"' in specials
     assert '"id": "back\\\\slash"' in specials
     assert '"score": -0.0' in specials and '"within": -0.0' not in specials
+
+
+SCORE_TEXTS = st.one_of(
+    st.sampled_from(["0", "0.0", "-0.0", "1", "1.0", "2.5", "2.5", "-3", "1e16"]),
+    st.integers(-60, 60).map(str),  # integer-valued, parsed as floats
+    st.integers(-60, 60).map("{}.0".format),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0, 1).map(repr),  # full precision
+)
+ID_TEXTS = st.text(alphabet='ab ,"é中\\', min_size=1, max_size=4).map(str.strip)
+
+
+@st.composite
+def match_cases(draw):
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 6)) * k  # 0: a cohort with only a header
+    ids = draw(st.lists(ID_TEXTS.filter(bool), min_size=n, max_size=n, unique=True))
+    rows = [(i, draw(SCORE_TEXTS)) for i in ids]
+    options = ["--k", str(k), "--weight", draw(st.sampled_from(["abs", "sq"])),
+               "--format", draw(st.sampled_from(["json", "csv"]))]
+    return rows, options + (["--balance"] if draw(st.booleans()) else [])
+
+
+@pytest.fixture(scope="module")
+def cohort_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("columnar") / "cohort.csv"
+
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_stdout_equals_item_pipeline(cohort_file, case):
+    rows, options = case
+    write_cohort(cohort_file, rows)
+    argv = ["match", "--input", str(cohort_file), *options]
+    assert stdout_of(argv) == match_stdout_reference(argv)
+
+
+class _Writes:
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the columnar match path built an item or a group")
+
+
+# bytes of one write at most: BATCH_ROWS rows of this cohort come to
+# ~0.6 MB in JSON with slots, its whole JSON output to ~3 MB
+WRITE_BOUND = 1 << 20
+
+
+@pytest.mark.parametrize("options", [
+    ["--k", "2", "--format", "json"],
+    ["--k", "4", "--weight", "sq", "--format", "csv"],
+    ["--k", "3", "--format", "json", "--balance"],
+    ["--k", "4", "--weight", "sq", "--format", "csv", "--balance"],
+])
+def test_streams_chunks_without_items(tmp_path, monkeypatch, options):
+    rng = random.Random(13)
+    rows = [(f"p{n:06d}", repr(rng.choice([rng.random(), rng.randint(0, 99)])))
+            for n in range(24_000)]
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, rows)
+    argv = ["match", "--input", str(path), *options]
+    want = match_stdout_reference(argv)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linematch"):
+            for cls in ("ScoredItem", "KTuple"):
+                if hasattr(module, cls):
+                    monkeypatch.setattr(module, cls, _refuse)
+    out = _Writes()
+    assert cmd_match(config_from_args(build_parser().parse_args(argv)), out=out) == 0
+    got = "".join(out.parts)
+    # digests: a failing comparison of the texts themselves would diff MBs
+    assert hashlib.sha256(got.encode()).digest() == hashlib.sha256(want.encode()).digest()
+    assert len(out.parts) > len(rows) // BATCH_ROWS > 1
+    assert max(map(len, out.parts)) < WRITE_BOUND
+
+
+def test_reader_leaving_early_ends_quietly(tmp_path):
+    # ~3 MB of JSON, far more than a pipe holds: a later chunk meets the
+    # closed pipe (`linematch match ... | head`)
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, [(f"p{n:06d}", str(n % 97)) for n in range(24_000)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linematch", "match", "--input", str(path), "--k", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b'{\n  "schema_version"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -9,9 +9,11 @@ from reference_forms import balance_columns_reference
 
 from linematch.core import (
     CertifiedRangeError,
+    Cohort,
     KPartition,
     KTuple,
     SizeError,
+    ValidationError,
     WeightKind,
     items_from_pairs,
     within_distance,
@@ -92,6 +94,28 @@ class TestMatchLine:
     def test_empty_input(self):
         part = match_line([], 2, WeightKind.ABS)
         assert part.tuples == [] and part.total_within == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_cohort_partition_equals_item_partition(self, k, weight):
+        rng = random.Random(k)
+        for n in (0, 1, 7):
+            scores = [rng.choice([0.0, -0.0, 1, 2.5, rng.random(), rng.randint(-3, 3)])
+                      for _ in range(n * k)]
+            ids = [f"i{j}" for j in range(len(scores))]
+            columnar = match_line(Cohort(ids, scores), k, weight)
+            items = match_line(make_items(scores), k, weight)
+            assert columnar == items and columnar.items() == items.items()
+            assert columnar.tuples == items.tuples and columnar.n == items.n == n
+            assert repr(columnar.group_within) == repr(items.group_within)
+            assert repr(columnar.total_within) == repr(items.total_within)
+            columnar.check(items.items())
+
+    def test_cohort_rejects_non_finite_scores_and_ragged_columns(self):
+        with pytest.raises(ValidationError, match="non-finite score nan for id 'b'"):
+            match_line(Cohort(["a", "b"], [1.0, math.nan]), 2, WeightKind.ABS)
+        with pytest.raises(ValidationError, match="2 ids for 1 scores"):
+            Cohort(["a", "b"], [1.0])
 
     def test_total_matches_per_group_sum(self):
         rng = random.Random(3)
