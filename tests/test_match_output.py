@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_forms import match_stdout_reference
 
-from linematch.cli import BATCH_ROWS, config_from_args, build_parser, cmd_match, main
+from linematch.cli import BATCH_ROWS, build_parser, cmd_match, config_from_args, main
 from linematch.core import WeightKind, items_from_pairs, within_distance
 from linematch.matching import balance_columns, match_line
 
