@@ -21,7 +21,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .certify import certificate_chunks, certificate_render, certify_abs, certify_sq
@@ -70,8 +70,8 @@ EXIT_BAD_SIZE = 3
 EXIT_BAD_RANGE = 4
 EXIT_BUDGET = 5
 
-# rows per batch `read_cohort_csv` checks in bulk, and per chunk the match
-# writers write: bounds the memory of both beyond the columns themselves
+# rows per chunk the match writers render and write: bounds their memory
+# beyond the columns themselves
 BATCH_ROWS = 4096
 
 
@@ -115,9 +115,9 @@ class CsvError(Exception):
 def read_cohort_csv(path: str) -> Cohort:
     """Parse an `id,score` CSV into a Cohort, naming the offending line on
     any malformation, bytes that are not UTF-8 included.  A leading UTF-8
-    byte-order mark is skipped.  Rows are read in batches of BATCH_ROWS and
-    each batch is checked in bulk; a batch that fails a check or holds a
-    blank row is walked row by row to name its first bad line."""
+    byte-order mark and blank rows are skipped.  A bad row is named by its
+    last physical line, so a quoted id that spans lines counts every line it
+    spans."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -133,14 +133,32 @@ def read_cohort_csv(path: str) -> Cohort:
                 raise CsvError(
                     f"{path}: line 1: expected header 'id,score', got {','.join(header)!r}"
                 )
+
+            def bad_row(message: str) -> CsvError:
+                return CsvError(f"{path}: line {reader.line_num}: {message}")
+
             ids: list[str] = []
             scores: list[float] = []
             seen: set[str] = set()
-            line_no = 2  # the line of the batch's first row
-            while rows := list(islice(reader, BATCH_ROWS)):
-                if not _take_batch(rows, ids, scores, seen):
-                    _take_rows(path, rows, line_no, ids, scores, seen)
-                line_no += len(rows)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise bad_row(f"expected 2 fields, got {len(row)}")
+                item_id = row[0].strip()
+                if not item_id:
+                    raise bad_row("empty id")
+                if item_id in seen:
+                    raise bad_row(f"duplicate id {item_id!r}")
+                try:
+                    score = float(row[1])
+                except ValueError:
+                    raise bad_row(f"score {row[1]!r} is not a number")
+                if not math.isfinite(score):
+                    raise bad_row(f"non-finite score {row[1]!r}")
+                seen.add(item_id)
+                ids.append(item_id)
+                scores.append(score)
     except UnicodeDecodeError:
         with open(path, "rb") as raw:
             # the first line whose bytes do not survive a UTF-8 round trip
@@ -148,55 +166,6 @@ def read_cohort_csv(path: str) -> Cohort:
                            if line.decode("utf-8", "replace").encode() != line)
         raise CsvError(f"{path}: line {line_no}: not valid UTF-8") from None
     return Cohort(ids, scores)
-
-
-def _take_batch(rows, ids, scores, seen) -> bool:
-    """Append a batch of rows to the columns if every row passes the checks
-    of `_take_rows`, made in bulk; on False, nothing has changed."""
-    if set(map(len, rows)) != {2}:
-        return False
-    batch_ids, texts = zip(*rows)
-    batch_ids = list(map(str.strip, batch_ids))
-    try:
-        batch_scores = list(map(float, texts))
-    except ValueError:
-        return False
-    if not all(batch_ids) or not all(map(math.isfinite, batch_scores)):
-        return False
-    seen.update(batch_ids)
-    if len(seen) != len(ids) + len(batch_ids):  # a duplicate id
-        seen.clear()
-        seen.update(ids)
-        return False
-    ids += batch_ids
-    scores += batch_scores
-    return True
-
-
-def _take_rows(path, rows, line_no, ids, scores, seen) -> None:
-    """Append rows to the columns one by one, blank rows skipped, raising
-    CsvError that names the first bad one; `line_no` is the first row's."""
-    for line_no, row in enumerate(rows, start=line_no):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise CsvError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-        item_id = row[0].strip()
-        if not item_id:
-            raise CsvError(f"{path}: line {line_no}: empty id")
-        if item_id in seen:
-            raise CsvError(f"{path}: line {line_no}: duplicate id {item_id!r}")
-        try:
-            score = float(row[1])
-        except ValueError:
-            raise CsvError(
-                f"{path}: line {line_no}: score {row[1]!r} is not a number"
-            )
-        if not math.isfinite(score):
-            raise CsvError(f"{path}: line {line_no}: non-finite score {row[1]!r}")
-        seen.add(item_id)
-        ids.append(item_id)
-        scores.append(score)
 
 
 def _emit(text: str, out) -> None:

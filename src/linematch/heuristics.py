@@ -28,7 +28,7 @@ from .core import (
     WeightKind,
     within_columns,
 )
-from .multipartite import Matching, MultipartiteInstance, match_sorted, tuple_weight
+from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
 from .oracle import DEFAULT_BUDGET, min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
@@ -200,11 +200,7 @@ def triangle_matching(instance: MultipartiteInstance) -> Matching:
     bc = match_sorted(MultipartiteInstance((parts[1], parts[2]), instance.weight))
     b_to_a = {b: a for a, b in ab.tuples}
     tuples = tuple((b_to_a[b], b, c) for b, c in bc.tuples)
-    total = 0
-    for a, b, c in tuples:
-        values = (parts[0][a].score, parts[1][b].score, parts[2][c].score)
-        total += tuple_weight(instance.weight, values)
-    return Matching(tuples, total)
+    return Matching(tuples, matching_weight(instance, Matching(tuples, 0)))
 
 
 def local_search_2tuple(

@@ -112,11 +112,7 @@ def match_sorted(instance: MultipartiteInstance) -> Matching:
     tuples = tuple(
         tuple(order[r] for order in orders) for r in range(instance.n)
     )
-    total = 0
-    for tup in tuples:
-        values = [instance.parts[p][i].score for p, i in enumerate(tup)]
-        total += tuple_weight(instance.weight, values)
-    return Matching(tuples, total)
+    return Matching(tuples, matching_weight(instance, Matching(tuples, 0)))
 
 
 def tripartite_lower_bound(instance: MultipartiteInstance) -> float:

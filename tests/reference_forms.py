@@ -713,7 +713,8 @@ def sort_items_reference(items):
 
 def read_cohort_csv_reference(path):
     """linematch.cli.read_cohort_csv before the row loop bound its
-    callables to locals."""
+    callables to locals.  It numbers rows, not physical lines, so a bad row
+    after a quoted field that spans lines gets too small a line number."""
     import csv
 
     from linematch.cli import CsvError

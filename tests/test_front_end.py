@@ -1,5 +1,5 @@
 """The `match` front end against its first-written forms: `sort_items`,
-`read_cohort_csv` (and its batches) and the `ScoredItem` value type."""
+`read_cohort_csv` (past row 4,096 too) and the `ScoredItem` value type."""
 
 import csv
 import dataclasses
@@ -119,11 +119,11 @@ def test_read_cohort_csv_counts_ranks_over_blank_lines(tmp_path):
         ScoredItem("a", 1.0, 0), ScoredItem("b", 2.5, 1)]
 
 
-def _batches(n):
+def _numbered_rows(n):
     return [f"p{i},{i % 97}.5\n" for i in range(n)]
 
 
-# each fault placed past the first batch, most in a later row of the batch
+# each fault placed past row 4,096, most of them well past it
 LATE_FAULTS = {
     "field_count": lambda rows: rows[:BATCH_ROWS + 7] + ["x,1,2\n"] + rows[BATCH_ROWS + 7:],
     "empty_id": lambda rows: rows[:-3] + [" ,1\n"] + rows[-3:],
@@ -139,7 +139,7 @@ LATE_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
 def test_read_cohort_csv_names_late_lines_as_reference(tmp_path, fault):
     path = tmp_path / "cohort.csv"
-    rows = LATE_FAULTS[fault](_batches(2 * BATCH_ROWS + 50))
+    rows = LATE_FAULTS[fault](_numbered_rows(2 * BATCH_ROWS + 50))
     path.write_text("id,score\n" + "".join(rows), encoding="utf-8", newline="")
     got = _outcome(read_cohort_csv, path)
     assert got == _outcome(read_cohort_csv_reference, path)
@@ -148,12 +148,24 @@ def test_read_cohort_csv_names_late_lines_as_reference(tmp_path, fault):
 
 def test_read_cohort_csv_names_late_invalid_utf8_as_reference(tmp_path):
     path = tmp_path / "cohort.csv"
-    rows = _batches(BATCH_ROWS + 10)
+    rows = _numbered_rows(BATCH_ROWS + 10)
     rows[BATCH_ROWS + 4] = "\udce9,1\n"
     path.write_bytes(("id,score\n" + "".join(rows)).encode("utf-8", "surrogateescape"))
     got = _outcome(read_cohort_csv, path)
     assert got == _outcome(read_cohort_csv_reference, path)
     assert got.endswith(f"line {BATCH_ROWS + 6}: not valid UTF-8")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('id,score\n"a\nb",1\nc,x\n', "line 4: score 'x' is not a number"),
+    ('id,score\n"a\nb",1\n"c\r\nd",2\ne,nan\n', "line 6: non-finite score 'nan'"),
+    ('id,score\n"a\nb",1,2\n', "line 3: expected 2 fields, got 3"),
+], ids=["one_multiline_id_before", "two_multiline_ids_before", "field_count_over_two_lines"])
+def test_read_cohort_csv_counts_the_lines_of_multiline_fields(tmp_path, text, message):
+    # a bad row is named by its last physical line, not by its row number
+    path = tmp_path / "cohort.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(read_cohort_csv, path) == f"CsvError: {path}: {message}"
 
 
 # the class as `@dataclass(frozen=True, slots=True)` generates it

@@ -159,6 +159,28 @@ def test_stdout_equals_item_pipeline(cohort_file, case):
     assert stdout_of(argv) == match_stdout_reference(argv)
 
 
+# quoted ids holding line breaks (LF and CRLF), commas, doubled quotes and
+# non-ASCII text; tied scores
+MULTILINE_IDS = [("a\nb", "1"), ("c\r\nd", "1"), ("e,f", "2.5"), ('g""h', "0"),
+                 ("é\n中文", "-3"), ('one\n"two",\r\nthree', "2.5"),
+                 ("plain", "7"), ("x\ny\nz", "0.1"), ('"q"', "1e16"),
+                 ("tab\there\n", "-0.0"), ("two\r\n\r\nbreaks", "4"), ("end", "2.5")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("balance", [False, True])
+@pytest.mark.parametrize("k,weight", [(2, "abs"), (3, "sq"), (4, "abs")])
+def test_multiline_ids_equal_item_pipeline(tmp_path, k, weight, balance, fmt):
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, MULTILINE_IDS)
+    argv = ["match", "--input", str(path), "--k", str(k), "--weight", weight,
+            "--format", fmt] + (["--balance"] if balance else [])
+    got = stdout_of(argv)
+    assert got == match_stdout_reference(argv)
+    # the line breaks reach the output: quoted in CSV, escaped in JSON
+    assert ('"c\r\nd"' if fmt == "csv" else '"c\\r\\nd"') in got
+
+
 class _Writes:
     def __init__(self):
         self.parts = []
