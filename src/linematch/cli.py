@@ -159,6 +159,9 @@ def read_cohort_csv(path: str) -> Cohort:
                 seen.add(item_id)
                 ids.append(item_id)
                 scores.append(score)
+    except csv.Error as exc:
+        # a field over csv.field_size_limit(), say
+        raise CsvError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         with open(path, "rb") as raw:
             # the first line whose bytes do not survive a UTF-8 round trip
@@ -217,21 +220,38 @@ def _chunks(partition):
         yield start, stop, start * k, stop * k
 
 
+class _Lines(list):
+    """A file for csv.writer that keeps each row's text, one write per row."""
+
+    write = list.append
+
+
 def _match_csv(partition, slots, out) -> None:
     """The match CSV, `group,id,score,slot,within` rows written by
-    `csv.writer`, one chunk of rows per write."""
+    `csv.writer`, one chunk of rows per write.  The writer quotes the "\n"
+    of its line terminator but not a lone "\r", so a chunk holding one (only
+    an id can) is written again with "\r\n" row ends, each cut to "\n"."""
     ids, scores, _ = partition.columns()
     within = partition.group_within
     k = partition.k
     out.write("group,id,score,slot,within\n")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for start, stop, a, b in _chunks(partition):
-        writer.writerows(zip(
+
+    def rows(start, stop, a, b):
+        return zip(
             chain.from_iterable(map(repeat, range(start, stop), repeat(k))),
             ids[a:b], scores[a:b], repeat("") if slots is None else slots[a:b],
-            chain.from_iterable(map(repeat, within[start:stop], repeat(k)))))
-        out.write(buf.getvalue())
+            chain.from_iterable(map(repeat, within[start:stop], repeat(k))))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for chunk in _chunks(partition):
+        writer.writerows(rows(*chunk))
+        text = buf.getvalue()
+        if "\r" in text:
+            lines = _Lines()
+            csv.writer(lines, lineterminator="\r\n").writerows(rows(*chunk))
+            text = "".join([line[:-2] + "\n" for line in lines])
+        out.write(text)
         buf.seek(0)
         buf.truncate()
 

@@ -802,15 +802,21 @@ def match_stdout_reference(argv):
         column_means = balanced.column_means
     within = partition.group_within
     if cfg.format == "csv":
+        # "\r\n" row ends make csv.writer quote a field holding a lone "\r"
+        # as well as one holding "\n"; each end is then cut to "\n"
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["group", "id", "score", "slot", "within"])
-        writer.writerows(
+        writer = csv.writer(buf, lineterminator="\r\n")
+        lines = []
+        for row in [("group", "id", "score", "slot", "within")] + [
             (i // cfg.k, m.id, m.score, "" if slots is None else slots[i],
              within[i // cfg.k])
             for i, m in enumerate(members)
-        )
-        return buf.getvalue()
+        ]:
+            writer.writerow(row)
+            lines.append(buf.getvalue()[:-2] + "\n")
+            buf.seek(0)
+            buf.truncate()
+        return "".join(lines)
     k = partition.k
     columns = [[encode_basestring_ascii(m.id) for m in members],
                _json_numbers(m.score for m in members)]

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_forms import read_cohort_csv_reference, sort_items_reference
 
-from linematch.cli import BATCH_ROWS, CsvError, read_cohort_csv
+from linematch.cli import BATCH_ROWS, EXIT_BAD_CSV, CsvError, main, read_cohort_csv
 from linematch.core import Cohort, ScoredItem, ValidationError, sort_items
 
 SORT_SCORES = st.one_of(
@@ -166,6 +166,22 @@ def test_read_cohort_csv_counts_the_lines_of_multiline_fields(tmp_path, text, me
     path = tmp_path / "cohort.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(read_cohort_csv, path) == f"CsvError: {path}: {message}"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("id,score\na,1\n{big},2\nb,3\n", 3),
+    ('id,score\n"a\nb",1\n"{big}",2\n', 4),
+    ("{big},score\na,1\n", 1),
+], ids=["row", "after_a_multiline_id", "header"])
+def test_read_cohort_csv_names_an_oversized_field(tmp_path, capsys, text, line):
+    # csv.reader refuses a field over csv.field_size_limit() with csv.Error
+    path = tmp_path / "cohort.csv"
+    path.write_text(text.format(big="x" * (csv.field_size_limit() + 1)),
+                    encoding="utf-8", newline="")
+    message = f"{path}: line {line}: field larger than field limit"
+    assert _outcome(read_cohort_csv, path).startswith(f"CsvError: {message}")
+    assert main(["match", "--input", str(path), "--k", "2"]) == EXIT_BAD_CSV
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 # the class as `@dataclass(frozen=True, slots=True)` generates it

@@ -181,6 +181,53 @@ def test_multiline_ids_equal_item_pipeline(tmp_path, k, weight, balance, fmt):
     assert ('"c\r\nd"' if fmt == "csv" else '"c\\r\\nd"') in got
 
 
+# ids holding a lone "\r", which csv.writer(lineterminator="\n") does not
+# quote, next to ids it quotes for their "\n"; the cohort quotes every id
+CR_IDS = ["r\rs", "a\r\rb", "c\r\nd", "x\ry\nz", 'q"\r"', "plain", "e\nf", "t\r\tu"]
+
+
+def write_quoted_cohort(path, rows):
+    path.write_text("id,score\n" + "".join(
+        '"%s",%s\n' % (i.replace('"', '""'), s) for i, s in rows),
+        encoding="utf-8", newline="")
+
+
+def read_back(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("balance", [False, True])
+@pytest.mark.parametrize("k", [2, 4])
+def test_ids_with_a_lone_cr_round_trip_through_csv_reader(tmp_path, k, balance):
+    rows = [(i, str(n % 3)) for n, i in enumerate(CR_IDS)]
+    path = tmp_path / "cohort.csv"
+    write_quoted_cohort(path, rows)
+    argv = ["match", "--input", str(path), "--k", str(k), "--format", "csv"]
+    argv += ["--balance"] if balance else []
+    got, want = stdout_of(argv), match_stdout_reference(argv)
+    assert got == want
+    for text in (got, want):
+        table = read_back(text)
+        assert table[0] == ["group", "id", "score", "slot", "within"]
+        assert all(len(row) == 5 for row in table)
+        assert sorted(row[1] for row in table[1:]) == sorted(CR_IDS)
+    assert '"r\rs"' in got and '"c\r\nd"' in got and ",plain," in got
+
+
+def test_a_lone_cr_in_a_later_chunk_round_trips(tmp_path):
+    rows = [(f"p{n}", str(n % 89)) for n in range(2 * BATCH_ROWS + 7)]
+    rows[BATCH_ROWS + 3] = ("late\rid", "5")
+    path = tmp_path / "cohort.csv"
+    write_quoted_cohort(path, rows)
+    argv = ["match", "--input", str(path), "--k", "3", "--weight", "sq",
+            "--balance", "--format", "csv"]
+    got = stdout_of(argv)
+    assert got == match_stdout_reference(argv)
+    table = read_back(got)
+    assert len(table) == len(rows) + 1 and all(len(row) == 5 for row in table)
+    assert sorted(row[1] for row in table[1:]) == sorted(i for i, _ in rows)
+
+
 class _Writes:
     def __init__(self):
         self.parts = []
