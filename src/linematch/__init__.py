@@ -3,106 +3,76 @@
 Sort-and-chunk partitioning with machine-checked optimality certificates,
 bipartite/tripartite rank matching with exact enumeration oracles, column
 balancing for treatment assignment, and benchmark heuristics.
+
+Each export is imported from its module on first access (PEP 562), so
+`import linematch` loads none of them and a caller pays only for the
+modules it uses.
 """
 
-from .core import (
-    CERTIFIED_MAX_K,
-    ArityError,
-    CertifiedRangeError,
-    Cohort,
-    EnumerationBudgetError,
-    KPartition,
-    KTuple,
-    ScoredItem,
-    SizeError,
-    ValidationError,
-    WeightKind,
-    items_from_pairs,
-    sort_items,
-    variance_identity_check,
-    within_distance,
-)
-from .matching import BalancedPartition, balance_columns, match_line
-from .oracle import (
-    brute_force_assignment,
-    brute_force_partition,
-    greedy_match,
-    iter_tuple_partitions,
-    partition_count,
-)
-from .certify import (
-    ExchangeCertificate,
-    LinearForm,
-    QuadraticForm,
-    certificate_render,
-    certify_abs,
-    certify_sq,
-    difference_form,
-)
-from .multipartite import (
-    LmWitness,
-    Matching,
-    MultipartiteInstance,
-    heuristic_ratio_bound,
-    instance_from_scores,
-    is_lm_on_samples,
-    match_sorted,
-    tripartite_lower_bound,
-)
-from .heuristics import (
-    EuclideanPoint,
-    HierarchicalTriples,
-    hierarchical_triple_match,
-    local_search_2tuple,
-    points_from_coords,
-    triangle_matching,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityError",
-    "BalancedPartition",
-    "CERTIFIED_MAX_K",
-    "CertifiedRangeError",
-    "Cohort",
-    "EnumerationBudgetError",
-    "EuclideanPoint",
-    "ExchangeCertificate",
-    "HierarchicalTriples",
-    "KPartition",
-    "KTuple",
-    "LinearForm",
-    "LmWitness",
-    "Matching",
-    "MultipartiteInstance",
-    "QuadraticForm",
-    "ScoredItem",
-    "SizeError",
-    "ValidationError",
-    "WeightKind",
-    "balance_columns",
-    "brute_force_assignment",
-    "brute_force_partition",
-    "certificate_render",
-    "certify_abs",
-    "certify_sq",
-    "difference_form",
-    "greedy_match",
-    "heuristic_ratio_bound",
-    "hierarchical_triple_match",
-    "instance_from_scores",
-    "is_lm_on_samples",
-    "items_from_pairs",
-    "iter_tuple_partitions",
-    "local_search_2tuple",
-    "match_line",
-    "match_sorted",
-    "partition_count",
-    "points_from_coords",
-    "sort_items",
-    "triangle_matching",
-    "tripartite_lower_bound",
-    "variance_identity_check",
-    "within_distance",
-]
+# every export and the module it is defined in, in sorted() order
+_EXPORTS = {
+    "ArityError": "core",
+    "BalancedPartition": "matching",
+    "CERTIFIED_MAX_K": "core",
+    "CertifiedRangeError": "core",
+    "Cohort": "core",
+    "EnumerationBudgetError": "core",
+    "EuclideanPoint": "heuristics",
+    "ExchangeCertificate": "certify",
+    "HierarchicalTriples": "heuristics",
+    "KPartition": "core",
+    "KTuple": "core",
+    "LinearForm": "certify",
+    "LmWitness": "multipartite",
+    "Matching": "multipartite",
+    "MultipartiteInstance": "multipartite",
+    "QuadraticForm": "certify",
+    "ScoredItem": "core",
+    "SizeError": "core",
+    "ValidationError": "core",
+    "WeightKind": "core",
+    "balance_columns": "matching",
+    "brute_force_assignment": "oracle",
+    "brute_force_partition": "oracle",
+    "certificate_render": "certify",
+    "certify_abs": "certify",
+    "certify_sq": "certify",
+    "difference_form": "certify",
+    "greedy_match": "oracle",
+    "heuristic_ratio_bound": "multipartite",
+    "hierarchical_triple_match": "heuristics",
+    "instance_from_scores": "multipartite",
+    "is_lm_on_samples": "multipartite",
+    "items_from_pairs": "core",
+    "iter_tuple_partitions": "oracle",
+    "local_search_2tuple": "heuristics",
+    "match_line": "matching",
+    "match_sorted": "multipartite",
+    "partition_count": "oracle",
+    "points_from_coords": "heuristics",
+    "sort_items": "core",
+    "triangle_matching": "heuristics",
+    "tripartite_lower_bound": "multipartite",
+    "variance_identity_check": "core",
+    "within_distance": "core",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

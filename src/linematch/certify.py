@@ -43,8 +43,13 @@ from itertools import accumulate, compress, count, islice, product, repeat
 from operator import add, attrgetter, getitem, mod, mul, not_, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .core import EnumerationBudgetError, ValidationError, WeightKind, check_certified_k
-from .oracle import DEFAULT_BUDGET
+from .core import (
+    DEFAULT_BUDGET,
+    EnumerationBudgetError,
+    ValidationError,
+    WeightKind,
+    check_certified_k,
+)
 
 # A certifier given a `progress` callback calls it every PROGRESS_EVERY splits
 # with (splits done, total splits).

@@ -1,5 +1,8 @@
 """Batch command line: match cohort files, print certificates, run benchmarks.
 
+`certify` and `bench` import their modules on first use (`_ON_USE`), so
+`match` loads only `core` and `matching`.
+
 Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
 input CSV; 3 item count not divisible by k; 4 k below 2, or outside the
 certified range without --uncertified; 5 enumeration budget exceeded (a
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
-from .certify import certificate_chunks, certificate_render, certify_abs, certify_sq
 from .core import (
     CERTIFIED_MAX_K,
+    DEFAULT_BUDGET,
     CertifiedRangeError,
     Cohort,
     EnumerationBudgetError,
@@ -36,27 +40,43 @@ from .core import (
     WeightKind,
     within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
-from .heuristics import (
-    hierarchical_triple_match,
-    local_search_2tuple,
-    points_from_coords,
-    triangle_matching,
-)
 from .matching import balance_columns, match_line
-from .multipartite import (
-    heuristic_ratio_bound,
-    instance_from_scores,
-    match_sorted,
-    tripartite_lower_bound,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    TRIPARTITE_ORACLE_MAX_N,
-    brute_force_assignment,
-    brute_force_partition,
-    greedy_match,
-    partition_count,
-)
+
+# the names `certify` and `bench` run, by the module that defines them: each
+# command imports its modules on first use, so `match` loads none of them
+_ON_USE = {
+    "certify": ("certificate_chunks", "certificate_render", "certify_abs",
+                "certify_sq"),
+    "heuristics": ("hierarchical_triple_match", "local_search_2tuple",
+                   "points_from_coords", "triangle_matching"),
+    "multipartite": ("heuristic_ratio_bound", "instance_from_scores",
+                     "match_sorted", "tripartite_lower_bound"),
+    "oracle": ("TRIPARTITE_ORACLE_MAX_N", "brute_force_assignment",
+               "brute_force_partition", "greedy_match", "partition_count"),
+}
+_MODULE_OF = {name: module for module, names in _ON_USE.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve an on-use name and bind it here, as if imported at the top."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*modules: str) -> None:
+    """Bind the on-use names of `modules` that are not bound yet, so a name
+    rebound from outside (a test double, a tracer) stays what is called."""
+    bound = globals()
+    for module in modules:
+        for name in _ON_USE[module]:
+            if name not in bound:
+                __getattr__(name)
+
 
 SCHEMA_VERSION = 1
 # certificates with more splits are not collected and report progress on
@@ -338,6 +358,7 @@ def _progress(k: int, weight: WeightKind, splits: int, err):
 
 
 def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
+    _bind("certify")
     out = out or sys.stdout
     err = err or sys.stderr
     certifier = certify_abs if cfg.weight is WeightKind.ABS else certify_sq
@@ -377,6 +398,7 @@ def _gen_scores(rng: random.Random, count: int, dist: str) -> list[float]:
 
 
 def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
+    _bind("heuristics", "multipartite", "oracle")
     out = out or sys.stdout
     err = err or sys.stderr
     if cfg.k < 2:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations, repeat
 from operator import add, attrgetter, mul, sub
 from typing import Iterable, Sequence
@@ -52,6 +51,10 @@ class WeightKind(Enum):
 # certificate (see the certify module).  Larger k needs an explicit
 # uncertified/exploratory opt-in.
 CERTIFIED_MAX_K = {WeightKind.ABS: 16, WeightKind.SQ: 8}
+
+# Default cap on what one exhaustive search may enumerate: partitions,
+# subsets, permutations or certificate splits.
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -369,6 +372,8 @@ def variance_identity_check(values: Sequence[float]) -> tuple[float, float]:
             d = values[j] - xi
             lhs += d * d
     if all(isinstance(v, int) for v in values):
+        from fractions import Fraction
+
         mean = Fraction(sum(values), n)
         rhs_frac = 2 * n * sum((Fraction(v) - mean) ** 2 for v in values)
         rhs = int(rhs_frac) if rhs_frac.denominator == 1 else rhs_frac

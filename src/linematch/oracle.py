@@ -26,6 +26,7 @@ from operator import eq
 from typing import Callable, Iterator, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     KPartition,
     KTuple,
@@ -36,8 +37,6 @@ from .core import (
     within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, edge_weight
-
-DEFAULT_BUDGET = 10_000_000
 
 BIPARTITE_ORACLE_MAX_N = 8
 TRIPARTITE_ORACLE_MAX_N = 6
