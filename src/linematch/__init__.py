@@ -17,8 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ArityError": "core",
     "BalancedPartition": "matching",
-    "CERTIFIED_MAX_K": "core",
-    "CertifiedRangeError": "core",
     "Cohort": "core",
     "EnumerationBudgetError": "core",
     "EuclideanPoint": "heuristics",
@@ -40,6 +38,7 @@ _EXPORTS = {
     "brute_force_partition": "oracle",
     "certificate_render": "certify",
     "certify_abs": "certify",
+    "certify_general": "certify",
     "certify_sq": "certify",
     "difference_form": "certify",
     "greedy_match": "oracle",

@@ -25,6 +25,10 @@ path does.
   4 x 4 classes (the sorted split holds two, every other split all four).
   The factors' suffix sums at (c, t) are h - t and t - (c - h).
 
+certify_general proves both for every k: the abs suffix sum at (c, t) is
+2 * (h - t) * (t - (c - h)), twice the product of the sq factors' sums.
+
+A table of more than DEFAULT_BUDGET states is refused before it is built.
 An uncollected certificate that no state fails enumerates nothing.
 Otherwise the splits are walked as joins of a top half (positions
 k+1..2k) and a bottom half (1..k), each tabulated once from the table, and
@@ -110,9 +114,6 @@ class LinearForm:
             )
         return sum(c * x for c, x in zip(self.coeffs, xs))
 
-    def total(self) -> int:
-        return sum(self.coeffs)
-
     def suffix_sums(self) -> tuple[int, ...]:
         """(S_1, ..., S_m) with S_j = sum of coeffs from position j on."""
         return tuple(_suffix_sums(self.coeffs))
@@ -142,10 +143,6 @@ class QuadraticForm:
     """Integer quadratic form x^T M x with a symmetric coefficient matrix."""
 
     matrix: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def zero(cls, m: int) -> "QuadraticForm":
-        return cls(tuple((0,) * m for _ in range(m)))
 
     @property
     def m(self) -> int:
@@ -282,15 +279,17 @@ def _class_matrix(classes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(rows.__getitem__, classes))
 
 
+def _identity_fails(classes: Sequence[int]) -> bool:
+    """Whether M = u v^T + v u^T fails for positions of the given classes."""
+    return any(_sq_cell(p, q) != _SQ_U[p] * _SQ_V[q] + _SQ_V[p] * _SQ_U[q]
+               for p in classes for q in classes)
+
+
 def _sq_states(k: int) -> list[list[int]]:
     """Verdict code of each state: 0 holds, 1 a factor breaks the suffix-sum
     criterion, 2 the class identity M = u v^T + v u^T fails.  The identity
     is charged to c = k, where t = 0 only on the sorted split's path."""
-    def fails(classes: Sequence[int]) -> bool:
-        return any(_sq_cell(p, q) != _SQ_U[p] * _SQ_V[q] + _SQ_V[p] * _SQ_U[q]
-                   for p in classes for q in classes)
-
-    identity = (2 * fails((1, 2)), 2 * fails(range(4)))
+    identity = (2 * _identity_fails((1, 2)), 2 * _identity_fails(range(4)))
     m = 2 * k
     table = []
     for c in range(1, m + 1):
@@ -300,6 +299,43 @@ def _sq_states(k: int) -> list[list[int]]:
             row = [max(code, identity[t > 0]) for t, code in enumerate(row)]
         table.append(row)
     return table
+
+
+@dataclass(frozen=True)
+class GeneralProof:
+    """Claims proving the sorted split cheapest for every k >= 2, checked."""
+
+    checks: tuple[tuple[str, bool], ...]
+    verified: bool
+
+    def render(self) -> str:
+        lines = [f"{claim}: {'OK' if ok else 'FAILED'}" for claim, ok in self.checks]
+        return "\n".join(["exchange proof for every k >= 2; state (c,t), h = min(c,k)",
+                          *lines, f"verified={str(self.verified).lower()}"])
+
+
+def certify_general() -> GeneralProof:
+    """Check for every k what the per-k certificates check state by state.
+    W, T and the factor sums have degree <= 2 in each of k, c and t on each
+    region c <= k and c > k, so a 3x3x3 grid per region proves them, and so
+    the factors' signs, for all k.  The class identity is free of k."""
+    ks = (8, 9, 10)
+    regions = (((2, 3, 4), (0, 1, 2)), ((11, 12, 13), (5, 6, 7)))  # all reachable
+    grid = [(k, c, t, min(c, k)) for k in ks for cs, ts in regions for c in cs for t in ts]
+    checks = (
+        ("W(t) = t(k-t) sums the top t abs weights 2j-k+1", all(
+            w == t * (k - t) for k in ks
+            for t, w in enumerate(accumulate(reversed(_abs_weights(k)), initial=0)))),
+        ("sq factor sums u = h-t, v = t-(c-h); abs suffix sum T = 2*u*v", all(
+            _sq_factor_sums(k, c, t) == (h - t, t - c + h)
+            and _abs_states(k)[c - 1][t] == 2 * (h - t) * (t - c + h)
+            for k, c, t, h in grid)),
+        ("sq matrix M = u v^T + v u^T over the 4x4 (half, group) classes",
+         not _identity_fails(range(4))),
+        ("u, v >= 0 on reachable c-h <= t <= h, both 0 at c = 2k",
+         1 not in {code for k in ks for row in _sq_states(k) for code in row}),
+    )
+    return GeneralProof(checks, all(ok for _, ok in checks))
 
 
 def _factor_pair(
@@ -538,9 +574,13 @@ def _certify(
     k: int, weight: WeightKind, collect: bool, progress: Progress | None
 ) -> ExchangeCertificate:
     """The certificate decided by the states' verdict codes: a split's code
-    is the largest on its path, 0 if it verifies.  Splits are walked only
-    when entries are collected or some state fails, and then at most
-    DEFAULT_BUDGET of them (EnumerationBudgetError before the walk)."""
+    is the largest on its path, 0 if it verifies.  At most DEFAULT_BUDGET
+    states are tabulated and splits walked (EnumerationBudgetError before
+    either), the splits only when entries are collected or some state fails."""
+    cells = k * (3 * k + 5) // 2  # sum of min(c, k) + 1 over c = 1..2k
+    if cells > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(f"certify k={k} would tabulate {cells} "
+                                     f"states, over budget {DEFAULT_BUDGET}")
     states, reasons, half, entry_form = _PLANS[weight](k, False)
     total = math.comb(2 * k - 1, k - 1)
     entries: list[CertificateEntry] = []
@@ -567,7 +607,6 @@ def _certify(
 
 def certify_abs(
     k: int,
-    exploratory: bool = False,
     collect: bool = True,
     *,
     progress: Progress | None = None,
@@ -577,15 +616,14 @@ def certify_abs(
     Checks the suffix-sum criterion on the table of the O(k^2) states'
     suffix sums.  A collected or failing entry reads its suffix sums from
     the table along its path.  Raises EnumerationBudgetError instead of
-    walking more than DEFAULT_BUDGET splits.
+    tabulating or walking more than DEFAULT_BUDGET states or splits.
     """
-    check_certified_k(k, WeightKind.ABS, exploratory)
+    check_certified_k(k)
     return _certify(k, WeightKind.ABS, collect, progress)
 
 
 def certify_sq(
     k: int,
-    exploratory: bool = False,
     collect: bool = True,
     *,
     progress: Progress | None = None,
@@ -598,7 +636,7 @@ def certify_sq(
     are in sorted order since u_1 = -1 < 0 = v_1 (zero for the sorted
     split's zero form).  Raises EnumerationBudgetError as certify_abs does.
     """
-    check_certified_k(k, WeightKind.SQ, exploratory)
+    check_certified_k(k)
     return _certify(k, WeightKind.SQ, collect, progress)
 
 
@@ -674,12 +712,14 @@ __all__ = [
     "CertificateEntry",
     "ExchangeCertificate",
     "FactorProof",
+    "GeneralProof",
     "LinearForm",
     "QuadraticForm",
     "SuffixSumProof",
     "certificate_chunks",
     "certificate_render",
     "certify_abs",
+    "certify_general",
     "certify_sq",
     "difference_form",
 ]

@@ -4,10 +4,10 @@
 `match` loads only `core` and `matching`.
 
 Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
-input CSV; 3 item count not divisible by k; 4 k below 2, or outside the
-certified range without --uncertified; 5 enumeration budget exceeded (a
-requested bench oracle, a greedy or local-search step, or a certificate
-whose state table fails a state and that would enumerate more than
+input CSV; 3 item count not divisible by k; 4 k below 2; 5 enumeration
+budget exceeded (a requested bench oracle, a greedy or local-search step,
+a certificate state table of more than DEFAULT_BUDGET states, or a
+certificate whose table fails a state and that would enumerate more than
 DEFAULT_BUDGET splits to list the failures; a verified one enumerates
 nothing unless collected, and a collected one has at most COLLECT_LIMIT).
 """
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -29,9 +30,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .core import (
-    CERTIFIED_MAX_K,
     DEFAULT_BUDGET,
-    CertifiedRangeError,
     Cohort,
     EnumerationBudgetError,
     ScoredItem,
@@ -78,10 +77,11 @@ def _bind(*modules: str) -> None:
                 __getattr__(name)
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # certificates with more splits are not collected and report progress on
 # stderr; collected ones are streamed from the state table's halves
 COLLECT_LIMIT = 1_000_000
+_FULL_RANGE = {WeightKind.ABS: 16, WeightKind.SQ: 8}  # --full-range: k = 2..these
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -105,7 +105,6 @@ class RunConfig:
     format: str = "json"
     seed: int = 0
     budget: int = DEFAULT_BUDGET
-    uncertified: bool = False
     full_range: bool = False
     line_sizes: tuple[int, ...] = (2, 4)
     tri_sizes: tuple[int, ...] = (2, 4, 6)
@@ -123,7 +122,6 @@ class RunConfig:
             "format": self.format,
             "seed": self.seed,
             "budget": self.budget,
-            "uncertified": self.uncertified,
             "full_range": self.full_range,
         }
 
@@ -206,13 +204,10 @@ def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_CSV
     try:
-        partition = match_line(cohort, cfg.k, cfg.weight, uncertified=cfg.uncertified)
+        partition = match_line(cohort, cfg.k, cfg.weight)
     except SizeError as exc:
         _emit(f"error: {exc}", err)
         return EXIT_BAD_SIZE
-    except CertifiedRangeError as exc:
-        _emit(f"error: {exc}", err)
-        return EXIT_BAD_RANGE
     except ValidationError as exc:
         # scores were CSV-validated, so this can only be a bad group size
         _emit(f"error: {exc}", err)
@@ -240,40 +235,35 @@ def _chunks(partition):
         yield start, stop, start * k, stop * k
 
 
-class _Lines(list):
-    """A file for csv.writer that keeps each row's text, one write per row."""
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
-    write = list.append
+
+def _csv_field(text: str) -> str:
+    """text as a CSV field: quoted, quotes doubled, if it has , " or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
 def _match_csv(partition, slots, out) -> None:
-    """The match CSV, `group,id,score,slot,within` rows written by
-    `csv.writer`, one chunk of rows per write.  The writer quotes the "\n"
-    of its line terminator but not a lone "\r", so a chunk holding one (only
-    an id can) is written again with "\r\n" row ends, each cut to "\n"."""
+    """The match CSV, `group,id,score,slot,within` rows filled from one `%`
+    template, one chunk of rows per write.  Numbers print as `str`, as
+    csv.writer prints them."""
     ids, scores, _ = partition.columns()
     within = partition.group_within
     k = partition.k
     out.write("group,id,score,slot,within\n")
-
-    def rows(start, stop, a, b):
-        return zip(
-            chain.from_iterable(map(repeat, range(start, stop), repeat(k))),
-            ids[a:b], scores[a:b], repeat("") if slots is None else slots[a:b],
-            chain.from_iterable(map(repeat, within[start:stop], repeat(k))))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for chunk in _chunks(partition):
-        writer.writerows(rows(*chunk))
-        text = buf.getvalue()
-        if "\r" in text:
-            lines = _Lines()
-            csv.writer(lines, lineterminator="\r\n").writerows(rows(*chunk))
-            text = "".join([line[:-2] + "\n" for line in lines])
-        out.write(text)
-        buf.seek(0)
-        buf.truncate()
+    row = "%s,%s,%s,,%s\n" if slots is None else "%s,%s,%s,%s,%s\n"
+    width = row.count("%s")
+    for start, stop, a, b in _chunks(partition):
+        fields = [None] * ((b - a) * width)
+        fields[0::width] = chain.from_iterable(
+            map(repeat, range(start, stop), repeat(k)))
+        fields[1::width] = map(_csv_field, ids[a:b])
+        fields[2::width] = scores[a:b]
+        if slots is not None:
+            fields[3::width] = slots[a:b]
+        fields[width - 1::width] = chain.from_iterable(
+            map(repeat, within[start:stop], repeat(k)))
+        out.write(row * (b - a) % tuple(fields))
 
 
 def _member_slots(assignment, k: int) -> list[int]:
@@ -341,14 +331,14 @@ def _match_json(cfg: RunConfig, partition, slots, column_means, out) -> None:
     out.write("".join(parts))
 
 
-def _progress(k: int, weight: WeightKind, splits: int, err):
+def _progress(k: int, weight: WeightKind, err):
     """A certifier progress callback writing one stderr line per call (done,
-    rate, ETA), or None for a certificate of at most COLLECT_LIMIT splits."""
-    if splits <= COLLECT_LIMIT:
-        return None
+    rate, ETA) for a certificate of more than COLLECT_LIMIT splits."""
     start = time.perf_counter()
 
     def report(done: int, total: int) -> None:
+        if total <= COLLECT_LIMIT:
+            return
         rate = done / max(time.perf_counter() - start, 1e-9)
         err.write(f"certify k={k} weight={weight.value}: {done}/{total} splits, "
                   f"{rate:.0f} splits/s, eta {(total - done) / rate:.0f} s\n")
@@ -362,21 +352,16 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     certifier = certify_abs if cfg.weight is WeightKind.ABS else certify_sq
-    ks = range(2, CERTIFIED_MAX_K[cfg.weight] + 1) if cfg.full_range else [cfg.k]
+    ks = range(2, _FULL_RANGE[cfg.weight] + 1) if cfg.full_range else [cfg.k]
     all_ok = True
     for k in ks:
-        splits = math.comb(2 * k - 1, k - 1) if k >= 2 else 0
         try:
             # the verdict; splits are enumerated only to list failures
-            cert = certifier(k, exploratory=cfg.uncertified, collect=False,
-                             progress=_progress(k, cfg.weight, splits, err))
-        except (CertifiedRangeError, ValidationError) as exc:
-            _emit(f"error: {exc}", err)
-            return EXIT_BAD_RANGE
+            cert = certifier(k, collect=False, progress=_progress(k, cfg.weight, err))
         except EnumerationBudgetError as exc:
             _emit(f"error: {exc}", err)
             return EXIT_BUDGET
-        if cfg.full_range or splits > COLLECT_LIMIT:
+        if cfg.full_range or cert.entry_count > COLLECT_LIMIT:
             _emit(certificate_render(cert), out)
         else:
             for chunk in certificate_chunks(cert):
@@ -433,15 +418,12 @@ def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
                 oracle_cost = brute_force_partition(
                     items, cfg.k, cfg.weight, budget=cfg.budget
                 ).total_within
-            matched = match_line(items, cfg.k, cfg.weight, uncertified=cfg.uncertified)
+            matched = match_line(items, cfg.k, cfg.weight)
             greedy = greedy_match(items, cfg.k, cfg.weight, budget=cfg.budget)
             local = local_search_2tuple(greedy, cfg.weight, budget=cfg.budget)
         except EnumerationBudgetError as exc:
             _emit(f"error: {exc}", err)
             return EXIT_BUDGET
-        except CertifiedRangeError as exc:
-            _emit(f"error: {exc}", err)
-            return EXIT_BAD_RANGE
         hier_cost = None
         if cfg.k == 3 and cfg.weight is WeightKind.ABS and n and not (n & (n - 1)):
             points = points_from_coords([[s] for s in scores])
@@ -550,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="print exchange-inequality certificates")
     p_cert.add_argument("--k", type=int, default=0)
     p_cert.add_argument("--full-range", action="store_true",
-                        help="sweep the whole verified k range")
+                        help="the per-k certificates for abs k <= 16, sq k <= 8")
 
     p_bench = sub.add_parser("bench", help="benchmark heuristics against bounds")
     p_bench.add_argument("--k", type=int, default=3, help="group size for line instances")
@@ -571,8 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_match, p_cert, p_bench):
         p.add_argument("--weight", choices=["abs", "sq"], default="abs",
                        help="pairwise distance inside a group")
-        p.add_argument("--uncertified", action="store_true",
-                       help="allow k beyond the certified range")
     for p in (p_match, p_bench):
         p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser

@@ -28,10 +28,6 @@ class SizeError(ValueError):
     """Item count incompatible with the requested group size."""
 
 
-class CertifiedRangeError(ValueError):
-    """Group size outside the range with machine-verified optimality."""
-
-
 class ArityError(ValueError):
     """Operation needs a bipartite instance but got tripartite, or vice versa."""
 
@@ -47,13 +43,8 @@ class WeightKind(Enum):
     SQ = "sq"
 
 
-# Largest k for which sorted-chunk optimality has a machine-checked
-# certificate (see the certify module).  Larger k needs an explicit
-# uncertified/exploratory opt-in.
-CERTIFIED_MAX_K = {WeightKind.ABS: 16, WeightKind.SQ: 8}
-
 # Default cap on what one exhaustive search may enumerate: partitions,
-# subsets, permutations or certificate splits.
+# subsets, permutations, certificate splits or certificate states.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -383,15 +374,7 @@ def variance_identity_check(values: Sequence[float]) -> tuple[float, float]:
     return lhs, rhs
 
 
-def check_certified_k(k: int, weight: WeightKind, uncertified: bool = False) -> None:
-    """Raise unless k is inside the machine-certified range (or overridden)."""
+def check_certified_k(k: int) -> None:
+    """Raise ValidationError for k < 2; every k >= 2 is proven optimal."""
     if k < 2:
         raise ValidationError(f"group size must be at least 2, got {k}")
-    cap = CERTIFIED_MAX_K[weight]
-    if k > cap and not uncertified:
-        # names the CLI flag only: the keyword differs between callers
-        raise CertifiedRangeError(
-            f"k={k} is outside the certified optimal range for weight "
-            f"'{weight.value}' (k<={cap}); rerun with --uncertified to "
-            "proceed anyway"
-        )

@@ -1,9 +1,9 @@
 """Optimal k-group partitioning of scored items by sort-and-chunk.
 
 Sorting the scores and cutting consecutive blocks of k minimizes the summed
-within-group distance for both weight kinds, within the certified k range
-(see the certify module for the machine-checked exchange inequalities that
-back this).  Runtime is the sort: the partition adopts the sorted list (or,
+within-group distance for both weight kinds and every k >= 2 (see the
+certify module for the machine-checked exchange inequalities that back
+this).  Runtime is the sort: the partition adopts the sorted list (or,
 for a `Cohort`, the sorted columns), costs each group on first read, and
 sums the total once, on first read, from those stored group costs.
 
@@ -41,7 +41,6 @@ def match_line(
     items: Sequence[ScoredItem] | Cohort,
     k: int,
     weight: WeightKind,
-    uncertified: bool = False,
 ) -> KPartition:
     """Partition items into groups of k with minimal total within-distance.
 
@@ -52,14 +51,12 @@ def match_line(
     holds the sorted columns and builds no item.  The group
     costs (`KPartition.group_within`) are computed on first read, and the
     total (`KPartition.total_within`) is summed once from them.  The result is
-    provably minimal for k within the certified range (abs: 16, sq: 8);
-    larger k requires uncertified=True and yields the same chunking without
-    an optimality guarantee.  O(N log N).
+    provably minimal for every k >= 2 (certify.certify_general).  O(N log N).
 
     Raises SizeError if len(items) is not divisible by k, and
-    CertifiedRangeError for out-of-range k without the override.
+    ValidationError for k below 2.
     """
-    check_certified_k(k, weight, uncertified)
+    check_certified_k(k)
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
     if isinstance(items, Cohort):

@@ -555,16 +555,14 @@ def _colex_key(entry: CertificateEntry) -> tuple[int, ...]:
     return tuple(reversed(entry.first))
 
 
-def certify_abs_reference(
-    k: int, exploratory: bool = False, collect: bool = True
-) -> ExchangeCertificate:
+def certify_abs_reference(k: int, collect: bool = True) -> ExchangeCertificate:
     """Certify sorted-split minimality for absolute differences at size k.
 
     Checks the suffix-sum criterion on every split's difference form.
     Entry count is C(2k-1, k-1); per-entry work is O(k), so cost roughly
     quadruples per increment of k.
     """
-    check_certified_k(k, WeightKind.ABS, exploratory)
+    check_certified_k(k)
     m = 2 * k
     base = [0] * m
     _abs_coeffs_into(base, tuple(range(1, k + 1)), +1)
@@ -625,9 +623,7 @@ def certify_abs_reference(
     )
 
 
-def certify_sq_reference(
-    k: int, exploratory: bool = False, collect: bool = True
-) -> ExchangeCertificate:
+def certify_sq_reference(k: int, collect: bool = True) -> ExchangeCertificate:
     """Certify sorted-split minimality for squared differences at size k.
 
     Every split's quadratic difference form is factored as 2 * L1 * L2 with
@@ -635,7 +631,7 @@ def certify_sq_reference(
     must pass the suffix-sum criterion.  A failed factorization or a factor
     that is not nonnegative on the sorted cone marks the entry failed.
     """
-    check_certified_k(k, WeightKind.SQ, exploratory)
+    check_certified_k(k)
     entries: list[CertificateEntry] = []
     failures: list[CertificateEntry] = []
     count = 0
@@ -790,7 +786,7 @@ def match_stdout_reference(argv):
 
     cfg = config_from_args(build_parser().parse_args(argv))
     items = read_cohort_csv_reference(cfg.input)
-    partition = match_line(items, cfg.k, cfg.weight, uncertified=cfg.uncertified)
+    partition = match_line(items, cfg.k, cfg.weight)
     members = partition.items()
     slots = column_means = None
     if cfg.balance:

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import accumulate, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,11 @@ from linematch.certify import (
     SuffixSumProof,
     certificate_render,
     certify_abs,
+    certify_general,
     certify_sq,
     difference_form,
 )
 from linematch.core import (
-    CertifiedRangeError,
     EnumerationBudgetError,
     ValidationError,
     WeightKind,
@@ -173,8 +174,6 @@ class TestCertifyAbs:
                     assert entry.form.evaluate(vec) >= 0
 
     def test_gate(self):
-        with pytest.raises(CertifiedRangeError):
-            certify_abs(17)
         with pytest.raises(ValidationError):
             certify_abs(1)
 
@@ -245,8 +244,8 @@ class TestCertifySq:
                     assert entry.form.evaluate(vec) >= 0
 
     def test_gate(self):
-        with pytest.raises(CertifiedRangeError):
-            certify_sq(9)
+        with pytest.raises(ValidationError):
+            certify_sq(1)
 
 
 class TestFactoring:
@@ -487,9 +486,45 @@ class TestStateTable:
             raise AssertionError("the splits were enumerated")
 
         monkeypatch.setattr(certify, "_walk", refuse)
-        for k in range(2, 17):
+        for k in [*range(2, 17), 17, 24, 40, 64]:
             assert certify_abs(k, collect=False).verified
-            assert certify_sq(k, exploratory=True, collect=False).verified
+            assert certify_sq(k, collect=False).verified
+
+    def test_abs_table_is_the_general_proofs_closed_form(self):
+        # T(c, t) = 2*(h - t)*(t - (c - h)), h = min(c, k), on every
+        # reachable state, the table still derived from the weights
+        for k in range(2, 61):
+            table = certify._abs_states(k)
+            for c in range(1, 2 * k + 1):
+                h = min(c, k)
+                for t in range(c - h, h + 1):
+                    assert table[c - 1][t] == 2 * (h - t) * (t - (c - h)), (k, c, t)
+
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_state_tables_over_budget_raise_before_tabulating(
+        self, monkeypatch, certifier
+    ):
+        # k (3k + 5) / 2 states: 9,998,794 at k = 2581, 10,006,541 at 2582
+        def refuse(*args):
+            raise AssertionError("a state table was built")
+
+        monkeypatch.setattr(certify, "_PLANS", {w: refuse for w in WeightKind})
+        for k in (2582, 10**6, 10**12):
+            with pytest.raises(EnumerationBudgetError, match=f"certify k={k} "
+                               f"would tabulate {k * (3 * k + 5) // 2} states"):
+                certifier(k, collect=False)
+        with pytest.raises(AssertionError, match="a state table was built"):
+            certifier(2581, collect=False)
+
+    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
+    def test_a_state_table_just_under_the_budget_verifies(
+        self, monkeypatch, certifier
+    ):
+        # 1,000 states at k = 25, 1,079 at k = 26
+        monkeypatch.setattr(certify, "DEFAULT_BUDGET", 1000)
+        assert certifier(25, collect=False).verified
+        with pytest.raises(EnumerationBudgetError, match="1079 states"):
+            certifier(26, collect=False)
 
 
     @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
@@ -502,8 +537,8 @@ class TestStateTable:
 
         monkeypatch.setattr(certify, "_walk", refuse)
         with pytest.raises(EnumerationBudgetError, match="20058300 splits"):
-            certifier(14, exploratory=True)
-        assert certifier(14, exploratory=True, collect=False).verified
+            certifier(14)
+        assert certifier(14, collect=False).verified
 
 
 def abs_form_from_weights(k, first, w):
@@ -541,6 +576,44 @@ def assert_failures(cert, expected, collect):
         }
     else:
         assert cert.entries == ()
+
+
+class TestGeneralProof:
+    def test_verifies_every_claim(self):
+        proof = certify_general()
+        assert proof.verified and len(proof.checks) == 4
+        lines = proof.render().splitlines()
+        assert lines[1:] == [f"{claim}: OK" for claim, _ in proof.checks] + [
+            "verified=true"]
+
+    def test_readme_block_is_the_render(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("## Why sort-and-chunk is optimal for every k\n")[1]
+        assert section.split("```\n")[1] == certify_general().render() + "\n"
+
+    @pytest.mark.parametrize(
+        "name,bad,failing",
+        [
+            # weights shifted by -1: W(t) = t(k-t) - t, T unchanged
+            ("_abs_weights", lambda real: lambda k: [w - 1 for w in real(k)], [0]),
+            # the two smallest weights swapped: W and T change
+            ("_abs_weights", lambda real: lambda k: [real(k)[1], real(k)[0],
+                                                     *real(k)[2:]], [0, 1]),
+            # one (lo, B) x (hi, A) cell perturbed: the class identity fails
+            ("_sq_cell", lambda real: lambda p, q: real(p, q) + ((p, q) == (0, 3)),
+             [2]),
+            # u negated: T = 2*u*v fails, and u < 0 on reachable states
+            ("_sq_factor_sums", lambda real: lambda k, c, t: (
+                -real(k, c, t)[0], real(k, c, t)[1]), [1, 3]),
+        ],
+        ids=["shifted-weights", "swapped-weights", "class-cell", "negated-u"],
+    )
+    def test_negative_controls_fail(self, monkeypatch, name, bad, failing):
+        monkeypatch.setattr(certify, name, bad(getattr(certify, name)))
+        proof = certify_general()
+        assert not proof.verified
+        assert [i for i, (_, ok) in enumerate(proof.checks) if not ok] == failing
+        assert proof.render().endswith("verified=false")
 
 
 class TestMutations:

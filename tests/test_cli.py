@@ -39,7 +39,7 @@ class TestMatchCommand:
         code, out, err = run_cli(capsys, ["match", "--input", path, "--k", "3"])
         assert code == 0, err
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["total_within"] == 14
         groups = [
             [m["id"] for m in g["members"]] for g in doc["groups"]
@@ -102,28 +102,22 @@ class TestMatchCommand:
         assert code == 3
         assert "groups of 2" in err
 
-    def test_out_of_range_k_exits_4(self, tmp_path, capsys):
-        rows = [f"i{n},{n}" for n in range(20)]
-        path = write_csv(tmp_path, rows)
-        code, _, err = run_cli(capsys, ["match", "--input", path, "--k", "20"])
-        assert code == 4
-        assert "certified" in err
+    @pytest.mark.parametrize("weight", ["abs", "sq"])
+    def test_any_k_from_2_matches_without_a_flag(self, tmp_path, capsys, weight):
+        path = write_csv(tmp_path, [f"i{n},{n}" for n in range(20)])
+        code, out, err = run_cli(capsys, ["match", "--input", path, "--k", "20",
+                                          "--weight", weight])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [m["id"] for m in doc["groups"][0]["members"]] == [
+            f"i{n}" for n in range(20)]
+        assert "uncertified" not in doc["config"]
 
     def test_undersized_k_exits_4(self, tmp_path, capsys):
         path = write_csv(tmp_path, ["a,1", "b,2"])
         code, _, err = run_cli(capsys, ["match", "--input", path, "--k", "1"])
         assert code == 4
         assert "at least 2" in err
-
-    def test_uncertified_flag_lifts_gate(self, tmp_path, capsys):
-        rows = [f"i{n},{n}" for n in range(20)]
-        path = write_csv(tmp_path, rows)
-        code, out, _ = run_cli(
-            capsys,
-            ["match", "--input", path, "--k", "20", "--uncertified"],
-        )
-        assert code == 0
-        assert len(json.loads(out)["groups"]) == 1
 
     @pytest.mark.parametrize(
         "rows,header,fragment",
@@ -208,25 +202,31 @@ class TestCertifyCommand:
         assert "factors=2*(-x1 +x4)*(-x2 +x3)" in out
         assert "factors=2*(-x1 +x3)*(-x2 +x4)" in out
 
-    def test_out_of_range_exits_4(self, capsys):
-        code, _, err = run_cli(capsys, ["certify", "--k", "20", "--weight", "abs"])
-        assert code == 4
-        assert "k<=16" in err
+    @pytest.mark.parametrize("argv", ["certify --weight abs", "certify --k 1"])
+    def test_missing_or_undersized_k_exits_4(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv.split())
+        assert (code, out) == (4, "")
 
-    @pytest.mark.parametrize("argv", ["certify --k 17", "certify --k 9 --weight sq"])
-    def test_out_of_range_message_names_the_cli_flag(self, capsys, argv):
-        code, out, err = run_cli(capsys, argv.split())
-        assert code == 4
-        assert out == ""
-        assert "--uncertified" in err
-        assert "=True" not in err and "exploratory" not in err
+    def test_state_table_over_budget_exits_5_before_tabulating(self, capsys):
+        # C(2k - 1, k - 1) alone takes tens of seconds at k = 10^6
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["certify", "--k", "1000000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (5, "")
+        assert "would tabulate 1500002500000 states, over budget 10000000" in err
 
-    def test_missing_k_exits_4(self, capsys):
-        code, _, err = run_cli(capsys, ["certify", "--weight", "abs"])
-        assert code == 4
+    def test_state_table_just_under_the_budget_verifies(self, capsys, monkeypatch):
+        # 1,000 states at k = 25, 1,079 at k = 26
+        monkeypatch.setattr(certify, "DEFAULT_BUDGET", 1000)
+        code, out, err = run_cli(capsys, ["certify", "--k", "25"])
+        assert (code, err) == (0, "")
+        assert out.startswith("k=25 weight=abs entries=63205303218876 verified=true\n")
+        code, out, err = run_cli(capsys, ["certify", "--k", "26", "--weight", "sq"])
+        assert (code, out) == (5, "")
+        assert "1079 states, over budget 1000" in err
 
     @pytest.mark.parametrize("k,weight", [(40, "abs"), (17, "abs"), (14, "sq")])
-    def test_uncertified_over_budget_exits_5_before_enumerating(
+    def test_large_k_over_budget_exits_5_before_enumerating(
         self, capsys, monkeypatch, k, weight
     ):
         # one failing state: the splits would be enumerated to list the
@@ -239,7 +239,7 @@ class TestCertifyCommand:
             certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
         )
         code, out, err = run_cli(
-            capsys, ["certify", "--k", str(k), "--weight", weight, "--uncertified"]
+            capsys, ["certify", "--k", str(k), "--weight", weight]
         )
         assert code == 5
         assert out == ""
@@ -259,8 +259,9 @@ class TestCertifyCommand:
         assert (code, out) == (5, "")
         assert "20058300 splits, over budget 10000000" in err
 
-    @pytest.mark.parametrize("k,weight", [(40, "abs"), (17, "abs"), (14, "sq")])
-    def test_uncertified_verified_certificates_over_budget_print_the_header(
+    @pytest.mark.parametrize("k,weight", [(40, "abs"), (20, "abs"), (17, "abs"),
+                                          (14, "sq")])
+    def test_large_k_verified_certificates_over_budget_print_the_header(
         self, capsys, monkeypatch, k, weight
     ):
         # a verified uncollected certificate enumerates nothing, so the budget
@@ -271,7 +272,7 @@ class TestCertifyCommand:
         monkeypatch.setattr(certify, "_walk", refuse)
         t0 = time.perf_counter()
         code, out, err = run_cli(
-            capsys, ["certify", "--k", str(k), "--weight", weight, "--uncertified"]
+            capsys, ["certify", "--k", str(k), "--weight", weight]
         )
         assert time.perf_counter() - t0 < 1.0
         assert code == 0 and err == ""
@@ -337,13 +338,13 @@ class TestCertifyCommand:
         "argv,certifier,k",
         [(f"certify --k {k}", certify.certify_abs, k) for k in range(2, 11)]
         + [(f"certify --k {k} --weight sq", certify.certify_sq, k) for k in range(2, 9)]
-        + [("certify --k 9 --weight sq --uncertified", certify.certify_sq, 9)],
+        + [("certify --k 9 --weight sq", certify.certify_sq, 9)],
     )
     def test_streamed_certificate_equals_rendered_entries(
         self, capsys, argv, certifier, k
     ):
         code, out, _ = run_cli(capsys, argv.split())
-        cert = certifier(k, exploratory=True)
+        cert = certifier(k)
         assert code == (0 if cert.verified else 1)
         assert out == certify.certificate_render(cert) + "\n"
 
@@ -421,7 +422,8 @@ class TestCertifyCommand:
     ["match --input x.csv --k 2 --seed 1", "match --input x.csv --k 2 --budget 9",
      "match --input x.csv --k 2 --full-range", "certify --k 2 --seed 1",
      "certify --k 2 --format csv", "certify --k 2 --budget 9",
-     "bench --full-range"],
+     "bench --full-range", "match --input x.csv --k 20 --uncertified",
+     "certify --k 20 --uncertified", "bench --k 20 --uncertified"],
 )
 def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -38,7 +38,7 @@ GOLDEN = [
     ('certify --k 6 --weight sq', 0, '2778ab567445fddc454dc9bfa885b5ba38fd696d940fe846a052d58777a69fbe'),
     ('certify --k 7 --weight sq', 0, '5cc19945ec4653d0e7272c1dc822656b4348af46227767d93b260b64497ca987'),
     ('certify --k 8 --weight sq', 0, 'edde7546b3a34844ae610fbfe801923fd81be737ecf4b081c2b978e09cc04047'),
-    ('certify --k 9 --weight sq --uncertified', 0, '744812672879b2c7ea95d36854eb9def8c0b6b3c53f230c641ea10f372f3790d'),
+    ('certify --k 9 --weight sq', 0, '744812672879b2c7ea95d36854eb9def8c0b6b3c53f230c641ea10f372f3790d'),
     ('certify --full-range --weight sq', 0, 'c83261f28ff0c573cb5c08ac6d370e1d64628049a4e772943283f10b6a32d1d3'),
     ('bench --dist uniform-int --k 2 --weight abs --seed 0 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'd068b8b9dab0d762c02afd06c805323b0dbd0f11457312b08adc2a00a01be071'),
     ('bench --dist uniform-int --k 2 --weight abs --seed 1 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, '651d3193ae9bc9e9f43d8f1a0624b770e1fbed74187709d5834ddc74826b7a13'),

@@ -82,8 +82,8 @@ def expected_output(path, rows, k, weight, balance, fmt):
         return buf.getvalue()
     config = {"subcommand": "match", "input": str(path), "k": k,
               "weight": weight, "balance": balance, "format": fmt, "seed": 0,
-              "budget": 10_000_000, "uncertified": False, "full_range": False}
-    doc = {"schema_version": 1, "config": config, "groups": groups,
+              "budget": 10_000_000, "full_range": False}
+    doc = {"schema_version": 2, "config": config, "groups": groups,
            "total_within": part.total_within}
     if balanced is not None:
         doc["column_means"] = list(balanced.column_means)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reference_forms import balance_columns_reference
 
 from linematch.core import (
-    CertifiedRangeError,
     Cohort,
     KPartition,
     KTuple,
@@ -78,18 +77,15 @@ class TestMatchLine:
         with pytest.raises(SizeError):
             match_line(make_items([1, 2, 3]), 2, WeightKind.ABS)
 
-    def test_range_gate(self):
-        items = make_items(list(range(20)))
-        with pytest.raises(CertifiedRangeError):
-            match_line(items, 20, WeightKind.ABS)
-        part = match_line(items, 20, WeightKind.ABS, uncertified=True)
-        assert len(part.tuples) == 1
-
-    def test_sq_gate_tighter_than_abs(self):
-        items = make_items(list(range(10)))
-        match_line(items, 10, WeightKind.ABS)
-        with pytest.raises(CertifiedRangeError):
-            match_line(items, 10, WeightKind.SQ)
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_every_k_from_2_is_accepted(self, weight):
+        # no certified-range cap: abs k = 20 and sq k = 10 chunk as any k
+        for k in (10, 20):
+            part = match_line(make_items(list(range(20))), k, weight)
+            assert [g.scores() for g in part.tuples] == [
+                tuple(range(i, i + k)) for i in range(0, 20, k)]
+        with pytest.raises(ValidationError):
+            match_line(make_items([1, 2]), 1, weight)
 
     def test_empty_input(self):
         part = match_line([], 2, WeightKind.ABS)
