@@ -40,18 +40,18 @@ GOLDEN = [
     ('certify --k 8 --weight sq', 0, 'edde7546b3a34844ae610fbfe801923fd81be737ecf4b081c2b978e09cc04047'),
     ('certify --k 9 --weight sq', 0, '744812672879b2c7ea95d36854eb9def8c0b6b3c53f230c641ea10f372f3790d'),
     ('certify --full-range --weight sq', 0, 'c83261f28ff0c573cb5c08ac6d370e1d64628049a4e772943283f10b6a32d1d3'),
-    ('bench --dist uniform-int --k 2 --weight abs --seed 0 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'd068b8b9dab0d762c02afd06c805323b0dbd0f11457312b08adc2a00a01be071'),
-    ('bench --dist uniform-int --k 2 --weight abs --seed 1 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, '651d3193ae9bc9e9f43d8f1a0624b770e1fbed74187709d5834ddc74826b7a13'),
-    ('bench --dist uniform-int --k 2 --weight sq --seed 0 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'd846d7f66a9075c155b52de621b52447c8de2554904417aef3579ed9eee22fef'),
-    ('bench --dist uniform-int --k 2 --weight sq --seed 1 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, '629a27440ef61c4e9a9ef9b16d4a5a2e5cc08d3498e2df531c8c1a18d2680dbb'),
-    ('bench --dist uniform-int --k 3 --weight abs --seed 0 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, 'abc38567aa07652c8c211c50fefd6375edd5b13028e1672c118d130e8f3a1be2'),
-    ('bench --dist uniform-int --k 3 --weight abs --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '1310dca1908f71365093886511e528cf0ed8dd422579229d3ca0658250485c97'),
-    ('bench --dist uniform-int --k 3 --weight sq --seed 0 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '44256892434117fd7ea1b186edc4b26c6ad4f39fde129f8c3108f45e4973b88d'),
-    ('bench --dist uniform-int --k 3 --weight sq --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '2c3ceb18b631a8287e360373e021f20ddd4c103c8075f4b1dbc3caeb97ae116c'),
-    ('bench --dist uniform-int --k 4 --weight abs --seed 0 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '6e874a99bd33ca0a45362c71350eb1dc5f1e2ef56f7d2db7ea3ddd231a7a0a27'),
-    ('bench --dist uniform-int --k 4 --weight abs --seed 1 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '4e36242fbfd57a86d50c9fe598df10c063233ab5e635c9b55772b49a0486eb32'),
-    ('bench --dist uniform-int --k 4 --weight sq --seed 0 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '69f25efa2476de8bf91c85f46ece37e8c4db960e07daf20137c3e7ca89f90f5a'),
-    ('bench --dist uniform-int --k 4 --weight sq --seed 1 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '867e572020b4e454a03f8af596f68088bdf44146c88777f0cbeb955b607b771d'),
+    ('bench --dist uniform-int --k 2 --weight abs --seed 0 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'cadbb57a885dc38c5709778b0433b8b8a7fd393fd6d573c16496a9ba05145437'),
+    ('bench --dist uniform-int --k 2 --weight abs --seed 1 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'd1c990c20b81dea9b95975fb357e38b65fd55ce2c5d6d59a0dd2133dc29bf9d5'),
+    ('bench --dist uniform-int --k 2 --weight sq --seed 0 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'b74d6c6d0e3079e6a414089925c8a1beecd6709ece6be0b874f64f21dcb1a66f'),
+    ('bench --dist uniform-int --k 2 --weight sq --seed 1 --line-sizes 3,5 --tri-sizes 2,4 --instances 2', 0, 'e81b93775d1fbe000e8e5f6ad438962708af3063fcb96d0fa448610cd39d28d7'),
+    ('bench --dist uniform-int --k 3 --weight abs --seed 0 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '95feff40ff6746a52d0a015214a22632bcd2bc36f6446972385eabc8ec8ab213'),
+    ('bench --dist uniform-int --k 3 --weight abs --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '7016ea9dcc13cc7fbc9eb8adebf9fb39fb7f3ac011e72606125f7dc8bd6743d0'),
+    ('bench --dist uniform-int --k 3 --weight sq --seed 0 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, 'b0b9daa1a8ba68bfd1009a62bf29a3684d334ba21fd82bdc78419ac128930128'),
+    ('bench --dist uniform-int --k 3 --weight sq --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2', 0, '02694b2746fa70a37b2fcbce15acbf945ddaaf79d59761894bcbd8a3538e6127'),
+    ('bench --dist uniform-int --k 4 --weight abs --seed 0 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, 'c5d83c97777e877a92f68a54a420e31e8dbad5f9fe1c5973959351010bd42837'),
+    ('bench --dist uniform-int --k 4 --weight abs --seed 1 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, 'f767de8cb290be2867e56d7750639ec049e4215be5f760fdb9338e29eaa69b1c'),
+    ('bench --dist uniform-int --k 4 --weight sq --seed 0 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, 'a25553eed48204beefa80d642a8da7630d266dec011172cd02815950cebfe292'),
+    ('bench --dist uniform-int --k 4 --weight sq --seed 1 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '7540ccf62ec84c9fa42439d15016827914bdf345d7f8b5e07b39665443b53e85'),
     ('bench --dist uniform-int --k 3 --weight sq --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2 --format csv', 0, '1e824d30e173eaf1ba7f20308c8a721e5879a2dcb5c6f1a06bb53bc634a3db33'),
 ]
 
@@ -69,15 +69,15 @@ def test_stdout_matches_golden(capsys, argv, code, digest):
 # 8 (k=4) give greedy 8,128 and 35,960 subsets.  At k=5 local search re-splits
 # group pairs at C(9, 4) = 126 splits each (n=4: six pairs).
 FLOAT_BENCH = [
-    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, '6c5d5d96005bbd727a012a8ffca84828a4eb875f28409ef7838ee09585241cdb'),
-    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 1', 0, 'cccaaea20b3ab25ce3ad020ba3df6266f605dbcd28d2d1e05aa53e0140ffdf76'),
-    ('bench --dist uniform-real --k 2 --weight abs --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '4178648205ce0c004a1bdd5acc22cbe9e2215113ea8bc9db248f5aa1711b9f6d'),
-    ('bench --dist uniform-real --k 2 --weight sq --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, 'be38ad03a54908dd7d52aca49d34cd1fb30c84a85414d108a1ac7a863a51313e'),
-    ('bench --dist uniform-real --k 3 --weight sq --seed 0 --line-sizes 2,4,16 --tri-sizes 2,4 --instances 2', 0, '78d6e6685fe337f59fda4a78fa71928b33cb98d05aa68f1102a78b23e7011e1b'),
-    ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '946296f524ada703a0b61d3db7944776954b4c9e861d1bb54552227b15c77d7d'),
-    ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '6f19f8612f1700bc2ecc5fb79cbe7fc6aa04b0eb96f2b2943e873cff98bfdf70'),
-    ('bench --dist uniform-real --k 5 --weight abs --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, 'f246d07120e018997745d99fd67f15c2eaecd8d2768809383f135d570fd54beb'),
-    ('bench --dist uniform-real --k 5 --weight sq --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '7a76b3a4a9a87e66a9bf3e5d6620d537e5849c8d9687051dc2276a99ac7629e0'),
+    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, '137483de37797293fcc9988226b5abbae67be33539787098175d1c6a17cc6a08'),
+    ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 1', 0, '606fc5468f1cc25020a244e5d835bb8fc7b2d698a8485af383141674c2d082e4'),
+    ('bench --dist uniform-real --k 2 --weight abs --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '56db69df0bd8e49469ea8108941102f3533eb3888475d267ee8b639c3a75cb4f'),
+    ('bench --dist uniform-real --k 2 --weight sq --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '070d18cddc0473f1e4836e0c72d59f0a0dfbbb7c05ea1ab1b5e15e9d48eb794e'),
+    ('bench --dist uniform-real --k 3 --weight sq --seed 0 --line-sizes 2,4,16 --tri-sizes 2,4 --instances 2', 0, '4ac7dc7b53d8effc8c7a909463963a611125a3a543ef4c7287ddd0f8a176a8f9'),
+    ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '0aee9fae3874c03c3ce216b3ea9c3888222d67580fea713fc7fa30fc422839cb'),
+    ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '7aa56c39afe504e30722fb4d12a1e1b59e6a36edf71608df43cc87abd8b01bf1'),
+    ('bench --dist uniform-real --k 5 --weight abs --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '2fb5af18c3ec910135c0190fade06b29bad57c0477d7ce585b22bdd2c8ff4224'),
+    ('bench --dist uniform-real --k 5 --weight sq --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '9a3a80ff6bb8083de51f47745662da40c81a0cbbd6735312f016230b025e4061'),
 ]
 
 
