@@ -51,7 +51,7 @@ _ON_USE = {
     "multipartite": ("heuristic_ratio_bound", "instance_from_scores",
                      "match_sorted", "tripartite_lower_bound"),
     "oracle": ("TRIPARTITE_ORACLE_MAX_N", "brute_force_assignment",
-               "brute_force_partition", "greedy_match", "partition_count"),
+               "brute_force_partition", "greedy_match"),
 }
 _MODULE_OF = {name: module for module, names in _ON_USE.items() for name in names}
 
@@ -403,21 +403,19 @@ def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
     line_rows = []
     for name, scores in line_specs:
         n = len(scores) // cfg.k
-        count = partition_count(cfg.k, n)
-        oracle_cost = None
-        if count > cfg.budget and cfg.oracle:
-            _emit(
-                f"error: oracle for k={cfg.k} n={n} needs {count} partitions, "
-                f"over budget {cfg.budget}",
-                err,
-            )
-            return EXIT_BUDGET
         items = [ScoredItem(f"i{i}", s, i) for i, s in enumerate(scores)]
+        # the oracle refuses an instance over budget before any work; its
+        # column is then null, and an error only under --oracle
         try:
-            if count <= cfg.budget:
-                oracle_cost = brute_force_partition(
-                    items, cfg.k, cfg.weight, budget=cfg.budget
-                ).total_within
+            oracle_cost = brute_force_partition(
+                items, cfg.k, cfg.weight, budget=cfg.budget
+            ).total_within
+        except EnumerationBudgetError as exc:
+            if cfg.oracle:
+                _emit(f"error: {exc}", err)
+                return EXIT_BUDGET
+            oracle_cost = None
+        try:
             matched = match_line(items, cfg.k, cfg.weight)
             greedy = greedy_match(items, cfg.k, cfg.weight, budget=cfg.budget)
             local = local_search_2tuple(greedy, cfg.weight, budget=cfg.budget)

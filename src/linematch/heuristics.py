@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Sequence
 
 from .core import (
@@ -32,6 +33,8 @@ from .multipartite import Matching, MultipartiteInstance, match_sorted, matching
 from .oracle import DEFAULT_BUDGET, min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
+
+_TRIPLES_OF_SIX = tuple(combinations(range(6), 3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +111,8 @@ def _two_opt_pairs(
 
 def _min_cost_pairing(dist: list[list[float]]) -> tuple[list[tuple[int, int]], bool]:
     if len(dist) <= EXACT_PAIRING_MAX_POINTS:
-        pairs, _ = min_partition(len(dist), 2, lambda pair: dist[pair[0]][pair[1]])
+        pair_dist = {(a, b): dist[a][b] for a, b in combinations(range(len(dist)), 2)}
+        pairs, _ = min_partition(len(dist), 2, pair_dist.__getitem__)
         return list(pairs), True
     return _two_opt_pairs(dist, _greedy_pairing(dist)), False
 
@@ -120,7 +124,8 @@ def _best_two_triples(
     anchored; ties go to the first combination in lexicographic order)."""
     members = sorted(members)
     sub = [[dist[a][b] for b in members] for a in members]
-    (t1, t2), cost = min_partition(6, 3, lambda t: _triple_cost(sub, t))
+    triple_cost = {t: _triple_cost(sub, t) for t in _TRIPLES_OF_SIX}
+    (t1, t2), cost = min_partition(6, 3, triple_cost.__getitem__)
     return tuple(members[p] for p in t1), tuple(members[p] for p in t2), cost
 
 
@@ -215,6 +220,13 @@ def local_search_2tuple(
     first group, and applies the best strictly-cheaper one.  Cost never
     increases and the scan terminates at a pairwise-optimal fixpoint.
     A pair's C(2k, k) candidate groups are costed in one kernel call.
+
+    A pair's verdict depends only on its two groups, so a pair is skipped
+    when neither group has changed since it was last evaluated: every group
+    carries a version, bumped when it is re-split, and each pair remembers
+    the two versions it was evaluated at.  The sweep that ends the search
+    then evaluates nothing, and a start that is already pairwise-optimal
+    costs exactly C(n, 2) evaluations.
     """
     k = partition.k
     per_pair = math.comb(2 * k - 1, k - 1)
@@ -227,13 +239,20 @@ def local_search_2tuple(
         k, partition.items(), None, weight).group_within)
     # every k-subset of the 2k merged positions: either half of any split
     positions = list(combinations(range(2 * k), k))
+    sort_key = attrgetter("score", "input_rank")
+    version = [0] * len(groups)
+    evaluated_at: dict[tuple[int, int], tuple[int, int]] = {}
 
     improved = True
     while improved:
         improved = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
+                state = (version[i], version[j])
+                if evaluated_at.get((i, j)) == state:
+                    continue
+                evaluated_at[i, j] = state
+                merged = sorted(groups[i] + groups[j], key=sort_key)
                 scores = [m.score for m in merged]
                 table = dict(zip(positions, within_columns(
                     list(zip(*combinations(scores, k))), weight)))
@@ -245,6 +264,8 @@ def local_search_2tuple(
                     groups[j] = [merged[p] for p in g2]
                     costs[i] = table[g1]
                     costs[j] = table[g2]
+                    version[i] += 1
+                    version[j] += 1
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, sum(costs), weight)

@@ -9,7 +9,8 @@ The greedy baseline costs every k-subset once and walks them in cost order
 (ties lexicographic by input rank), taking each subset disjoint from the
 earlier picks; a NaN cost is taken only as a step's first candidate, as a
 loop with strict `<` would.  It trades memory for time: O(C(N, k)) subsets
-held at once instead of C(N, k) costed again at every step.
+held at once, about 100 bytes each, instead of C(N, k) costed again at
+every step.
 
 The public oracles are budgeted.  Every exact partition search in the
 package goes through `min_partition`, and both assignment oracles through
@@ -20,10 +21,12 @@ first minimum.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations, compress, filterfalse, islice
-from operator import eq
-from typing import Callable, Iterator, Sequence
+from array import array
+from itertools import chain, combinations, compress, filterfalse, islice
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -41,12 +44,60 @@ from .multipartite import Matching, MultipartiteInstance, edge_weight
 BIPARTITE_ORACLE_MAX_N = 8
 TRIPARTITE_ORACLE_MAX_N = 6
 
-_SUBSET_CHUNK = 4096
+# small enough that a chunk's row lists die before the interpreter's
+# young-generation collection (700 allocations) would traverse them
+_SUBSET_CHUNK = 512
+# splits per cached table: larger levels are streamed, not kept
+_SPLIT_CACHE_MAX = 1024
 
 
 def partition_count(k: int, n: int) -> int:
     """Number of distinct partitions of k*n items into n unordered k-groups."""
     return math.factorial(k * n) // (math.factorial(k) ** n * math.factorial(n))
+
+
+def _tuple_getter(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """`itemgetter(*indices)`, which returns a tuple also for one index."""
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(*indices)
+
+
+def _rest_of(companions: tuple[int, ...], unused: Iterable) -> tuple:
+    """What is left of `unused` once its first item and those at the
+    positions `companions` are taken, in order."""
+    chosen = set(companions)
+    return tuple(x for i, x in enumerate(unused) if i and i not in chosen)
+
+
+@functools.lru_cache(maxsize=16)
+def _split_table(m: int, k: int) -> tuple[tuple[Callable, Callable], ...]:
+    """Every branch of a search over m unused items, as (group, rest)
+    getters: the first item with each (k - 1)-combination of the others, in
+    `combinations` order, and the items not chosen, in their order."""
+    return tuple((_tuple_getter((0,) + companions),
+                  _tuple_getter(_rest_of(companions, range(m))))
+                 for companions in combinations(range(1, m), k - 1))
+
+
+def _split_stream(m: int, k: int) -> Iterator[tuple[Callable, Callable]]:
+    """The branches of `_split_table(m, k)`, built one at a time, each rest
+    found only when a branch is not cut."""
+    for companions in combinations(range(1, m), k - 1):
+        yield (_tuple_getter((0,) + companions),
+               functools.partial(_rest_of, companions))
+
+
+def _split_levels(n_items: int, k: int) -> dict[int, Callable[[], Iterator]]:
+    """For each branching level of a search over n_items items, by its
+    number of unused items (2k to n_items), a callable that returns an
+    iterator over its splits.  Tables of up to _SPLIT_CACHE_MAX splits are
+    kept in a bounded cache; larger levels are streamed on every pass, so
+    that no large table is held."""
+    return {m: (_split_table(m, k).__iter__
+                if math.comb(m - 1, k - 1) <= _SPLIT_CACHE_MAX
+                else functools.partial(_split_stream, m, k))
+            for m in range(2 * k, n_items + 1, k)}
 
 
 def iter_tuple_partitions(n_items: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -58,19 +109,16 @@ def iter_tuple_partitions(n_items: int, k: int) -> Iterator[tuple[tuple[int, ...
     """
     if n_items % k != 0:
         raise SizeError(f"{n_items} items cannot be split into groups of {k}")
+    levels = _split_levels(n_items, k)
 
     def rec(unused: tuple[int, ...]):
         if len(unused) == k:
             # the last group is forced: a leaf, not a branch
             yield (unused,)
             return
-        anchor = unused[0]
-        rest = unused[1:]
-        for companions in combinations(rest, k - 1):
-            group = (anchor,) + companions
-            chosen = set(companions)
-            remaining = tuple(i for i in rest if i not in chosen)
-            for tail in rec(remaining):
+        for group_of, rest_of in levels[len(unused)]():
+            group = group_of(unused)
+            for tail in rec(rest_of(unused)):
                 yield (group,) + tail
 
     return rec(tuple(range(n_items))) if n_items else iter([()])
@@ -89,13 +137,16 @@ def min_partition(
     costs the running sum of `group_cost` over its groups, first to last.
     Group costs must be nonnegative: a branch whose partial cost reaches the
     incumbent can then at best tie, so it is cut.  No budget: callers size
-    their instances.
+    their instances.  Each level walks the (group, rest) getters of
+    `_split_levels` for its number of unused items, so a branch builds no
+    set or tuple of its own to split the unused items.
     """
     if n_items % k != 0:
         raise SizeError(f"{n_items} items cannot be split into groups of {k}")
     if n_items == 0:
         return ((), 0) if bound is None or 0 < bound else None
     best_cost, best_groups = bound, None
+    levels = _split_levels(n_items, k)
 
     def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, ...], ...]):
         nonlocal best_cost, best_groups
@@ -105,15 +156,12 @@ def min_partition(
             if best_cost is None or cost < best_cost:
                 best_cost, best_groups = cost, acc + (unused,)
             return
-        anchor = unused[0]
-        rest = unused[1:]
-        for companions in combinations(rest, k - 1):
-            group = (anchor,) + companions
+        for group_of, rest_of in levels[len(unused)]():
+            group = group_of(unused)
             cost = partial + group_cost(group)
             if best_cost is not None and cost >= best_cost:
                 continue
-            chosen = set(companions)
-            rec(tuple(i for i in rest if i not in chosen), cost, acc + (group,))
+            rec(rest_of(unused), cost, acc + (group,))
 
     rec(tuple(range(n_items)), 0, ())
     return None if best_groups is None else (best_groups, best_cost)
@@ -138,8 +186,10 @@ def brute_force_partition(
     """Exact minimal k-group partition by exhaustive search.
 
     Among equal-cost minima returns the lexicographically smallest by sorted
-    group contents.  Refuses instances whose partition count exceeds the
-    budget.  Holds a table of all C(N, k) group costs, at most twice that.
+    group contents.  Refuses instances whose partition count, or whose table
+    of all C(N, k) group costs (N = len(items)), exceeds the budget; the
+    table is the larger one only at n = 2, where it holds twice as many
+    entries as there are partitions.
     """
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
@@ -148,6 +198,11 @@ def brute_force_partition(
     if count > budget:
         raise EnumerationBudgetError(
             f"instance too large for oracle: {count} partitions exceeds budget {budget}"
+        )
+    subsets = math.comb(len(items), k)
+    if subsets > budget:
+        raise EnumerationBudgetError(
+            f"instance too large for oracle: {subsets} group costs exceeds budget {budget}"
         )
     ordered = sort_items(items)
     scores = [it.score for it in ordered]
@@ -176,10 +231,12 @@ def greedy_match(
     cost compares below nothing, so it wins a step only as that step's first
     candidate, the first k remaining items; NaN subsets stay out of the sort
     and that candidate is checked at each step.  The picked costs are summed
-    in pick order.  Time is O(C(N, k) log C(N, k)); memory is O(C(N, k)),
-    costs and index tuples, about 170 bytes per subset at k=3 (90 MB for
-    C(150, 3) = 551,300), so the budget on C(N, k) (checked once, as the
-    first step is the largest) also caps memory: ~1.7 GB at the default 10^7.
+    in pick order.  Time is O(C(N, k) log C(N, k)); memory is O(C(N, k)):
+    the costs, the sorted order and one flat array of member indices, k per
+    subset in `combinations` order, a traced peak of about 100 bytes per
+    float-costed subset at k=2 and 3 whatever N (56 MB for C(150, 3) =
+    551,300), so the budget on C(N, k) (checked once, as the first step is
+    the largest) also caps memory: ~1.0 GB at the default 10^7.
     """
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
@@ -190,14 +247,16 @@ def greedy_match(
         raise EnumerationBudgetError(
             f"greedy step would enumerate {count} subsets, over budget {budget}"
         )
-    combos = list(combinations(range(n), k))
+    # subset i is members[i * k : i * k + k]
+    members = array("I", chain.from_iterable(combinations(range(n), k)))
     scores = [it.score for it in ranked]
     costs = _subset_costs(map(sorted, combinations(scores, k)), weight)
     # cost == cost is false only for NaN, which stays out of the sort
     order = sorted(compress(range(count), map(eq, costs, costs)),
                    key=costs.__getitem__)
     nan_costs = {} if len(order) == count else {
-        combo: cost for combo, cost in zip(combos, costs) if cost != cost
+        tuple(members[i * k : i * k + k]): cost
+        for i, cost in enumerate(costs) if cost != cost
     }
     walk = iter(order)
     taken: set[int] = set()
@@ -208,8 +267,9 @@ def greedy_match(
         if first in nan_costs:
             combo, cost = first, nan_costs[first]
         else:
-            index = next(i for i in walk if taken.isdisjoint(combos[i]))
-            combo, cost = combos[index], costs[index]
+            index = next(i for i in walk
+                         if taken.isdisjoint(members[i * k : i * k + k]))
+            combo, cost = members[index * k : index * k + k], costs[index]
         tuples.append(KTuple.of(ranked[i] for i in combo))
         total += cost
         taken.update(combo)

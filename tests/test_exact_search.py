@@ -7,13 +7,17 @@ groups with bit-equal costs as its old copy in `reference_forms`.  Scores
 are tenths drawn from a small range, so ties are frequent.
 """
 
+import gc
 import math
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linematch import heuristics, oracle
 from linematch.core import (
     EnumerationBudgetError,
     KPartition,
@@ -31,6 +35,7 @@ from linematch.heuristics import (
     local_search_2tuple,
     points_from_coords,
 )
+from linematch.matching import match_line
 from linematch.multipartite import instance_from_scores
 from linematch.oracle import (
     _SUBSET_CHUNK,
@@ -65,8 +70,8 @@ def running_cost(partition, group_cost):
 
 
 class TestMinPartition:
-    @given(st.sampled_from([(2, 2), (4, 2), (6, 2), (8, 2), (3, 3), (6, 3),
-                            (9, 3), (4, 4), (8, 4)]),
+    @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (6, 2),
+                            (8, 2), (3, 3), (6, 3), (9, 3), (4, 4), (8, 4)]),
            st.booleans(), st.data())
     def test_equals_first_minimum_of_the_enumeration(self, size, real, data):
         n_items, k = size
@@ -84,6 +89,21 @@ class TestMinPartition:
         assert min_partition(n_items, k, cost, bound=want) is None
         bounded = min_partition(n_items, k, cost, bound=want + 1)
         assert bounded[0] == first and same_bits(bounded[1], want)
+
+    @pytest.mark.parametrize("n_items,k", [(2, 1), (8, 2), (9, 3), (8, 4)])
+    def test_streamed_levels_equal_tabled_levels(self, monkeypatch, n_items, k):
+        # levels above _SPLIT_CACHE_MAX splits are streamed, not tabled;
+        # the same search must come out of either
+        rng = random.Random(n_items * k)
+        table = {g: rng.randint(0, 3) for g in combinations(range(n_items), k)}
+        cost = table.__getitem__
+        tabled = (list(iter_tuple_partitions(n_items, k)),
+                  min_partition(n_items, k, cost),
+                  min_partition(n_items, k, cost, bound=3))
+        monkeypatch.setattr(oracle, "_SPLIT_CACHE_MAX", 0)
+        assert (list(iter_tuple_partitions(n_items, k)),
+                min_partition(n_items, k, cost),
+                min_partition(n_items, k, cost, bound=3)) == tabled
 
     def test_empty_and_indivisible(self):
         assert min_partition(0, 3, len) == ((), 0)
@@ -104,11 +124,13 @@ def test_brute_force_partition_equals_reference(size, weight, data):
     assert same_bits(got.total_within, want.total_within)
 
 
-# k=8, n=2: C(16, 8) = 12,870 subsets, three full cost chunks and a partial
+# k=8, n=2: C(16, 8) = 12,870 subsets, more than one cost chunk, and not a
+# whole number of them
 @settings(deadline=None, max_examples=10)
 @given(weights, st.data())
 def test_brute_force_partition_equals_reference_across_chunks(weight, data):
-    assert 3 * _SUBSET_CHUNK < math.comb(16, 8) < 4 * _SUBSET_CHUNK
+    count = math.comb(16, 8)
+    assert count > _SUBSET_CHUNK and count % _SUBSET_CHUNK
     scores = data.draw(st.lists(tenths, min_size=16, max_size=16))
     items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
     got = brute_force_partition(items, 8, weight)
@@ -183,6 +205,51 @@ def test_local_search_costs_in_its_own_weight(k, weight, presorted):
     assert same_bits(got.total_within, want.total_within)
 
 
+def _count_searches(monkeypatch):
+    """Record each `min_partition` call of local search as the search it
+    asks for: the cost of every candidate group, and the bound."""
+    searches = []
+
+    def recording(n_items, k, group_cost, bound=None):
+        costs = tuple(map(group_cost, combinations(range(n_items), k)))
+        searches.append((costs, bound))
+        return min_partition(n_items, k, group_cost, bound)
+
+    monkeypatch.setattr(heuristics, "min_partition", recording)
+    return searches
+
+
+@pytest.mark.parametrize("weight", list(WeightKind))
+@pytest.mark.parametrize("k", [2, 3])
+def test_local_search_evaluates_no_pair_of_groups_twice(monkeypatch, k, weight):
+    # full-precision floats: two different merged groups never cost the same
+    rng = random.Random(k)
+    items = items_from_pairs((f"i{i}", rng.random()) for i in range(8 * k))
+    start = greedy_match(items, k, weight)
+    searches = _count_searches(monkeypatch)
+    got = local_search_2tuple(start, weight)
+    # the start improves, over more than one sweep
+    assert got.total_within < start.total_within
+    assert len(searches) > math.comb(8, 2)
+    assert len(set(searches)) == len(searches)
+    # and every pair whose group changed was searched again
+    want = local_search_2tuple_reference(start, weight)
+    assert got.tuples == want.tuples
+    assert same_bits(got.total_within, want.total_within)
+
+
+@pytest.mark.parametrize("weight", list(WeightKind))
+def test_local_search_on_a_pairwise_optimal_start_evaluates_each_pair_once(
+        monkeypatch, weight):
+    rng = random.Random(7)
+    items = items_from_pairs((f"i{i}", rng.random()) for i in range(24))
+    start = match_line(items, 3, weight)
+    searches = _count_searches(monkeypatch)
+    got = local_search_2tuple(start, weight)
+    assert got.tuples == start.tuples
+    assert len(searches) == math.comb(8, 2)
+
+
 @settings(deadline=None)
 @given(st.sampled_from([(2, 5), (3, 4)]), weights, st.data())
 def test_brute_force_assignment_equals_reference(shape, weight, data):
@@ -245,6 +312,23 @@ def test_greedy_match_nan_cost_wins_as_first_candidate():
     assert [t.scores() for t in got.tuples] == [(1e308,) * 3, (0.0, 1.0, 2.0)]
     assert math.isnan(got.total_within)
     assert_same_greedy(items, 3, WeightKind.ABS)
+
+
+# Greedy holds every subset's cost, its place in the cost order and its k
+# member indices at once; the traced peak per subset must not grow with N
+# (a bit mask per subset would), so C(400, 2) is measured beside C(60, 3).
+@pytest.mark.parametrize("n_items,k", [(60, 3), (400, 2)])
+def test_greedy_match_memory_per_subset(n_items, k):
+    rng = random.Random(0)
+    items = items_from_pairs((f"i{i}", rng.random()) for i in range(n_items))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        greedy_match(items, k, WeightKind.ABS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / math.comb(n_items, k) < 120
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 2)])

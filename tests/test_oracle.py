@@ -1,9 +1,11 @@
+import math
 import random
 from itertools import permutations
 
 import pytest
 
 from linematch.core import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     SizeError,
     WeightKind,
@@ -71,6 +73,21 @@ class TestBruteForcePartition:
         items = make_items(list(range(12)))
         with pytest.raises(EnumerationBudgetError):
             brute_force_partition(items, 2, WeightKind.ABS, budget=100)
+
+    def test_budget_charges_the_cost_table_at_n2(self):
+        # n = 2 is the one shape whose C(2k, k) group costs outnumber its
+        # partitions, here 70 against 35
+        items = make_items([5, 1, 4, 2, 8, 7, 3, 6])
+        assert (partition_count(4, 2), math.comb(8, 4)) == (35, 70)
+        with pytest.raises(EnumerationBudgetError, match="70 group costs"):
+            brute_force_partition(items, 4, WeightKind.ABS, budget=69)
+        part = brute_force_partition(items, 4, WeightKind.ABS, budget=70)
+        assert group_scores(part) == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        # k = 13 has 5,200,300 partitions, under the default budget, and a
+        # table of 10,400,600 costs (~2.6 GB) over it
+        assert partition_count(13, 2) < DEFAULT_BUDGET < math.comb(26, 13)
+        with pytest.raises(EnumerationBudgetError, match="10400600 group costs"):
+            brute_force_partition(make_items(list(range(26))), 13, WeightKind.ABS)
 
     def test_deterministic_tie_break(self):
         # all-equal scores: every partition costs 0, the index-chunked one wins
