@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ArityError,
@@ -129,19 +129,47 @@ def _best_two_triples(
     return tuple(members[p] for p in t1), tuple(members[p] for p in t2), cost
 
 
-def _refine_triples(
-    dist: list[list[float]], triples: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
+def _sweep_pairs(count: int, resplit: Callable[[int, int], bool]) -> None:
+    """Call resplit(i, j) on the pairs i < j of `count` groups in index
+    order, sweep after sweep, until a sweep re-splits nothing; resplit
+    returns whether it changed groups i and j.
+
+    A pair's verdict depends only on its two groups, so a pair is skipped
+    when neither group has changed since it was last evaluated: every group
+    carries a version, bumped when it is re-split, and each pair remembers
+    the two versions it was evaluated at.  The sweep that ends the search
+    then evaluates nothing, and groups that are already pairwise-optimal
+    cost exactly C(count, 2) evaluations.
+    """
+    version = [0] * count
+    evaluated_at: dict[tuple[int, int], tuple[int, int]] = {}
     improved = True
     while improved:
         improved = False
-        for i in range(len(triples)):
-            for j in range(i + 1, len(triples)):
-                cur = _triple_cost(dist, triples[i]) + _triple_cost(dist, triples[j])
-                t1, t2, c = _best_two_triples(dist, triples[i] + triples[j])
-                if c < cur:
-                    triples[i], triples[j] = t1, t2
+        for i in range(count):
+            for j in range(i + 1, count):
+                state = (version[i], version[j])
+                if evaluated_at.get((i, j)) == state:
+                    continue
+                evaluated_at[i, j] = state
+                if resplit(i, j):
+                    version[i] += 1
+                    version[j] += 1
                     improved = True
+
+
+def _refine_triples(
+    dist: list[list[float]], triples: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    def resplit(i: int, j: int) -> bool:
+        cur = _triple_cost(dist, triples[i]) + _triple_cost(dist, triples[j])
+        t1, t2, c = _best_two_triples(dist, triples[i] + triples[j])
+        if c < cur:
+            triples[i], triples[j] = t1, t2
+            return True
+        return False
+
+    _sweep_pairs(len(triples), resplit)
     return triples
 
 
@@ -219,14 +247,9 @@ def local_search_2tuple(
     of the 2k concatenated members that keeps the smallest member in the
     first group, and applies the best strictly-cheaper one.  Cost never
     increases and the scan terminates at a pairwise-optimal fixpoint.
-    A pair's C(2k, k) candidate groups are costed in one kernel call.
-
-    A pair's verdict depends only on its two groups, so a pair is skipped
-    when neither group has changed since it was last evaluated: every group
-    carries a version, bumped when it is re-split, and each pair remembers
-    the two versions it was evaluated at.  The sweep that ends the search
-    then evaluates nothing, and a start that is already pairwise-optimal
-    costs exactly C(n, 2) evaluations.
+    A pair's C(2k, k) candidate groups are costed in one kernel call, and
+    `_sweep_pairs` skips a pair whose two groups have not changed since it
+    was last evaluated.
     """
     k = partition.k
     per_pair = math.comb(2 * k - 1, k - 1)
@@ -240,33 +263,24 @@ def local_search_2tuple(
     # every k-subset of the 2k merged positions: either half of any split
     positions = list(combinations(range(2 * k), k))
     sort_key = attrgetter("score", "input_rank")
-    version = [0] * len(groups)
-    evaluated_at: dict[tuple[int, int], tuple[int, int]] = {}
 
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                state = (version[i], version[j])
-                if evaluated_at.get((i, j)) == state:
-                    continue
-                evaluated_at[i, j] = state
-                merged = sorted(groups[i] + groups[j], key=sort_key)
-                scores = [m.score for m in merged]
-                table = dict(zip(positions, within_columns(
-                    list(zip(*combinations(scores, k))), weight)))
-                better = min_partition(2 * k, k, table.__getitem__,
-                                       bound=costs[i] + costs[j])
-                if better is not None:
-                    (g1, g2), _ = better
-                    groups[i] = [merged[p] for p in g1]
-                    groups[j] = [merged[p] for p in g2]
-                    costs[i] = table[g1]
-                    costs[j] = table[g2]
-                    version[i] += 1
-                    version[j] += 1
-                    improved = True
+    def resplit(i: int, j: int) -> bool:
+        merged = sorted(groups[i] + groups[j], key=sort_key)
+        scores = [m.score for m in merged]
+        table = dict(zip(positions, within_columns(
+            list(zip(*combinations(scores, k))), weight)))
+        better = min_partition(2 * k, k, table.__getitem__,
+                               bound=costs[i] + costs[j])
+        if better is None:
+            return False
+        (g1, g2), _ = better
+        groups[i] = [merged[p] for p in g1]
+        groups[j] = [merged[p] for p in g2]
+        costs[i] = table[g1]
+        costs[j] = table[g2]
+        return True
+
+    _sweep_pairs(len(groups), resplit)
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, sum(costs), weight)
 

@@ -30,7 +30,7 @@ from linematch.certify import (
     SuffixSumProof,
     _check_bipartition,
 )
-from linematch.heuristics import EuclideanPoint
+from linematch.heuristics import EuclideanPoint, _best_two_triples
 from linematch.multipartite import (
     Matching,
     MultipartiteInstance,
@@ -356,6 +356,30 @@ def best_two_triples_reference(
             best = c
             best_split = (t1, t2)
     return best_split[0], best_split[1], best
+
+# The pairwise refinement of the hierarchical heuristic as first written,
+# every pair of triples re-split again on every sweep: the one in
+# linematch.heuristics, which skips pairs whose triples did not change, must
+# end at the same triples.
+def refine_triples_reference(
+    dist: list[list[float]], triples: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    def cost(triple):
+        a, b, c = triple
+        return dist[a][b] + dist[b][c] + dist[c][a]
+
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(triples)):
+            for j in range(i + 1, len(triples)):
+                cur = cost(triples[i]) + cost(triples[j])
+                t1, t2, c = _best_two_triples(dist, triples[i] + triples[j])
+                if c < cur:
+                    triples[i], triples[j] = t1, t2
+                    improved = True
+    return triples
+
 
 def local_search_2tuple_reference(
     partition: KPartition,

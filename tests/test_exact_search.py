@@ -32,6 +32,7 @@ from linematch.heuristics import (
     _best_two_triples,
     _dist_table,
     _min_cost_pairing,
+    _refine_triples,
     local_search_2tuple,
     points_from_coords,
 )
@@ -52,6 +53,7 @@ from reference_forms import (
     exact_pairing_reference,
     greedy_match_reference,
     local_search_2tuple_reference,
+    refine_triples_reference,
 )
 
 tenths = st.integers(0, 30).map(lambda t: t / 10)
@@ -159,6 +161,18 @@ def test_best_two_triples_equals_reference(dims, data):
     got = _best_two_triples(_dist_table(points), members)
     want = best_two_triples_reference(points, members)
     assert got[:2] == want[:2] and same_bits(got[2], want[2])
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.integers(1, 2), st.data())
+def test_refine_triples_equals_reference(count, dims, data):
+    coords = data.draw(st.lists(st.lists(tenths, min_size=dims, max_size=dims),
+                                min_size=3 * count, max_size=3 * count))
+    dist = _dist_table(points_from_coords(coords))
+    order = data.draw(st.permutations(range(3 * count)))
+    triples = [tuple(order[i : i + 3]) for i in range(0, 3 * count, 3)]
+    assert _refine_triples(dist, list(triples)) == refine_triples_reference(
+        dist, list(triples))
 
 
 # min_partition cuts a branch once its partial cost reaches the incumbent,
