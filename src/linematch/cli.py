@@ -5,11 +5,12 @@
 
 Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
 input CSV; 3 item count not divisible by k; 4 k below 2; 5 enumeration
-budget exceeded (a requested bench oracle, a greedy or local-search step,
-a certificate state table of more than DEFAULT_BUDGET states, or a
-certificate whose table fails a state and that would enumerate more than
-DEFAULT_BUDGET splits to list the failures; a verified one enumerates
-nothing unless collected, and a collected one has at most COLLECT_LIMIT).
+budget exceeded (`match --balance` with k^3 over DEFAULT_BUDGET, a
+requested bench oracle, a greedy or local-search step, a certificate state
+table of more than DEFAULT_BUDGET states, or a certificate whose table
+fails a state and that would enumerate more than DEFAULT_BUDGET splits to
+list the failures; a verified one enumerates nothing unless collected, and
+a collected one has at most COLLECT_LIMIT).
 """
 
 from __future__ import annotations
@@ -215,7 +216,11 @@ def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
 
     slots = column_means = None
     if cfg.balance:
-        balanced = balance_columns(partition)
+        try:
+            balanced = balance_columns(partition)
+        except EnumerationBudgetError as exc:
+            _emit(f"error: {exc}", err)
+            return EXIT_BUDGET
         slots = _member_slots(balanced.column_assignment, cfg.k)
         column_means = balanced.column_means
     if cfg.format == "json":
@@ -246,7 +251,9 @@ def _csv_field(text: str) -> str:
 def _match_csv(partition, slots, out) -> None:
     """The match CSV, `group,id,score,slot,within` rows filled from one `%`
     template, one chunk of rows per write.  Numbers print as `str`, as
-    csv.writer prints them."""
+    csv.writer prints them; a group's index and `within` are rendered once
+    for its k rows.  A chunk's ids are quoted one by one only when their
+    concatenation holds a character that needs quoting."""
     ids, scores, _ = partition.columns()
     within = partition.group_within
     k = partition.k
@@ -256,13 +263,15 @@ def _match_csv(partition, slots, out) -> None:
     for start, stop, a, b in _chunks(partition):
         fields = [None] * ((b - a) * width)
         fields[0::width] = chain.from_iterable(
-            map(repeat, range(start, stop), repeat(k)))
-        fields[1::width] = map(_csv_field, ids[a:b])
+            map(repeat, map(str, range(start, stop)), repeat(k)))
+        chunk_ids = ids[a:b]
+        fields[1::width] = (map(_csv_field, chunk_ids)
+                            if _NEEDS_QUOTES("".join(chunk_ids)) else chunk_ids)
         fields[2::width] = scores[a:b]
         if slots is not None:
             fields[3::width] = slots[a:b]
         fields[width - 1::width] = chain.from_iterable(
-            map(repeat, within[start:stop], repeat(k)))
+            map(repeat, map(str, within[start:stop]), repeat(k)))
         out.write(row * (b - a) % tuple(fields))
 
 

@@ -86,6 +86,16 @@ class TestMatchCommand:
             sums = [a + b for a, b in zip(sums, placed)]
             assert max(sums) - min(sums) == max(floor) - min(floor)
 
+    def test_balance_over_budget_exits_5(self, tmp_path, capsys):
+        # 216^3 steps per group exceed DEFAULT_BUDGET; matching alone is fine
+        path = write_csv(tmp_path, [f"i{n},{n % 7}" for n in range(432)])
+        argv = ["match", "--input", path, "--k", "216", "--format", "csv"]
+        assert run_cli(capsys, argv)[0] == 0
+        code, out, err = run_cli(capsys, argv + ["--balance"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_csv(tmp_path, CANONICAL)
         code, out, _ = run_cli(

@@ -214,18 +214,24 @@ def test_ids_with_a_lone_cr_round_trip_through_csv_reader(tmp_path, k, balance):
     assert '"r\rs"' in got and '"c\r\nd"' in got and ",plain," in got
 
 
-def test_a_lone_cr_in_a_later_chunk_round_trips(tmp_path):
+def test_ids_needing_quotes_in_a_later_chunk_round_trip(tmp_path):
+    # the largest scores put a lone "\r", a comma and a quote in the last
+    # group, so only the third chunk holds ids that need quoting
     rows = [(f"p{n}", str(n % 89)) for n in range(2 * BATCH_ROWS + 7)]
-    rows[BATCH_ROWS + 3] = ("late\rid", "5")
+    late = ["late\rid", "com,ma", 'quo"te']
+    rows[BATCH_ROWS + 3:BATCH_ROWS + 6] = [(i, str(200 + n)) for n, i in enumerate(late)]
     path = tmp_path / "cohort.csv"
     write_quoted_cohort(path, rows)
     argv = ["match", "--input", str(path), "--k", "3", "--weight", "sq",
             "--balance", "--format", "csv"]
     got = stdout_of(argv)
     assert got == match_stdout_reference(argv)
+    third_chunk = got.index("\n%d," % (2 * (BATCH_ROWS // 3)))
+    assert got.index('"') > third_chunk
     table = read_back(got)
     assert len(table) == len(rows) + 1 and all(len(row) == 5 for row in table)
     assert sorted(row[1] for row in table[1:]) == sorted(i for i, _ in rows)
+    assert [row[1] for row in table[-3:]] == late
 
 
 class _Writes:

@@ -9,6 +9,7 @@ from reference_forms import balance_columns_reference
 
 from linematch.core import (
     Cohort,
+    EnumerationBudgetError,
     KPartition,
     KTuple,
     SizeError,
@@ -270,6 +271,40 @@ class TestBalanceColumns:
         part = match_line(make_items([1.7e308] * (2 * k)), k, WeightKind.ABS)
         assert balance_columns(part).column_assignment == (tuple(range(k)),) * 2
         assert_equals_reference(part)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equal_score_groups_equal_reference_loop(self, k):
+        # every group holds one value, so each keeps the identity with no
+        # floor: zeros of mixed sign, and 1.7e308 groups whose slot sums
+        # overflow to inf (and to NaN once -1.7e308 groups join them)
+        rng = random.Random(k)
+        values = [0.0, 1.7e308, -1.7e308, 1.5, 25.5, 0.1, -3.0]
+        for _ in range(30):
+            scores = []
+            for value in rng.sample(values, rng.randint(1, 4)):
+                scores += [value] * (k * rng.randint(1, 3))
+            scores = [rng.choice([0.0, -0.0]) if s == 0 else s for s in scores]
+            rng.shuffle(scores)
+            for weight in WeightKind:
+                part = match_line(make_items(scores), k, weight)
+                assert all(len(set(g)) == 1 for g in group_scores(part))
+                assert_equals_reference(part)
+
+    @pytest.mark.parametrize("k", [2, 3, 215])
+    def test_k_cubed_within_budget_is_balanced(self, k):
+        rng = random.Random(k)
+        part = match_line(make_items([rng.random() for _ in range(2 * k)]),
+                          k, WeightKind.ABS)
+        assert len(balance_columns(part).column_assignment) == 2
+
+    def test_k216_is_refused_before_any_group(self):
+        # 216^3 exceeds DEFAULT_BUDGET; a lone group, which needs no
+        # balancing, is refused as well
+        for n in (1, 2):
+            part = match_line(make_items([float(i) for i in range(216 * n)]),
+                              216, WeightKind.SQ)
+            with pytest.raises(EnumerationBudgetError, match="budget"):
+                balance_columns(part)
 
     @pytest.mark.parametrize("weight", list(WeightKind))
     def test_k7_equals_reference_loop(self, weight):
