@@ -317,8 +317,10 @@ def _match_json(cfg: RunConfig, partition, slots, column_means, out) -> None:
     )
     out.write(head[: -len("\n}")] + ',\n  "groups": [')
     for start, stop, a, b in _chunks(partition):
+        # scores are finite (the reader and match_line reject the others),
+        # so their repr is already JSON; only within can be non-finite
         columns = [list(map(encode_basestring_ascii, ids[a:b])),
-                   _json_numbers(scores[a:b])]
+                   list(map(repr, scores[a:b]))]
         if slots is not None:
             columns.append(slots[a:b])
         # one run of fields per group: index, each member's columns, within

@@ -30,11 +30,9 @@ from .core import (
     within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
-from .oracle import DEFAULT_BUDGET, min_partition
+from .oracle import DEFAULT_BUDGET, min_partition, min_split
 
 EXACT_PAIRING_MAX_POINTS = 12
-
-_TRIPLES_OF_SIX = tuple(combinations(range(6), 3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,11 +120,10 @@ def _best_two_triples(
 ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
     """Cheapest split of six point indices into two triples (first member
     anchored; ties go to the first combination in lexicographic order)."""
-    members = sorted(members)
-    sub = [[dist[a][b] for b in members] for a in members]
-    triple_cost = {t: _triple_cost(sub, t) for t in _TRIPLES_OF_SIX}
-    (t1, t2), cost = min_partition(6, 3, triple_cost.__getitem__)
-    return tuple(members[p] for p in t1), tuple(members[p] for p in t2), cost
+    triples = list(combinations(sorted(members), 3))
+    (r1, r2), cost = min_split(
+        [dist[a][b] + dist[b][c] + dist[c][a] for a, b, c in triples])
+    return triples[r1], triples[r2], cost
 
 
 def _sweep_pairs(count: int, resplit: Callable[[int, int], bool]) -> None:
@@ -247,9 +244,10 @@ def local_search_2tuple(
     of the 2k concatenated members that keeps the smallest member in the
     first group, and applies the best strictly-cheaper one.  Cost never
     increases and the scan terminates at a pairwise-optimal fixpoint.
-    A pair's C(2k, k) candidate groups are costed in one kernel call, and
-    `_sweep_pairs` skips a pair whose two groups have not changed since it
-    was last evaluated.
+    A pair's C(2k, k) candidate groups are costed in one kernel call, in
+    `combinations` order, and `min_split` reads each split as a group and
+    its complement from that list by rank; `_sweep_pairs` skips a pair
+    whose two groups have not changed since it was last evaluated.
     """
     k = partition.k
     per_pair = math.comb(2 * k - 1, k - 1)
@@ -267,17 +265,15 @@ def local_search_2tuple(
     def resplit(i: int, j: int) -> bool:
         merged = sorted(groups[i] + groups[j], key=sort_key)
         scores = [m.score for m in merged]
-        table = dict(zip(positions, within_columns(
-            list(zip(*combinations(scores, k))), weight)))
-        better = min_partition(2 * k, k, table.__getitem__,
-                               bound=costs[i] + costs[j])
+        within = within_columns(list(zip(*combinations(scores, k))), weight)
+        better = min_split(within, bound=costs[i] + costs[j])
         if better is None:
             return False
-        (g1, g2), _ = better
-        groups[i] = [merged[p] for p in g1]
-        groups[j] = [merged[p] for p in g2]
-        costs[i] = table[g1]
-        costs[j] = table[g2]
+        (r1, r2), _ = better
+        groups[i] = [merged[p] for p in positions[r1]]
+        groups[j] = [merged[p] for p in positions[r2]]
+        costs[i] = within[r1]
+        costs[j] = within[r2]
         return True
 
     _sweep_pairs(len(groups), resplit)

@@ -13,10 +13,14 @@ held at once, about 100 bytes each, instead of C(N, k) costed again at
 every step.
 
 The public oracles are budgeted.  Every exact partition search in the
-package goes through `min_partition`, and both assignment oracles through
-one permutation search.  Neither cuts a branch that could still beat the
-incumbent, so (for nonnegative costs) the result is the lexicographically
-first minimum.
+package goes through `min_partition`; its two-group case, `min_split`,
+walks the same order over a flat list of the C(2k, k) subset costs, where
+subset i and its complement sit at ranks i and C(2k, k) - 1 - i, so a
+branch is two list lookups.  Both assignment oracles go through one
+permutation search over rows of edge weights, which adds a branch's
+weights inline and cuts a child before entering it.  No search cuts a
+branch that could still beat the incumbent, so (for nonnegative costs)
+the result is the lexicographically first minimum.
 """
 
 from __future__ import annotations
@@ -167,6 +171,32 @@ def min_partition(
     return None if best_groups is None else (best_groups, best_cost)
 
 
+def min_split(
+    costs: Sequence[float],
+    bound: float | None = None,
+) -> tuple[tuple[int, int], float] | None:
+    """`min_partition` of 2k items into two k-groups, read from the cost of
+    every k-subset in `combinations(range(2k), k)` order (k >= 1), as
+    ((rank, rank), cost) of the two groups in that order; None if no split
+    is below `bound`.
+
+    The first half of that order holds exactly the subsets with item 0, in
+    the order `min_partition` walks its first groups, and the complement of
+    subset i is subset len(costs) - 1 - i.  So each branch is two lookups,
+    summed and cut with `min_partition`'s arithmetic and tie rule.
+    """
+    last = len(costs) - 1
+    best_cost, best = bound, None
+    for i in range(len(costs) // 2):
+        cost = 0 + costs[i]
+        if best_cost is not None and cost >= best_cost:
+            continue
+        cost = cost + costs[last - i]
+        if best_cost is None or cost < best_cost:
+            best_cost, best = cost, i
+    return None if best is None else ((best, last - best), best_cost)
+
+
 def _subset_costs(subsets: Iterator[Sequence], weight: WeightKind) -> list[float]:
     """Within-distance of each nondecreasing subset, costed by the
     `within_columns` kernel _SUBSET_CHUNK subsets at a time so that only the
@@ -277,42 +307,53 @@ def greedy_match(
 
 
 def _min_permutation(
-    n: int,
-    step: Callable[[float, int, int], float],
+    a: Sequence[Sequence[float]],
+    b: Sequence[Sequence[float]] | None = None,
     partial: float = 0,
     bound: float | None = None,
     finish: Callable | None = None,
 ) -> tuple[float | None, object]:
-    """Lexicographically first cheapest permutation of range(n), as
-    (cost, perm); (bound, None) if none is below `bound`.
+    """Lexicographically first cheapest permutation of range(n), n = len(a)
+    >= 1, as (cost, perm); (bound, None) if none is below `bound`.
 
-    `step(partial, i, j)` is the cost once row i takes column j; branches
-    whose partial cost exceeds the incumbent are cut.  With `finish`, a full
-    permutation is passed on as finish(partial, perm, incumbent), which
-    returns (cost, result) for a cheaper completion or (incumbent, None).
+    Row i taking column j adds a[i][j] to the partial cost, then b[i][j]
+    when `b` is given.  The free columns are one ordered list, and a child
+    whose partial cost exceeds the incumbent is cut before it is entered,
+    so a branch costs two list lookups and no call of its own.  With
+    `finish`, a full permutation is passed on as finish(partial, perm,
+    incumbent), which returns (cost, result) for a cheaper completion or
+    (incumbent, None).
     """
+    n = len(a)
     best_cost, best = bound, None
-    used = [False] * n
+    if best_cost is not None and partial > best_cost:
+        return best_cost, best
+    free = list(range(n))
     perm: list[int] = []
 
     def rec(i: int, partial: float):
         nonlocal best_cost, best
-        if best_cost is not None and partial > best_cost:
-            return
-        if i < n:
-            for j in range(n):
-                if not used[j]:
-                    used[j] = True
-                    perm.append(j)
-                    rec(i + 1, step(partial, i, j))
-                    perm.pop()
-                    used[j] = False
-        elif finish is not None:
-            cost, result = finish(partial, tuple(perm), best_cost)
-            if result is not None:
-                best_cost, best = cost, result
-        elif best_cost is None or partial < best_cost:
-            best_cost, best = partial, tuple(perm)
+        row = a[i]
+        extra = None if b is None else b[i]
+        leaf = i + 1 == n
+        for pos in range(n - i):
+            j = free.pop(pos)
+            cost = partial + row[j]
+            if extra is not None:
+                cost = cost + extra[j]
+            # not `cost <= best_cost`: a NaN partial cost is not cut
+            if best_cost is None or not cost > best_cost:
+                perm.append(j)
+                if not leaf:
+                    rec(i + 1, cost)
+                elif finish is not None:
+                    cost, result = finish(cost, tuple(perm), best_cost)
+                    if result is not None:
+                        best_cost, best = cost, result
+                elif best_cost is None or cost < best_cost:
+                    best_cost, best = cost, tuple(perm)
+                perm.pop()
+            free.insert(pos, j)
 
     rec(0, partial)
     return best_cost, best
@@ -336,7 +377,7 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
         xs = instance.scores(0)
         ys = instance.scores(1)
         cost = [[edge_weight(w, x, y) for y in ys] for x in xs]
-        total, perm = _min_permutation(n, lambda p, i, j: p + cost[i][j])
+        total, perm = _min_permutation(cost)
         return Matching(tuple((i, perm[i]) for i in range(n)), total)
 
     if n > TRIPARTITE_ORACLE_MAX_N:
@@ -348,17 +389,16 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
     zs = instance.scores(2)
     ab = [[edge_weight(w, x, y) for y in ys] for x in xs]
     bc = [[edge_weight(w, y, z) for z in zs] for y in ys]
-    ca = [[edge_weight(w, z, x) for x in xs] for z in zs]
+    # by row of part 0: ca[i][j] weighs the edge from z_j back to x_i, so
+    # row i of the inner search adds bc[sigma[i]][j], then ca[i][j]
+    ca = [[edge_weight(w, z, x) for z in zs] for x in xs]
 
     def best_tau(partial, sigma, incumbent):
-        cost, tau = _min_permutation(
-            n, lambda p, i, j: p + bc[sigma[i]][j] + ca[j][i], partial, incumbent
-        )
+        cost, tau = _min_permutation([bc[s] for s in sigma], ca,
+                                     partial, incumbent)
         return cost, None if tau is None else (sigma, tau)
 
-    total, (sigma, tau) = _min_permutation(
-        n, lambda p, i, j: p + ab[i][j], finish=best_tau
-    )
+    total, (sigma, tau) = _min_permutation(ab, finish=best_tau)
     return Matching(tuple((i, sigma[i], tau[i]) for i in range(n)), total)
 
 
@@ -371,5 +411,6 @@ __all__ = [
     "greedy_match",
     "iter_tuple_partitions",
     "min_partition",
+    "min_split",
     "partition_count",
 ]

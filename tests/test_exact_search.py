@@ -45,6 +45,7 @@ from linematch.oracle import (
     greedy_match,
     iter_tuple_partitions,
     min_partition,
+    min_split,
 )
 from reference_forms import (
     best_two_triples_reference,
@@ -112,6 +113,53 @@ class TestMinPartition:
         assert min_partition(0, 3, len, bound=0) is None
         with pytest.raises(SizeError, match="groups of 2"):
             min_partition(5, 2, len)
+
+
+# Candidate group costs for a two-group split: tied integers and tenths,
+# the float abs kernel's -5.55e-17 on five tied tenths, signed zeros, NaN
+SPLIT_COSTS = st.one_of(
+    st.integers(0, 3),
+    tenths,
+    st.sampled_from([-5.551115123125783e-17, 0.0, -0.0, math.nan]),
+)
+
+
+def assert_split_is_min_partition(k, costs, bound):
+    groups = list(combinations(range(2 * k), k))
+    want = min_partition(2 * k, k, dict(zip(groups, costs)).__getitem__, bound)
+    got = min_split(costs, bound)
+    if want is None:
+        assert got is None
+    else:
+        (first, second), cost = got
+        assert (groups[first], groups[second]) == want[0]
+        assert same_bits(cost, want[1])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_min_split_is_min_partition_of_two_groups(k, data):
+    count = math.comb(2 * k, k)
+    costs = data.draw(st.lists(SPLIT_COSTS, min_size=count, max_size=count))
+    # no bound, a bound exactly at one split's cost, or just above it
+    split = data.draw(st.integers(0, count // 2 - 1))
+    at = 0 + costs[split] + costs[-1 - split]
+    bound = data.draw(st.sampled_from(
+        [None, at, math.nextafter(at, math.inf), at + 1]))
+    assert_split_is_min_partition(k, costs, bound)
+
+
+@pytest.mark.parametrize("costs", [
+    # the running sum starts from int 0, and 0 + -0.0 is 0.0
+    [-0.0, -0.0],
+    [-0.0, 1, 1, 1, 1, -0.0],
+    # a NaN split is taken only as the first branch, and then kept
+    [math.nan, 0.1, 0.2, 0.3, 0.4, 0.0],
+    [0.0, math.nan, 0.1, 0.2, 0.3, 0.4],
+])
+def test_min_split_is_min_partition_on_signed_zeros_and_nan(costs):
+    k = {2: 1, 6: 2}[len(costs)]
+    assert_split_is_min_partition(k, costs, None)
 
 
 @settings(deadline=None)
@@ -220,16 +268,15 @@ def test_local_search_costs_in_its_own_weight(k, weight, presorted):
 
 
 def _count_searches(monkeypatch):
-    """Record each `min_partition` call of local search as the search it
-    asks for: the cost of every candidate group, and the bound."""
+    """Record each `min_split` call of local search as the search it asks
+    for: the cost of every candidate group, and the bound."""
     searches = []
 
-    def recording(n_items, k, group_cost, bound=None):
-        costs = tuple(map(group_cost, combinations(range(n_items), k)))
-        searches.append((costs, bound))
-        return min_partition(n_items, k, group_cost, bound)
+    def recording(costs, bound=None):
+        searches.append((tuple(costs), bound))
+        return min_split(costs, bound)
 
-    monkeypatch.setattr(heuristics, "min_partition", recording)
+    monkeypatch.setattr(heuristics, "min_split", recording)
     return searches
 
 
@@ -264,11 +311,21 @@ def test_local_search_on_a_pairwise_optimal_start_evaluates_each_pair_once(
     assert len(searches) == math.comb(8, 2)
 
 
+# tied tenths, and +-1e308, whose edges weigh inf: an inf partial cost
+# is never cut by the strict `>` and never replaces an inf incumbent
+ASSIGNMENT_SCORES = st.sampled_from([
+    tenths,
+    st.sampled_from([1e308, -1e308, 0.0, 1.0]),
+])
+
+
+# tripartite n = 5 is the shape `bench` runs
 @settings(deadline=None)
-@given(st.sampled_from([(2, 5), (3, 4)]), weights, st.data())
-def test_brute_force_assignment_equals_reference(shape, weight, data):
+@given(st.sampled_from([(2, 5), (2, 6), (3, 4), (3, 5)]), weights,
+       ASSIGNMENT_SCORES, st.data())
+def test_brute_force_assignment_equals_reference(shape, weight, family, data):
     parts, n = shape
-    scores = data.draw(st.lists(st.lists(tenths, min_size=n, max_size=n),
+    scores = data.draw(st.lists(st.lists(family, min_size=n, max_size=n),
                                 min_size=parts, max_size=parts))
     instance = instance_from_scores(scores, weight)
     got = brute_force_assignment(instance)
