@@ -5,12 +5,12 @@ enumeration of k-group partitions (lowest unused item anchors each group),
 permutation enumeration for bipartite/tripartite matching, and the greedy
 cheapest-group-first heuristic that exists purely to be beaten.
 
-The greedy baseline costs every k-subset once and walks them in cost order
-(ties lexicographic by input rank), taking each subset disjoint from the
-earlier picks; a NaN cost is taken only as a step's first candidate, as a
-loop with strict `<` would.  It trades memory for time: O(C(N, k)) subsets
-held at once, about 100 bytes each, instead of C(N, k) costed again at
-every step.
+The greedy baseline searches each step in value order: every (k - 1)-prefix
+of the N remaining items is costed with its first free completion, the one
+that costs it least, so a step costs O(C(N - 1, k - 1)) rows and holds one
+cost per row.  Ties go to the lexicographically first input ranks, and a
+NaN cost is taken only as a step's first candidate, as a loop with strict
+`<` would.
 
 The public oracles are budgeted.  Every exact partition search in the
 package goes through `min_partition`; its two-group case, `min_split`,
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
-from itertools import chain, combinations, compress, filterfalse, islice
-from operator import eq, itemgetter
+from itertools import combinations, compress, islice, repeat, takewhile
+from operator import eq, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -243,6 +242,94 @@ def brute_force_partition(
     return KPartition(k, tuples, cost, weight)
 
 
+def _nth_combination(m: int, r: int, index: int) -> list[int]:
+    """The combination at `index` of `combinations(range(m), r)`."""
+    combo = []
+    c = 0
+    for left in range(r - 1, -1, -1):
+        while index >= (block := math.comb(m - c - 1, left)):
+            index -= block
+            c += 1
+        combo.append(c)
+        c += 1
+    return combo
+
+
+def _completion_costs(
+    head: Sequence[float],
+    tail: Sequence[float],
+    start: int,
+    weight: WeightKind,
+) -> Iterator[float]:
+    """Cost of the nondecreasing `head` completed by each of tail[start:] in
+    turn, costed in chunks that double in size: a short run takes one row, a
+    long one few `within_columns` calls."""
+    size = 1
+    while start < len(tail):
+        chunk = tail[start:start + size]
+        yield from within_columns([[x] * len(chunk) for x in head] + [chunk], weight)
+        start += size
+        size *= 2
+
+
+def _cheapest_subset(
+    by_value: Sequence[int],
+    scores: Sequence[float],
+    k: int,
+    weight: WeightKind,
+) -> tuple[tuple[int, ...], float]:
+    """The first, in lexicographic order of input ranks, of the cheapest
+    k-subsets of the ranks `by_value` (in (score, rank) order, no NaN score)
+    whose cost is not NaN, as (ranks in order, its cost); there must be one.
+
+    A subset is a (k - 1)-prefix in value order and a completion after it.
+    For a fixed prefix the cost is nondecreasing in the completion wherever
+    it is not NaN, and NaN costs run only at the start or the end, so a
+    prefix's first non-NaN completion is its cheapest and its ties follow
+    that completion in one run.  The prefixes are costed with their first
+    completions _SUBSET_CHUNK rows per kernel call in `combinations` order,
+    and only the costs are kept: the few prefixes that cost NaN there (which
+    are scanned forward) or the minimum are unranked from their place.
+    """
+    vals = _tuple_getter(by_value)(scores)
+    succ = vals[1:]
+    m = len(succ)
+    heads = combinations(range(m), k - 1)
+    costs = []
+    for chunk in iter(lambda: list(islice(heads, _SUBSET_CHUNK)), []):
+        cols = list(zip(*chunk))
+        costs += within_columns([_tuple_getter(col)(vals) for col in cols]
+                                + [_tuple_getter(cols[-1])(succ)], weight)
+    starts = {}
+    # no cost is -inf, so the sum is NaN only if a cost is
+    if math.isnan(sum(costs)):
+        for i in list(compress(range(len(costs)), map(ne, costs, costs))):
+            head = _nth_combination(m, k - 1, i)
+            scan = _completion_costs([vals[p] for p in head], vals, head[-1] + 2, weight)
+            found = next(((j, cost) for j, cost in enumerate(scan, head[-1] + 2)
+                          if cost == cost), None)
+            if found is not None:
+                starts[i], costs[i] = found
+        least = min(compress(costs, map(eq, costs, costs)))
+    else:
+        least = min(costs)
+    best = None
+    i = -1
+    for _ in range(costs.count(least)):
+        i = costs.index(least, i + 1)
+        positions = _nth_combination(m, k - 1, i)
+        first = starts.get(i, positions[-1] + 1)
+        ties = _completion_costs([vals[p] for p in positions], vals, first + 1, weight)
+        stop = first + 1 + sum(1 for _ in takewhile(functools.partial(eq, least), ties))
+        # the lowest rank in the run gives the lexicographically first subset
+        positions.append(min(range(first, stop), key=by_value.__getitem__))
+        combo = tuple(sorted(by_value[p] for p in positions))
+        if best is None or combo < best[0]:
+            best = combo, positions
+    combo, positions = best
+    return combo, within_columns([(vals[p],) for p in positions], weight)[0]
+
+
 def greedy_match(
     items: Sequence[ScoredItem],
     k: int,
@@ -254,19 +341,18 @@ def greedy_match(
     Ties go to the lexicographically smallest member ranks.  Not optimal in
     general; kept as the falsifiable baseline.
 
-    One pass: removing items changes neither a subset's cost nor the order
-    of the survivors, so each step's pick is the first still-disjoint subset
-    of one list of all C(N, k) subsets (N = len(items)), costed once and
-    sorted stably by cost, ties in lexicographic order of input ranks.  A NaN
-    cost compares below nothing, so it wins a step only as that step's first
-    candidate, the first k remaining items; NaN subsets stay out of the sort
-    and that candidate is checked at each step.  The picked costs are summed
-    in pick order.  Time is O(C(N, k) log C(N, k)); memory is O(C(N, k)):
-    the costs, the sorted order and one flat array of member indices, k per
-    subset in `combinations` order, a traced peak of about 100 bytes per
-    float-costed subset at k=2 and 3 whatever N (56 MB for C(150, 3) =
-    551,300), so the budget on C(N, k) (checked once, as the first step is
-    the largest) also caps memory: ~1.0 GB at the default 10^7.
+    A NaN cost compares below nothing, so it wins a step only as that step's
+    first candidate, the first k remaining items by input rank; a subset
+    holding a NaN score costs NaN.  Otherwise the step's pick is found by
+    `_cheapest_subset` over the remaining non-NaN items in (score, rank)
+    order, which costs every (k - 1)-prefix with its first free completion
+    and extends only the prefixes that reach the minimum.  The picked
+    subsets' own costs are summed in pick order.  Time is O(C(N - 1, k - 1))
+    rows per step for N remaining items, ~C(N, k) / k over a run; memory is
+    one cost per prefix (a traced peak of ~0.5 MB at C(150, 3) and ~3 MB at
+    C(20, 10), against 56 and 24 MB when every subset was held).  The budget
+    on C(N, k) (N = len(items)) is checked once, as the first step is the
+    largest.
     """
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
@@ -277,32 +363,25 @@ def greedy_match(
         raise EnumerationBudgetError(
             f"greedy step would enumerate {count} subsets, over budget {budget}"
         )
-    # subset i is members[i * k : i * k + k]
-    members = array("I", chain.from_iterable(combinations(range(n), k)))
     scores = [it.score for it in ranked]
-    costs = _subset_costs(map(sorted, combinations(scores, k)), weight)
-    # cost == cost is false only for NaN, which stays out of the sort
-    order = sorted(compress(range(count), map(eq, costs, costs)),
-                   key=costs.__getitem__)
-    nan_costs = {} if len(order) == count else {
-        tuple(members[i * k : i * k + k]): cost
-        for i, cost in enumerate(costs) if cost != cost
-    }
-    walk = iter(order)
-    taken: set[int] = set()
+    free = list(range(n))
+    # score == score is false only for NaN, which stays out of the value order
+    by_value = sorted(compress(free, map(eq, scores, scores)),
+                      key=scores.__getitem__)
     tuples = []
     total = 0
     for _ in range(n // k):
-        first = tuple(islice(filterfalse(taken.__contains__, range(n)), k))
-        if first in nan_costs:
-            combo, cost = first, nan_costs[first]
-        else:
-            index = next(i for i in walk
-                         if taken.isdisjoint(members[i * k : i * k + k]))
-            combo, cost = members[index * k : index * k + k], costs[index]
+        combo = free[:k]
+        cost = within_columns([(x,) for x in sorted(map(scores.__getitem__, combo))],
+                              weight)[0]
+        # at k = 1 the first candidate goes on to KTuple, which refuses it
+        if cost == cost and k > 1:
+            combo, cost = _cheapest_subset(by_value, scores, k, weight)
         tuples.append(KTuple.of(ranked[i] for i in combo))
         total += cost
-        taken.update(combo)
+        taken = set(combo)
+        free = [i for i in free if i not in taken]
+        by_value = [i for i in by_value if i not in taken]
     return KPartition(k, tuples, total, weight)
 
 

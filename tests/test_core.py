@@ -88,6 +88,16 @@ KERNEL_SCORES = st.sampled_from([
 ])
 
 
+# The greedy baseline's score families, each with +-inf mixed in.
+tenths = st.integers(0, 30).map(lambda t: t / 10)
+COMPLETION_SCORES = st.sampled_from([
+    tenths,
+    st.one_of(st.integers(0, 5), tenths),
+    st.sampled_from([0.0, -0.0, 0, 0.5, -0.5]),
+    st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0]),
+]).map(lambda family: st.one_of(family, st.sampled_from([math.inf, -math.inf])))
+
+
 def typed_reprs(values):
     return [(type(v), repr(v)) for v in values]
 
@@ -102,6 +112,21 @@ class TestWithinColumns:
         got = within_columns(columns, weight)
         assert typed_reprs(got) == typed_reprs(
             within_scores(row, weight) for row in table)
+
+    # oracle.greedy_match reads a prefix's cheapest completion as its first
+    # non-NaN one, and its ties as the run that follows
+    @given(st.integers(2, 6), st.sampled_from(list(WeightKind)), COMPLETION_SCORES,
+           st.integers(1, 8), st.data())
+    def test_completions_of_a_prefix_cost_in_order(self, k, weight, family, m, data):
+        scores = sorted(data.draw(st.lists(family, min_size=k - 1 + m,
+                                           max_size=k - 1 + m)))
+        head, tail = scores[:k - 1], scores[k - 1:]
+        costs = within_columns([[x] * m for x in head] + [tail], weight)
+        kept = [i for i, cost in enumerate(costs) if cost == cost]
+        # NaN costs form a leading or a trailing run, or both
+        assert kept == list(range(kept[0], kept[-1] + 1) if kept else [])
+        values = [costs[i] for i in kept]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_overflow_and_integers(self):
         cols = [(1e308, 0, 2), (1e308, 1, 2), (1e308, 5, 2)]

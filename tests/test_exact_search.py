@@ -335,13 +335,16 @@ def test_brute_force_assignment_equals_reference(shape, weight, family, data):
 
 
 # Score families for the greedy baseline: tied tenths, mixed ints and floats,
-# signed zeros, and +-1e308, where abs groups of three or more overflow to
-# inf - inf = NaN (a NaN cost wins a step only as its first candidate).
+# signed zeros, +-1e308, where abs groups of three or more overflow to
+# inf - inf = NaN (a NaN cost wins a step only as its first candidate), and
+# +-inf with NaN scores, where a prefix's first completions can cost NaN and
+# are scanned past.
 GREEDY_SCORES = st.sampled_from([
     tenths,
     st.one_of(st.integers(0, 5), tenths),
     st.sampled_from([0.0, -0.0, 0, 0.5, -0.5]),
     st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0]),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1, 0.5]),
 ])
 
 
@@ -385,9 +388,8 @@ def test_greedy_match_nan_cost_wins_as_first_candidate():
     assert_same_greedy(items, 3, WeightKind.ABS)
 
 
-# Greedy holds every subset's cost, its place in the cost order and its k
-# member indices at once; the traced peak per subset must not grow with N
-# (a bit mask per subset would), so C(400, 2) is measured beside C(60, 3).
+# The traced peak per subset must not grow with N (a bit mask per subset
+# would), so C(400, 2) is measured beside C(60, 3).
 @pytest.mark.parametrize("n_items,k", [(60, 3), (400, 2)])
 def test_greedy_match_memory_per_subset(n_items, k):
     rng = random.Random(0)
@@ -400,6 +402,33 @@ def test_greedy_match_memory_per_subset(n_items, k):
     finally:
         tracemalloc.stop()
     assert peak / math.comb(n_items, k) < 120
+
+
+# A step holds one cost per (k - 1)-prefix, not all C(N, k) subsets: holding
+# C(150, 3) = 551,300 subsets' costs, order and members peaked at 56 MB.
+def test_greedy_match_memory_per_step():
+    rng = random.Random(0)
+    items = items_from_pairs((f"i{i}", rng.random()) for i in range(150))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        greedy_match(items, 3, WeightKind.ABS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_greedy_match_total_adds_the_picked_cost():
+    # the int 0 of ranks (1, 3) ties the float 0.0 of ranks (0, 2), which
+    # come first, so the total is the float their own cost makes it
+    items = [ScoredItem(f"i{i}", s, r)
+             for i, (s, r) in enumerate(zip([0, 1.0, 0, 1.0], [3, 2, 1, 0]))]
+    got = greedy_match(items, 2, WeightKind.ABS)
+    assert [tuple(m.input_rank for m in t.members) for t in got.tuples] == [
+        (0, 2), (1, 3)]
+    assert same_bits(got.total_within, 0.0)
+    assert_same_greedy(items, 2, WeightKind.ABS)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 2)])
