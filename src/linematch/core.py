@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations, repeat
 from operator import add, attrgetter, mul, sub
 from typing import Iterable, Sequence
@@ -42,6 +43,10 @@ class WeightKind(Enum):
     ABS = "abs"
     SQ = "sq"
 
+
+# Columns an abs fold chains lazily before it lists its partial sums: an
+# iterator nested ~10^5 deep overflows the C stack when it is consumed.
+_FOLD_DEPTH = 256
 
 # Default cap on what one exhaustive search may enumerate: partitions,
 # subsets, permutations, certificate splits or certificate states.
@@ -122,6 +127,14 @@ def items_from_pairs(pairs: Iterable[tuple[str, float]]) -> list[ScoredItem]:
     return items
 
 
+def check_finite(items: Sequence[ScoredItem]) -> None:
+    """Raise ValidationError naming the first item with a non-finite score."""
+    if not all(map(math.isfinite, map(_score_of, items))):
+        for it in items:
+            if not math.isfinite(it.score):
+                raise ValidationError(f"non-finite score {it.score!r} for id {it.id!r}")
+
+
 def sort_items(items: Sequence[ScoredItem]) -> list[ScoredItem]:
     """Return items in nondecreasing score order, ties broken by input_rank.
 
@@ -130,10 +143,7 @@ def sort_items(items: Sequence[ScoredItem]) -> list[ScoredItem]:
     stable sorts on plain keys give exactly that order, whatever the order
     of `items`; the first is linear on input already in rank order.
     """
-    if not all(map(math.isfinite, map(_score_of, items))):
-        for it in items:
-            if not math.isfinite(it.score):
-                raise ValidationError(f"non-finite score {it.score!r} for id {it.id!r}")
+    check_finite(items)
     return sorted(sorted(items, key=_rank_of), key=_score_of)
 
 
@@ -173,17 +183,26 @@ def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[
     """Within-distance of each row (cols[0][r], ..., cols[k-1][r]) of k
     nondecreasing score columns: the one place a group's cost is computed.
 
-    abs uses the linear form sum((2*i - k + 1) * x_i, i=0..k-1), which equals
-    the O(k^2) pairwise definition on sorted input, one builtin `sum` per row
-    from int 0; at k=2 that is x_1 - x_0 with `+ 0`, the same bits (-0.0
-    maps to 0.0).  sq adds the squared differences one column pair at a time,
-    pairs in lexicographic order, from int 0.  Integers stay exact."""
+    abs uses the gap form sum(i * (k - i) * (x_i - x_{i-1}), i=1..k-1), which
+    equals the O(k^2) pairwise definition on sorted input: the gap between
+    neighbours i-1 and i lies between i(k - i) member pairs (the sum of the
+    top i weights 2j - k + 1 of the linear form, as `certify_general`
+    checks).  Every term is nonnegative, so finite scores cost a finite
+    value or +inf, never a negative value or NaN, and a float cost stays
+    within about k units in the last place of the exact one at any offset.
+    Each row is one left fold from int 0, so -0.0 maps to 0.0.  sq adds the squared differences one column
+    pair at a time, pairs in lexicographic order, from int 0.  Integers stay
+    exact."""
     k = len(cols)
     if weight is WeightKind.ABS:
-        if k == 2:
-            return [d + 0 for d in map(sub, cols[1], cols[0])]
-        return list(map(sum, zip(*(map(mul, repeat(2 * i - k + 1), col)
-                                   for i, col in enumerate(cols)))))
+        totals = repeat(0, len(cols[0]))
+        for i in range(1, k):
+            gaps = map(sub, cols[i], cols[i - 1])
+            w = i * (k - i)
+            totals = map(add, totals, gaps if w == 1 else map(mul, repeat(w), gaps))
+            if not i % _FOLD_DEPTH:
+                totals = list(totals)
+        return list(totals)
     totals = [0] * len(cols[0])
     for i, j in combinations(range(k), 2):
         d = list(map(sub, cols[j], cols[i]))
@@ -289,10 +308,10 @@ class KPartition:
 
     @property
     def total_within(self) -> float:
-        """The summed within-distance: as given, or `sum(self.group_within)`
-        computed once."""
+        """The summed within-distance: as given, or the group costs added
+        left to right from int 0, once."""
         if self._total is None:
-            self._total = sum(self.group_within)
+            self._total = reduce(add, self.group_within, 0)
         return self._total
 
     @property
@@ -318,7 +337,7 @@ class KPartition:
                 raise ValidationError("partition does not cover the input exactly")
         elif len({m.input_rank for m in members}) != len(members):
             raise ValidationError("an item appears in more than one group")
-        total = sum(within_distance(t, self.weight) for t in self.tuples)
+        total = reduce(add, (within_distance(t, self.weight) for t in self.tuples), 0)
         if isinstance(total, int) and isinstance(self.total_within, int):
             ok = total == self.total_within
         else:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -210,7 +211,7 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
 
     base, _, dist = levels[0]
     out = tuple(tuple(base[i] for i in t) for t in triples)
-    cost = sum(_triple_cost(dist, t) for t in triples)
+    cost = reduce(add, (_triple_cost(dist, t) for t in triples), 0)
     return HierarchicalTriples(out, cost, tuple(exact_flags))
 
 
@@ -278,7 +279,7 @@ def local_search_2tuple(
 
     _sweep_pairs(len(groups), resplit)
     tuples = [KTuple(tuple(g)) for g in groups]
-    return KPartition(k, tuples, sum(costs), weight)
+    return KPartition(k, tuples, reduce(add, costs, 0), weight)
 
 
 __all__ = [

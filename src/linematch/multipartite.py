@@ -6,7 +6,9 @@ this work (sorted-against-sorted is never beaten).  Arbitrary user weights
 only get a randomized refuter, never a certification: a weight like the
 plain product fails (reversing one side beats the sorted pairing).
 
-The tripartite minimum is bounded below by the sum of the three pairwise
+A matched pair or triple weighs the within-distance of its scores (for a
+triple, its three edges), from the `core.within_columns` kernel.  The
+tripartite minimum is bounded below by the sum of the three pairwise
 bipartite minima, which turns any heuristic tripartite matching into a
 certified approximation ratio.
 """
@@ -16,29 +18,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import add
 from typing import Callable, Sequence
 
-from .core import ArityError, ScoredItem, ValidationError, WeightKind
-
-
-def edge_weight(weight: WeightKind, a: float, b: float) -> float:
-    if weight is WeightKind.ABS:
-        return abs(a - b)
-    d = a - b
-    return d * d
-
-
-def tuple_weight(weight: WeightKind, values: Sequence[float]) -> float:
-    """Weight of one matched pair or triple (all cyclic edges for a triple)."""
-    if len(values) == 2:
-        return edge_weight(weight, values[0], values[1])
-    a, b, c = values
-    return (
-        edge_weight(weight, a, b)
-        + edge_weight(weight, b, c)
-        + edge_weight(weight, c, a)
-    )
+from .core import ArityError, ScoredItem, ValidationError, WeightKind, within_columns
 
 
 @dataclass(frozen=True)
@@ -130,15 +115,17 @@ def tripartite_lower_bound(instance: MultipartiteInstance) -> float:
 
 
 def matching_weight(instance: MultipartiteInstance, matching: Matching) -> float:
-    """Recompute a matching's weight from the instance (ignores the stored one)."""
+    """Recompute a matching's weight from the instance (ignores the stored
+    one): each tuple costs its sorted scores' within-distance, all tuples in
+    one `within_columns` call, added left to right from int 0."""
     arity = len(instance.parts)
-    total = 0
+    rows = []
     for tup in matching.tuples:
         if len(tup) != arity:
             raise ValidationError("matching arity does not fit the instance")
-        values = [instance.parts[p][i].score for p, i in enumerate(tup)]
-        total += tuple_weight(instance.weight, values)
-    return total
+        rows.append(sorted([instance.parts[p][i].score for p, i in enumerate(tup)]))
+    cols = [[row[p] for row in rows] for p in range(arity)]
+    return reduce(add, within_columns(cols, instance.weight), 0)
 
 
 def _check_perfect(instance: MultipartiteInstance, matching: Matching) -> None:
@@ -215,12 +202,10 @@ __all__ = [
     "LmWitness",
     "Matching",
     "MultipartiteInstance",
-    "edge_weight",
     "heuristic_ratio_bound",
     "instance_from_scores",
     "is_lm_on_samples",
     "match_sorted",
     "matching_weight",
     "tripartite_lower_bound",
-    "tuple_weight",
 ]

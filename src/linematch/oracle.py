@@ -8,9 +8,8 @@ cheapest-group-first heuristic that exists purely to be beaten.
 The greedy baseline searches each step in value order: every (k - 1)-prefix
 of the N remaining items is costed with its first free completion, the one
 that costs it least, so a step costs O(C(N - 1, k - 1)) rows and holds one
-cost per row.  Ties go to the lexicographically first input ranks, and a
-NaN cost is taken only as a step's first candidate, as a loop with strict
-`<` would.
+cost per row.  Ties go to the lexicographically first input ranks.  Scores
+must be finite, so no cost is NaN.
 
 The public oracles are budgeted.  Every exact partition search in the
 package goes through `min_partition`; its two-group case, `min_split`,
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, compress, islice, repeat, takewhile
-from operator import eq, itemgetter, ne
+from itertools import combinations, islice, repeat, takewhile
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -39,10 +38,12 @@ from .core import (
     ScoredItem,
     SizeError,
     WeightKind,
+    check_certified_k,
+    check_finite,
     sort_items,
     within_columns,
 )
-from .multipartite import Matching, MultipartiteInstance, edge_weight
+from .multipartite import Matching, MultipartiteInstance
 
 BIPARTITE_ORACLE_MAX_N = 8
 TRIPARTITE_ORACLE_MAX_N = 6
@@ -279,17 +280,16 @@ def _cheapest_subset(
     weight: WeightKind,
 ) -> tuple[tuple[int, ...], float]:
     """The first, in lexicographic order of input ranks, of the cheapest
-    k-subsets of the ranks `by_value` (in (score, rank) order, no NaN score)
-    whose cost is not NaN, as (ranks in order, its cost); there must be one.
+    k-subsets of the ranks `by_value` (in (score, rank) order, k >= 2,
+    finite scores), as (ranks in order, its cost).
 
     A subset is a (k - 1)-prefix in value order and a completion after it.
-    For a fixed prefix the cost is nondecreasing in the completion wherever
-    it is not NaN, and NaN costs run only at the start or the end, so a
-    prefix's first non-NaN completion is its cheapest and its ties follow
-    that completion in one run.  The prefixes are costed with their first
+    For a fixed prefix the cost is nondecreasing in the completion, so a
+    prefix's first completion is its cheapest and its ties follow that
+    completion in one run.  The prefixes are costed with their first
     completions _SUBSET_CHUNK rows per kernel call in `combinations` order,
-    and only the costs are kept: the few prefixes that cost NaN there (which
-    are scanned forward) or the minimum are unranked from their place.
+    and only the costs are kept: the prefixes at the minimum are unranked
+    from their place.
     """
     vals = _tuple_getter(by_value)(scores)
     succ = vals[1:]
@@ -300,25 +300,13 @@ def _cheapest_subset(
         cols = list(zip(*chunk))
         costs += within_columns([_tuple_getter(col)(vals) for col in cols]
                                 + [_tuple_getter(cols[-1])(succ)], weight)
-    starts = {}
-    # no cost is -inf, so the sum is NaN only if a cost is
-    if math.isnan(sum(costs)):
-        for i in list(compress(range(len(costs)), map(ne, costs, costs))):
-            head = _nth_combination(m, k - 1, i)
-            scan = _completion_costs([vals[p] for p in head], vals, head[-1] + 2, weight)
-            found = next(((j, cost) for j, cost in enumerate(scan, head[-1] + 2)
-                          if cost == cost), None)
-            if found is not None:
-                starts[i], costs[i] = found
-        least = min(compress(costs, map(eq, costs, costs)))
-    else:
-        least = min(costs)
+    least = min(costs)
     best = None
     i = -1
     for _ in range(costs.count(least)):
         i = costs.index(least, i + 1)
         positions = _nth_combination(m, k - 1, i)
-        first = starts.get(i, positions[-1] + 1)
+        first = positions[-1] + 1
         ties = _completion_costs([vals[p] for p in positions], vals, first + 1, weight)
         stop = first + 1 + sum(1 for _ in takewhile(functools.partial(eq, least), ties))
         # the lowest rank in the run gives the lexicographically first subset
@@ -339,23 +327,23 @@ def greedy_match(
     """Repeatedly extract the cheapest k-subset of the remaining items.
 
     Ties go to the lexicographically smallest member ranks.  Not optimal in
-    general; kept as the falsifiable baseline.
+    general; kept as the falsifiable baseline.  Rejects k < 2 and, naming
+    the first such item, a non-finite score.
 
-    A NaN cost compares below nothing, so it wins a step only as that step's
-    first candidate, the first k remaining items by input rank; a subset
-    holding a NaN score costs NaN.  Otherwise the step's pick is found by
-    `_cheapest_subset` over the remaining non-NaN items in (score, rank)
-    order, which costs every (k - 1)-prefix with its first free completion
-    and extends only the prefixes that reach the minimum.  The picked
-    subsets' own costs are summed in pick order.  Time is O(C(N - 1, k - 1))
-    rows per step for N remaining items, ~C(N, k) / k over a run; memory is
-    one cost per prefix (a traced peak of ~0.5 MB at C(150, 3) and ~3 MB at
-    C(20, 10), against 56 and 24 MB when every subset was held).  The budget
-    on C(N, k) (N = len(items)) is checked once, as the first step is the
-    largest.
+    Each step's pick is found by `_cheapest_subset` over the remaining items
+    in (score, rank) order, which costs every (k - 1)-prefix with its first
+    free completion and extends only the prefixes that reach the minimum.
+    The picked subsets' own costs are summed in pick order.  Time is
+    O(C(N - 1, k - 1)) rows per step for N remaining items, ~C(N, k) / k
+    over a run; memory is one cost per prefix (a traced peak of ~0.5 MB at
+    C(150, 3) and ~3 MB at C(20, 10), against 56 and 24 MB when every
+    subset was held).  The budget on C(N, k) (N = len(items)) is checked
+    once, as the first step is the largest.
     """
+    check_certified_k(k)
     if len(items) % k != 0:
         raise SizeError(f"{len(items)} items cannot be split into groups of {k}")
+    check_finite(items)
     ranked = sorted(items, key=lambda it: it.input_rank)
     n = len(ranked)
     count = math.comb(n, k)
@@ -364,23 +352,14 @@ def greedy_match(
             f"greedy step would enumerate {count} subsets, over budget {budget}"
         )
     scores = [it.score for it in ranked]
-    free = list(range(n))
-    # score == score is false only for NaN, which stays out of the value order
-    by_value = sorted(compress(free, map(eq, scores, scores)),
-                      key=scores.__getitem__)
+    by_value = sorted(range(n), key=scores.__getitem__)
     tuples = []
     total = 0
     for _ in range(n // k):
-        combo = free[:k]
-        cost = within_columns([(x,) for x in sorted(map(scores.__getitem__, combo))],
-                              weight)[0]
-        # at k = 1 the first candidate goes on to KTuple, which refuses it
-        if cost == cost and k > 1:
-            combo, cost = _cheapest_subset(by_value, scores, k, weight)
+        combo, cost = _cheapest_subset(by_value, scores, k, weight)
         tuples.append(KTuple.of(ranked[i] for i in combo))
         total += cost
         taken = set(combo)
-        free = [i for i in free if i not in taken]
         by_value = [i for i in by_value if i not in taken]
     return KPartition(k, tuples, total, weight)
 
@@ -420,8 +399,7 @@ def _min_permutation(
             cost = partial + row[j]
             if extra is not None:
                 cost = cost + extra[j]
-            # not `cost <= best_cost`: a NaN partial cost is not cut
-            if best_cost is None or not cost > best_cost:
+            if best_cost is None or cost <= best_cost:
                 perm.append(j)
                 if not leaf:
                     rec(i + 1, cost)
@@ -436,6 +414,19 @@ def _min_permutation(
 
     rec(0, partial)
     return best_cost, best
+
+
+def _edge_rows(weight: WeightKind, xs: Sequence[float],
+               ys: Sequence[float]) -> list[list[float]]:
+    """The edge weight from each of `xs` (a row) to each of `ys`: one k=2
+    `within_columns` call on the lower and upper end of every pair.  On a
+    tie, min keeps x and max keeps y, so both scores reach the kernel."""
+    xcol = [x for x in xs for _ in ys]
+    ycol = list(ys) * len(xs)
+    flat = within_columns([list(map(min, xcol, ycol)), list(map(max, ycol, xcol))],
+                          weight)
+    n = len(ys)
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
@@ -453,9 +444,7 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
             raise EnumerationBudgetError(
                 f"bipartite oracle limited to n<={BIPARTITE_ORACLE_MAX_N}, got {n}"
             )
-        xs = instance.scores(0)
-        ys = instance.scores(1)
-        cost = [[edge_weight(w, x, y) for y in ys] for x in xs]
+        cost = _edge_rows(w, instance.scores(0), instance.scores(1))
         total, perm = _min_permutation(cost)
         return Matching(tuple((i, perm[i]) for i in range(n)), total)
 
@@ -466,11 +455,11 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
     xs = instance.scores(0)
     ys = instance.scores(1)
     zs = instance.scores(2)
-    ab = [[edge_weight(w, x, y) for y in ys] for x in xs]
-    bc = [[edge_weight(w, y, z) for z in zs] for y in ys]
+    ab = _edge_rows(w, xs, ys)
+    bc = _edge_rows(w, ys, zs)
     # by row of part 0: ca[i][j] weighs the edge from z_j back to x_i, so
     # row i of the inner search adds bc[sigma[i]][j], then ca[i][j]
-    ca = [[edge_weight(w, z, x) for z in zs] for x in xs]
+    ca = _edge_rows(w, xs, zs)
 
     def best_tau(partial, sigma, incumbent):
         cost, tau = _min_permutation([bc[s] for s in sigma], ca,

@@ -7,7 +7,10 @@ by expanding cost(split) - cost(sorted split) by hand; see the test modules
 for the independent expansion oracles that re-derive them.
 """
 
+import functools
 import math
+import operator
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -31,11 +34,7 @@ from linematch.certify import (
     _check_bipartition,
 )
 from linematch.heuristics import EuclideanPoint, _best_two_triples
-from linematch.multipartite import (
-    Matching,
-    MultipartiteInstance,
-    edge_weight,
-)
+from linematch.multipartite import Matching, MultipartiteInstance
 from linematch.oracle import (
     BIPARTITE_ORACLE_MAX_N,
     DEFAULT_BUDGET,
@@ -78,17 +77,21 @@ K3_SQ_FACTORS = {
 ENTRY_COUNTS = {2: 3, 3: 10, 4: 35, 5: 126, 6: 462, 7: 1716, 8: 6435}
 
 
-# The scalar cost forms as first written, one group at a time; the batched
-# kernel linematch.core.within_columns must return the same bits for every
-# row, and the reference searches below cost their groups with them.
+# The scalar cost forms one group at a time, abs as the gap form: the
+# batched kernel linematch.core.within_columns must return the same bits for
+# every row, and the reference searches below cost their groups with them.
 def abs_within_scores(scores: Sequence[float]) -> float:
     """Sum of |x_j - x_i| over all pairs of a nondecreasing score sequence.
 
-    Uses the linear form sum((2*i - k - 1) * x_i, i=1..k), which equals the
-    O(k^2) pairwise definition on sorted input.
+    Uses the gap form sum(i * (k - i) * (x_i - x_{i-1}), i=1..k-1), which
+    equals the O(k^2) pairwise definition on sorted input, added left to
+    right from int 0.
     """
     k = len(scores)
-    return sum((2 * i - k + 1) * x for i, x in enumerate(scores))
+    total = 0
+    for i in range(1, k):
+        total = total + i * (k - i) * (scores[i] - scores[i - 1])
+    return total
 
 
 def sq_within_scores(scores: Sequence[float]) -> float:
@@ -107,6 +110,48 @@ def within_scores(scores: Sequence[float], weight: WeightKind) -> float:
     if weight is WeightKind.ABS:
         return abs_within_scores(scores)
     return sq_within_scores(scores)
+
+
+def pairwise_exact(scores: Sequence[float], weight: WeightKind):
+    """The pairwise definition of a group's cost in exact rational
+    arithmetic, as a Fraction."""
+    diffs = [Fraction(b) - Fraction(a) for a, b in combinations(scores, 2)]
+    if weight is WeightKind.ABS:
+        return sum(map(abs, diffs))
+    return sum(d * d for d in diffs)
+
+
+def abs_error_bound(k: int) -> Fraction:
+    """Relative error bound of the abs gap form of a k-group: each of its
+    k - 1 nonnegative terms passes at most k roundings (its gap, its weight
+    and the later additions), so a float cost is within
+    gamma_k = k*u / (1 - k*u), u = 2^-53, of the exact cost relative to it:
+    within about k units in the last place, at any offset."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+# The multipartite weights as first written, a second kernel beside
+# within_columns: the assignment oracle's edge rows must equal edge_weight bit
+# for bit, and a matched triple's weight stays within the kernel's error
+# bound of tuple_weight.
+def edge_weight(weight: WeightKind, a: float, b: float) -> float:
+    if weight is WeightKind.ABS:
+        return abs(a - b)
+    d = a - b
+    return d * d
+
+
+def tuple_weight(weight: WeightKind, values: Sequence[float]) -> float:
+    """Weight of one matched pair or triple (all cyclic edges for a triple)."""
+    if len(values) == 2:
+        return edge_weight(weight, values[0], values[1])
+    a, b, c = values
+    return (
+        edge_weight(weight, a, b)
+        + edge_weight(weight, b, c)
+        + edge_weight(weight, c, a)
+    )
 
 
 def balance_columns_reference(partition):
@@ -431,7 +476,7 @@ def local_search_2tuple_reference(
                     costs[j] = split_cost(groups[j])
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
-    return KPartition(k, tuples, sum(costs), weight)
+    return KPartition(k, tuples, functools.reduce(operator.add, costs, 0), weight)
 
 
 # The greedy loop as first written, every remaining k-subset costed again at

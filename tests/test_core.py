@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,8 +21,9 @@ from linematch.core import (
     within_columns,
     within_distance,
 )
+from linematch.matching import match_line
 
-from reference_forms import within_scores
+from reference_forms import abs_error_bound, pairwise_exact, within_scores
 
 
 def tuple_of(*scores):
@@ -75,20 +77,22 @@ class TestWithinSq:
 
 
 # Score families for the batched kernel: ints, U(0,1) floats, one-decimal
-# ties, signed zeros, tenths on offsets up to 1e12, and +-1e308, where abs
-# groups overflow to inf and, from three members on, inf - inf = NaN.
+# ties, signed zeros, tenths on mixed offsets, U(0,1) on one offset of up to
+# 1e12, and +-1e308, where abs groups can overflow to inf.
+OFFSETS = (1e3, 1e6, 1e9, 1e12)
 KERNEL_SCORES = st.sampled_from([
     st.integers(-50, 50),
     st.floats(0, 1, exclude_max=True),
     st.integers(0, 30).map(lambda t: t / 10),
     st.sampled_from([0.0, -0.0, 0, 1.5]),
-    st.tuples(st.sampled_from([1e3, 1e6, 1e9, 1e12]), st.integers(0, 30)).map(
+    st.tuples(st.sampled_from(OFFSETS), st.integers(0, 30)).map(
         lambda p: p[0] + p[1] / 10),
+    *(st.floats(0, 1).map(lambda x, offset=offset: offset + x)
+      for offset in OFFSETS),
     st.sampled_from([1e308, -1e308, 0.0, 1.0]),
 ])
 
-
-# The greedy baseline's score families, each with +-inf mixed in.
+# Score families for the completion premise, each with +-inf mixed in.
 tenths = st.integers(0, 30).map(lambda t: t / 10)
 COMPLETION_SCORES = st.sampled_from([
     tenths,
@@ -103,18 +107,59 @@ def typed_reprs(values):
 
 
 class TestWithinColumns:
-    @given(st.integers(2, 8), st.sampled_from(list(WeightKind)), KERNEL_SCORES,
-           st.integers(0, 6), st.data())
-    def test_equals_within_scores_row_by_row(self, k, weight, family, rows, data):
+    # abs against the exact pairwise definition, within `abs_error_bound` at
+    # offsets up to 1e12 and for k = 2..16; the linear form it replaced
+    # missed it by up to 1.7e-3 relative at 1e12, k = 4
+    @given(st.integers(2, 16), KERNEL_SCORES, st.integers(0, 6), st.data())
+    def test_abs_is_within_the_bound_of_the_pairwise_definition(
+            self, k, family, rows, data):
+        table = [sorted(data.draw(st.lists(family, min_size=k, max_size=k)))
+                 for _ in range(rows)]
+        got = within_columns([[row[i] for row in table] for i in range(k)],
+                             WeightKind.ABS)
+        assert len(got) == rows
+        for cost, row in zip(got, table):
+            exact = pairwise_exact(row, WeightKind.ABS)
+            assert cost >= 0
+            if all(isinstance(x, int) for x in row):
+                assert type(cost) is int and cost == exact
+            elif math.isinf(cost):
+                # overflow only where the exact cost reaches the float range
+                assert exact * (1 + abs_error_bound(k)) > sys.float_info.max
+            else:
+                assert abs(Fraction(cost) - exact) <= abs_error_bound(k) * exact
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_abs_is_within_the_bound_at_an_offset_of_1e12(self, k):
+        rng = random.Random(k)
+        table = [sorted(1e12 + rng.random() for _ in range(k)) for _ in range(200)]
+        got = within_columns([[row[i] for row in table] for i in range(k)],
+                             WeightKind.ABS)
+        for cost, row in zip(got, table):
+            exact = pairwise_exact(row, WeightKind.ABS)
+            assert abs(Fraction(cost) - exact) <= abs_error_bound(k) * exact
+
+    @given(st.integers(2, 8), KERNEL_SCORES, st.integers(0, 6), st.data())
+    def test_sq_equals_within_scores_row_by_row(self, k, family, rows, data):
         table = [sorted(data.draw(st.lists(family, min_size=k, max_size=k)))
                  for _ in range(rows)]
         columns = [[row[i] for row in table] for i in range(k)]
-        got = within_columns(columns, weight)
+        got = within_columns(columns, WeightKind.SQ)
         assert typed_reprs(got) == typed_reprs(
-            within_scores(row, weight) for row in table)
+            within_scores(row, WeightKind.SQ) for row in table)
+
+    def test_abs_ties_and_equal_huge_scores_cost_zero(self):
+        # the linear form gave -5.55e-17 and NaN here
+        assert typed_reprs(within_columns([[0.1]] * 5, WeightKind.ABS)) == [
+            (float, "0.0")]
+        part = match_line(items_from_pairs((f"h{i}", 1e308) for i in range(3)),
+                          3, WeightKind.ABS)
+        assert part.group_within == (0.0,) and part.total_within == 0.0
+        part.check()
 
     # oracle.greedy_match reads a prefix's cheapest completion as its first
-    # non-NaN one, and its ties as the run that follows
+    # one, and its ties as the run that follows; that holds for finite
+    # scores, and with +-inf only NaN runs at the start or the end break it
     @given(st.integers(2, 6), st.sampled_from(list(WeightKind)), COMPLETION_SCORES,
            st.integers(1, 8), st.data())
     def test_completions_of_a_prefix_cost_in_order(self, k, weight, family, m, data):
@@ -130,11 +175,18 @@ class TestWithinColumns:
 
     def test_overflow_and_integers(self):
         cols = [(1e308, 0, 2), (1e308, 1, 2), (1e308, 5, 2)]
-        abs_costs = within_columns(cols, WeightKind.ABS)
-        assert math.isnan(abs_costs[0]) and abs_costs[1:] == [10, 0]
-        assert typed_reprs(abs_costs[1:]) == [(int, "10"), (int, "0")]
+        assert typed_reprs(within_columns(cols, WeightKind.ABS)) == [
+            (float, "0.0"), (int, "10"), (int, "0")]
+        assert typed_reprs(within_columns([(-1e308,), (1e308,), (1e308,)],
+                                          WeightKind.ABS)) == [(float, "inf")]
         assert typed_reprs(within_columns(cols, WeightKind.SQ)) == [
             (float, "0.0"), (int, "42"), (int, "0")]
+
+    def test_deep_groups_fold_in_stages(self):
+        # an iterator nested once per column would overflow the C stack
+        k = 100_000
+        assert within_columns([[i] for i in range(k)], WeightKind.ABS) == [
+            (k - 1) * k * (k + 1) // 6]
 
 
 class TestInvariances:

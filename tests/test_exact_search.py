@@ -24,6 +24,7 @@ from linematch.core import (
     KTuple,
     ScoredItem,
     SizeError,
+    ValidationError,
     WeightKind,
     items_from_pairs,
 )
@@ -223,21 +224,19 @@ def test_refine_triples_equals_reference(count, dims, data):
         dist, list(triples))
 
 
-# min_partition cuts a branch once its partial cost reaches the incumbent,
-# which assumes nonnegative group costs.  The float abs kernel breaks that
-# on exact ties from k=5 on (five scores of 0.1 cost -5.6e-17), and the old
-# local-search loop, which enumerated without cuts, can then take a split
-# that is cheaper by rounding noise only.  Integer scores stay exact there.
-LOCAL_SEARCH_CASES = [(k, w, False) for k in (2, 3, 4) for w in WeightKind] + [
-    (5, WeightKind.SQ, False), (5, WeightKind.ABS, True)]
+# min_split cuts a branch once its partial cost reaches the incumbent,
+# which assumes nonnegative group costs; the old local-search loop
+# enumerated without cuts.  The abs gap form is nonnegative also on exact
+# float ties (the linear form it replaced cost five scores of 0.1 at
+# -5.6e-17, and this case then ran on integer scores only).
+LOCAL_SEARCH_CASES = [(k, w) for k in (2, 3, 4, 5) for w in WeightKind]
 
 
 @settings(deadline=None)
 @given(st.sampled_from(LOCAL_SEARCH_CASES), st.integers(2, 4), st.data())
 def test_local_search_equals_reference(case, n, data):
-    k, weight, integral = case
-    score = st.integers(0, 30) if integral else tenths
-    scores = data.draw(st.lists(score, min_size=k * n, max_size=k * n))
+    k, weight = case
+    scores = data.draw(st.lists(tenths, min_size=k * n, max_size=k * n))
     items = data.draw(st.permutations(
         items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))))
     start = KPartition(
@@ -335,16 +334,12 @@ def test_brute_force_assignment_equals_reference(shape, weight, family, data):
 
 
 # Score families for the greedy baseline: tied tenths, mixed ints and floats,
-# signed zeros, +-1e308, where abs groups of three or more overflow to
-# inf - inf = NaN (a NaN cost wins a step only as its first candidate), and
-# +-inf with NaN scores, where a prefix's first completions can cost NaN and
-# are scanned past.
+# signed zeros, and +-1e308, where abs groups overflow to inf.
 GREEDY_SCORES = st.sampled_from([
     tenths,
     st.one_of(st.integers(0, 5), tenths),
     st.sampled_from([0.0, -0.0, 0, 0.5, -0.5]),
     st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0]),
-    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1, 0.5]),
 ])
 
 
@@ -379,13 +374,30 @@ def test_greedy_match_equals_reference_across_chunks(shape, weight, family, data
     assert_same_greedy(items, k, weight)
 
 
-def test_greedy_match_nan_cost_wins_as_first_candidate():
+def test_greedy_match_equal_huge_scores_form_a_group_of_cost_zero():
     scores = [1e308, 1e308, 1e308, 0.0, 1.0, 2.0]
     items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
     got = greedy_match(items, 3, WeightKind.ABS)
     assert [t.scores() for t in got.tuples] == [(1e308,) * 3, (0.0, 1.0, 2.0)]
-    assert math.isnan(got.total_within)
+    assert got.group_within == (0.0, 4.0) and same_bits(got.total_within, 4.0)
+    got.check(items)
     assert_same_greedy(items, 3, WeightKind.ABS)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_greedy_match_rejects_a_non_finite_score(bad):
+    items = [ScoredItem("a", 1.0, 2), ScoredItem("b", bad, 1),
+             ScoredItem("c", 0.0, 0), ScoredItem("d", -bad, 3)]
+    with pytest.raises(ValidationError,
+                       match=f"non-finite score {bad!r} for id 'b'"):
+        greedy_match(items, 2, WeightKind.ABS)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_greedy_match_rejects_k_below_two(k):
+    items = items_from_pairs((f"i{i}", i) for i in range(4))
+    with pytest.raises(ValidationError, match="at least 2"):
+        greedy_match(items, k, WeightKind.ABS)
 
 
 # The traced peak per subset must not grow with N (a bit mask per subset

@@ -3,19 +3,14 @@
 
 Each case pins the exit code and the sha256 of stdout, so no change to the
 exact searches, the certificates, the slot balancing or the CLI can alter a
-byte unnoticed.  From Python 3.12 on `sum()` over floats is compensated,
-so float totals can differ between interpreter versions, while integer
-totals cannot.  The `GOLDEN` certify and bench inputs are integers only.
-The `FLOAT_BENCH` runs draw `--dist uniform-real` scores and the balanced
-match cohorts are floats; their group costs and totals go through `sum()`,
-so those cases are pinned on interpreters before 3.12 only (the digests
-were taken on 3.11).  CSV output is pinned because the JSON config block
-echoes the input path.
+byte unnoticed.  Float costs and totals are added left to right, never by
+the builtin `sum()` (compensated from Python 3.12 on), so the float digests
+hold on every Python, as the integer ones do.  CSV output is pinned because
+the JSON config block echoes the input path.
 """
 
 import hashlib
 import random
-import sys
 
 import pytest
 
@@ -86,9 +81,6 @@ FLOAT_BENCH = [
 ]
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="float group costs and totals go through sum(), "
-                           "compensated from 3.12 on")
 @pytest.mark.parametrize("argv,code,digest", FLOAT_BENCH,
                          ids=[g[0] for g in FLOAT_BENCH])
 def test_float_bench_matches_golden(capsys, argv, code, digest):
@@ -166,19 +158,9 @@ def write_cohort(path, family, k):
     path.write_text("id,score\n" + "\n".join(rows) + "\n")
 
 
-def _balanced_case(family, k, weight):
-    marks = ()
-    if weight == "abs" and k >= 3 and family != "ints":
-        marks = pytest.mark.skipif(
-            sys.version_info >= (3, 12),
-            reason="abs group costs of float cohorts go through sum(), "
-                   "compensated from 3.12 on")
-    return pytest.param(family, k, weight, BALANCED[family, k, weight],
-                        marks=marks, id=f"{family}-k{k}-{weight}")
-
-
 @pytest.mark.parametrize("family,k,weight,digest",
-                         [_balanced_case(*case) for case in BALANCED])
+                         [pytest.param(*case, digest, id=f"{case[0]}-k{case[1]}-{case[2]}")
+                          for case, digest in BALANCED.items()])
 def test_balanced_match_csv_matches_golden(tmp_path, capsys, family, k,
                                            weight, digest):
     path = tmp_path / "cohort.csv"

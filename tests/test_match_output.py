@@ -35,7 +35,7 @@ FIXTURES = {
                  ("tab\there", "7.125"), ("n", "-4"), ("m", "12")],
     # within and total_within overflow to Infinity
     "overflow": [("lo", "-1e308"), ("hi", "1e308")],
-    # the k=4 abs linear form overflows both ways: NaN
+    # equal huge scores: every gap is 0, so each group costs 0.0
     "huge": [(f"h{n}", "1e308") for n in range(4)],
     "header_only": [],
 }
@@ -110,7 +110,8 @@ def test_fixtures_reach_the_edge_renderings(tmp_path):
     assert '"total_within": 0,' in empty
     overflow = expected_output(path, FIXTURES["overflow"], 2, "abs", False, "json")
     assert overflow.count("Infinity") == 2
-    assert "NaN" in expected_output(path, FIXTURES["huge"], 4, "abs", False, "json")
+    huge = expected_output(path, FIXTURES["huge"], 4, "abs", False, "json")
+    assert '"within": 0.0' in huge and "NaN" not in huge
     specials = expected_output(path, FIXTURES["specials"], 2, "abs", False, "json")
     assert '"id": "\\u00e9"' in specials and '"id": "q\\"uote"' in specials
     assert '"id": "back\\\\slash"' in specials

@@ -1,28 +1,24 @@
+import functools
 import math
+import operator
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from linematch.core import (
-    ArityError,
-    KTuple,
-    ScoredItem,
-    ValidationError,
-    WeightKind,
-    within_distance,
-)
+from linematch.core import ArityError, ValidationError, WeightKind
 from linematch.multipartite import (
     Matching,
-    edge_weight,
     heuristic_ratio_bound,
     instance_from_scores,
     is_lm_on_samples,
     match_sorted,
     matching_weight,
     tripartite_lower_bound,
-    tuple_weight,
 )
-from linematch.oracle import brute_force_assignment
+from linematch.oracle import _edge_rows, brute_force_assignment
+from reference_forms import abs_error_bound, edge_weight, pairwise_exact, tuple_weight
 
 
 def product_weight(x, y):
@@ -117,20 +113,41 @@ class TestLowerBound:
                 assert tripartite_lower_bound(inst) <= brute_force_assignment(inst).weight
 
 
+def same_bits(a, b):
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def fold(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def random_score(rng):
+    return rng.choice([rng.randint(-20, 20), rng.uniform(-20, 20),
+                       rng.randint(0, 4) / 2, 1e12 + rng.randint(0, 30) / 10,
+                       0.0, -0.0, 1e308, -1e308])
+
+
 class TestTripleDecomposition:
-    def test_cycle_weight_equals_within_distance(self):
+    # a triple costs the k=3 kernel on its sorted scores; the cycle of its
+    # three edges in part order adds the same pairs in another order
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_triple_weight_is_within_the_bound_of_the_cycle(self, weight):
         rng = random.Random(43)
-        for _ in range(50):
-            a, b, c = (rng.randint(-20, 20) for _ in range(3))
-            group = KTuple.of(
-                [ScoredItem("a", a, 0), ScoredItem("b", b, 1), ScoredItem("c", c, 2)]
-            )
-            assert tuple_weight(WeightKind.ABS, (a, b, c)) == within_distance(
-                group, WeightKind.ABS
-            )
-            assert tuple_weight(WeightKind.SQ, (a, b, c)) == within_distance(
-                group, WeightKind.SQ
-            )
+        # sq squares each difference: six roundings bound both weights
+        bound = 2 * abs_error_bound(6)
+        for _ in range(500):
+            scores = [random_score(rng) for _ in range(3)]
+            inst = instance_from_scores([[x] for x in scores], weight)
+            got = matching_weight(inst, Matching(((0, 0, 0),), 0))
+            want = tuple_weight(weight, scores)
+            exact = pairwise_exact(sorted(scores), weight)
+            if all(isinstance(x, int) for x in scores):
+                assert same_bits(got, want)
+            elif math.isinf(got) or math.isinf(want):
+                # overflow only where the exact weight reaches the float range
+                assert exact * (1 + bound) > sys.float_info.max
+            else:
+                assert abs(Fraction(got) - Fraction(want)) <= bound * exact
 
 
 class TestLmSampling:
@@ -222,7 +239,32 @@ class TestRatioBound:
         assert heuristic_ratio_bound(inst, lying) == math.inf
 
 
-class TestEdgeWeight:
-    def test_kinds(self):
-        assert edge_weight(WeightKind.ABS, 3, 7) == 4
-        assert edge_weight(WeightKind.SQ, 3, 7) == 16
+class TestEdgeRows:
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_edge_rows_equal_edge_weight(self, weight):
+        # ties of an int and a float, and of the two zeros, keep the float
+        xs = [3, 7, 0.0, -0.0, 1, 1.0, 2.5, 1e308, -1e308, 0.1, 1e12 + 0.1]
+        ys = xs[::-1] + [0]
+        got = _edge_rows(weight, xs, ys)
+        want = [[edge_weight(weight, x, y) for y in ys] for x in xs]
+        assert [list(map(repr, row)) for row in got] == [
+            list(map(repr, row)) for row in want]
+        assert [list(map(type, row)) for row in got] == [
+            list(map(type, row)) for row in want]
+
+    @pytest.mark.parametrize("weight", list(WeightKind))
+    def test_bipartite_weights_are_edge_weight_sums(self, weight):
+        inst = instance_from_scores([[3], [7]], weight)
+        assert brute_force_assignment(inst).weight == (
+            4 if weight is WeightKind.ABS else 16)
+        rng = random.Random(61)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            inst = instance_from_scores(
+                [[random_score(rng) for _ in range(n)] for _ in range(2)], weight)
+            xs, ys = inst.scores(0), inst.scores(1)
+            for matching in (brute_force_assignment(inst), match_sorted(inst)):
+                want = fold(edge_weight(weight, xs[i], ys[j])
+                            for i, j in matching.tuples)
+                assert same_bits(matching.weight, want)
+                assert same_bits(matching_weight(inst, matching), want)
