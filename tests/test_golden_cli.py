@@ -74,9 +74,9 @@ FLOAT_BENCH = [
     ('bench --dist uniform-real --k 2 --weight abs --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '56db69df0bd8e49469ea8108941102f3533eb3888475d267ee8b639c3a75cb4f'),
     ('bench --dist uniform-real --k 2 --weight sq --seed 0 --line-sizes 3,5,64 --tri-sizes 2,4 --instances 2', 0, '070d18cddc0473f1e4836e0c72d59f0a0dfbbb7c05ea1ab1b5e15e9d48eb794e'),
     ('bench --dist uniform-real --k 3 --weight sq --seed 0 --line-sizes 2,4,16 --tri-sizes 2,4 --instances 2', 0, '4ac7dc7b53d8effc8c7a909463963a611125a3a543ef4c7287ddd0f8a176a8f9'),
-    ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '0aee9fae3874c03c3ce216b3ea9c3888222d67580fea713fc7fa30fc422839cb'),
-    ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '7aa56c39afe504e30722fb4d12a1e1b59e6a36edf71608df43cc87abd8b01bf1'),
-    ('bench --dist uniform-real --k 5 --weight abs --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '2fb5af18c3ec910135c0190fade06b29bad57c0477d7ce585b22bdd2c8ff4224'),
+    ('bench --dist uniform-real --k 4 --weight abs --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, '904f75a03234bc17ebb0013a51c7e3ed2754efcb9417bda2979e5f2a9b561fe6'),
+    ('bench --dist uniform-real --k 4 --weight sq --seed 0 --line-sizes 2,3,8 --tri-sizes 2,4 --instances 2', 0, 'e162bad76579886ad11a33ad41dce0d1c68993efc864b4444f1d1351a4acf4ec'),
+    ('bench --dist uniform-real --k 5 --weight abs --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, 'a76e0acb8b8f6eb770f5e31c2a4ce2065758d611dab99fe5ba2272da63f10a16'),
     ('bench --dist uniform-real --k 5 --weight sq --seed 0 --line-sizes 2,3,4 --tri-sizes 2,4 --instances 2', 0, '9a3a80ff6bb8083de51f47745662da40c81a0cbbd6735312f016230b025e4061'),
 ]
 
@@ -102,9 +102,9 @@ COHORTS = {
 BALANCED = {
     ('uniform', 2, 'abs'): 'dc7c8bfd57aa7ac0798cfc36ef90f9c1c1677c001ad942d8181592707f3b5396',
     ('uniform', 3, 'abs'): 'f7809db8961d1a852b59b957a5c16739208db0a45f4cf63246d92e99eb4f5dad',
-    ('uniform', 4, 'abs'): '7f4c63d10e34960c6fbe23a0737956b0444ff3187cb971d61c7358c47ba4cac4',
-    ('uniform', 5, 'abs'): '13e3ba0d01faeffc8649290d52cdad2f3900bcbe965603bcf8935529618633f6',
-    ('uniform', 6, 'abs'): 'd4bfb4591444aa0e6bde938f4f7f5b7eb0b457d3c90ee1c1c296b7eadd0b01c2',
+    ('uniform', 4, 'abs'): 'd02a23016a5725dc24eb100fac96513ac8c50ccd670589af16953061f46b81ea',
+    ('uniform', 5, 'abs'): '87abf37a4969890f7b7dd8204c3019b461880ab35ea3037a50301925da2d3604',
+    ('uniform', 6, 'abs'): 'bbd1db39ea469295541dddda21a044c423593a833bb33159d776cffcbe1e6053',
     ('uniform', 2, 'sq'): '04e1a2f066c5a63168423a5577cb9165a9fd81265922ac6d3931abf3d7826301',
     ('uniform', 3, 'sq'): '114ce51e751d19d250f9af556cd282b440ca4506e23723d31359a0cd51e4e8f7',
     ('uniform', 4, 'sq'): 'bfd0c00b933e90445ce0b93292b4bf8c2f6cfad51a87ded70eb547d84597c0d2',
@@ -114,9 +114,9 @@ BALANCED = {
     ('uniform', 8, 'sq'): 'c08298ce60a56a1541988ffbfed3ce65aa3806338a7dd50f5ea2a60d31093525',
     ('ages', 2, 'abs'): 'c88a51f7caa945c59c700746733ea6b75a7f927958fb224c638e3276bc90dd1f',
     ('ages', 3, 'abs'): '4dc5226934421eae97ebff332810904b1dfb8157693486a93312fc977f286c24',
-    ('ages', 4, 'abs'): '20548a9c352696284ae545de1b9953b955d0439f787e3fb39627dd155fd44da8',
-    ('ages', 5, 'abs'): '3689aff71776e7f1488cf1dd7a465c7253abbceb4d628b66a079c10635cf78e7',
-    ('ages', 6, 'abs'): '274a2328d0456f774023cb4f873b3cf3b37c08311230de95248ab4577c3c1fc8',
+    ('ages', 4, 'abs'): 'dbae32d1d2270364f8ba76d2d561987140c60e38d700487be86721277d2809b3',
+    ('ages', 5, 'abs'): '73eed9e1aff56400e76999a21fec8cd0c7bff41858e0c300cb705f4ecaba7f64',
+    ('ages', 6, 'abs'): '457d284ebf06e92851b5ed3c7122419fb39868e024c4548d16a607aa3c8ae4af',
     ('ages', 2, 'sq'): '0c8bf02cce15572f9bd90c1fe94f701f96dcff1fc49827401deed5c6333307a5',
     ('ages', 3, 'sq'): '68b9e860ee98dc96e29fada5fe8cd04042042a381e58515f93bcb57a910b929b',
     ('ages', 4, 'sq'): '412b40979cf70f7c3e64b5a735aae336f78f849693b64f4cf6d63554c69c356b',
@@ -138,9 +138,9 @@ BALANCED = {
     ('ints', 8, 'sq'): 'f6affcf7f12edf8b4c733071e1fc5339faceebf1edce4727227d769b23c7a12e',
     ('offset', 2, 'abs'): '4a32cdf51b5894c5256b14b9038146c621451c4ecc613a1ee6176bcf41dadf71',
     ('offset', 3, 'abs'): '6cf84f58eb11dc1407a20525187702f8fdf21ee99355667c2a4b3fe79e57c077',
-    ('offset', 4, 'abs'): 'f99cbe1afe443d3d6d3908848de44aeea3cc41e42534b257c7eb779dada24555',
-    ('offset', 5, 'abs'): 'ad067482c874acbebf6083374c48b1ddf2413ef91f1c157741eaf93eef7ad7e8',
-    ('offset', 6, 'abs'): '7627cb1e78226cce1d708e8e828d7232241a21f1f8728efabd64c7bc3b703c16',
+    ('offset', 4, 'abs'): 'a3a4cdc57433fef17d4e97f7d09032087d52f6151e09dfe59c64dc13d44565ff',
+    ('offset', 5, 'abs'): 'e93b6fcde6e3b98535671da47e8567d55fc3b850ecc588a22c530ea0f9d1a070',
+    ('offset', 6, 'abs'): '18ec3272b8764b56ea7d43f628cf7e7c45f544b60ab729b052790baff8f3f58c',
     ('offset', 2, 'sq'): 'cce4f99721fbb396dbd62f94fd97b41cb25f1f5f497ee7abc70853f201273028',
     ('offset', 3, 'sq'): 'f266fde0bbed6656d2354e4a7fb51802632b30d9a52d3693f1a9ee6ab9448498',
     ('offset', 4, 'sq'): '0c9e03f658ecc701172c5dd4cc0617f7c15f9c0b7b7c7e9c1fa48bb59c0e8d0d',
