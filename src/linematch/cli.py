@@ -3,14 +3,10 @@
 `certify` and `bench` import their modules on first use (`_ON_USE`), so
 `match` loads only `core` and `matching`.
 
-Exit codes: 0 success; 1 certificate entry failed verification; 2 malformed
-input CSV; 3 item count not divisible by k; 4 k below 2; 5 enumeration
-budget exceeded (`match --balance` with k^3 over DEFAULT_BUDGET, a
-requested bench oracle, a greedy or local-search step, a certificate state
-table of more than DEFAULT_BUDGET states, or a certificate whose table
-fails a state and that would enumerate more than DEFAULT_BUDGET splits to
-list the failures; a verified one enumerates nothing unless collected, and
-a collected one has at most COLLECT_LIMIT).
+A command returns 0, or 1 for a certificate entry that failed verification,
+and raises on every other failure; `main` prints the error as one `error:`
+line on stderr and exits with its code from `_EXIT_CODES`, the one table of
+exit codes (README, "Exit codes").
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -38,6 +33,7 @@ from .core import (
     SizeError,
     ValidationError,
     WeightKind,
+    check_certified_k,
     within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
 from .matching import balance_columns, match_line
@@ -96,35 +92,19 @@ EXIT_BUDGET = 5
 BATCH_ROWS = 4096
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str | None = None
-    k: int = 2
-    weight: WeightKind = WeightKind.ABS
-    balance: bool = False
-    format: str = "json"
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    full_range: bool = False
-    line_sizes: tuple[int, ...] = (2, 4)
-    tri_sizes: tuple[int, ...] = (2, 4, 6)
-    instances: int = 3
-    dist: str = "uniform-int"
-    oracle: bool = False
+# the keys of the config block match and bench documents echo, in order,
+# each with the value echoed by a subcommand that does not take the option
+# (both take subcommand, k, weight and format)
+_ECHO = {"subcommand": None, "input": None, "k": None, "weight": None,
+         "balance": False, "format": None, "seed": 0, "budget": DEFAULT_BUDGET,
+         "full_range": False}
 
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "input": self.input,
-            "k": self.k,
-            "weight": self.weight.value,
-            "balance": self.balance,
-            "format": self.format,
-            "seed": self.seed,
-            "budget": self.budget,
-            "full_range": self.full_range,
-        }
+
+def config_echo(cfg: argparse.Namespace) -> dict:
+    """The config block of a match or bench document."""
+    echo = {key: getattr(cfg, key, absent) for key, absent in _ECHO.items()}
+    echo["weight"] = cfg.weight.value
+    return echo
 
 
 class CsvError(Exception):
@@ -196,31 +176,13 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
-def cmd_match(cfg: RunConfig, out=None, err=None) -> int:
+def cmd_match(cfg: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        cohort = read_cohort_csv(cfg.input)
-    except CsvError as exc:
-        _emit(f"error: {exc}", err)
-        return EXIT_BAD_CSV
-    try:
-        partition = match_line(cohort, cfg.k, cfg.weight)
-    except SizeError as exc:
-        _emit(f"error: {exc}", err)
-        return EXIT_BAD_SIZE
-    except ValidationError as exc:
-        # scores were CSV-validated, so this can only be a bad group size
-        _emit(f"error: {exc}", err)
-        return EXIT_BAD_RANGE
-
+    cohort = read_cohort_csv(cfg.input)
+    partition = match_line(cohort, cfg.k, cfg.weight)
     slots = column_means = None
     if cfg.balance:
-        try:
-            balanced = balance_columns(partition)
-        except EnumerationBudgetError as exc:
-            _emit(f"error: {exc}", err)
-            return EXIT_BUDGET
+        balanced = balance_columns(partition)
         slots = _member_slots(balanced.column_assignment, cfg.k)
         column_means = balanced.column_means
     if cfg.format == "json":
@@ -296,7 +258,7 @@ def _json_array(body: str, indent: str) -> str:
     return f"[\n{body}\n{indent}]" if body else "[]"
 
 
-def _match_json(cfg: RunConfig, partition, slots, column_means, out) -> None:
+def _match_json(cfg: argparse.Namespace, partition, slots, column_means, out) -> None:
     """Write the match document, byte-for-byte what `json.dumps(doc,
     indent=2)` plus a newline prints for {schema_version, config, groups,
     total_within, column_means (with --balance)}, one chunk of groups per
@@ -313,7 +275,7 @@ def _match_json(cfg: RunConfig, partition, slots, column_means, out) -> None:
                 + ",\n".join([member] * k)
                 + '\n      ],\n      "within": %s\n    }')
     head = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "config": cfg.as_dict()}, indent=2
+        {"schema_version": SCHEMA_VERSION, "config": config_echo(cfg)}, indent=2
     )
     out.write(head[: -len("\n}")] + ',\n  "groups": [')
     for start, stop, a, b in _chunks(partition):
@@ -358,7 +320,9 @@ def _progress(k: int, weight: WeightKind, err):
     return report
 
 
-def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
+def cmd_certify(cfg: argparse.Namespace, out=None, err=None) -> int:
+    if not cfg.full_range and cfg.k < 2:
+        raise ValidationError("certify needs --k >= 2 or --full-range")
     _bind("certify")
     out = out or sys.stdout
     err = err or sys.stderr
@@ -366,12 +330,8 @@ def cmd_certify(cfg: RunConfig, out=None, err=None) -> int:
     ks = range(2, _FULL_RANGE[cfg.weight] + 1) if cfg.full_range else [cfg.k]
     all_ok = True
     for k in ks:
-        try:
-            # the verdict; splits are enumerated only to list failures
-            cert = certifier(k, collect=False, progress=_progress(k, cfg.weight, err))
-        except EnumerationBudgetError as exc:
-            _emit(f"error: {exc}", err)
-            return EXIT_BUDGET
+        # the verdict; splits are enumerated only to list failures
+        cert = certifier(k, collect=False, progress=_progress(k, cfg.weight, err))
         if cfg.full_range or cert.entry_count > COLLECT_LIMIT:
             _emit(certificate_render(cert), out)
         else:
@@ -393,13 +353,10 @@ def _gen_scores(rng: random.Random, count: int, dist: str) -> list[float]:
     return [rng.randint(0, 100) for _ in range(count)]
 
 
-def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
+def cmd_bench(cfg: argparse.Namespace, out=None) -> int:
+    check_certified_k(cfg.k)
     _bind("heuristics", "multipartite", "oracle")
     out = out or sys.stdout
-    err = err or sys.stderr
-    if cfg.k < 2:
-        _emit(f"error: group size must be at least 2, got {cfg.k}", err)
-        return EXIT_BAD_RANGE
     rng = random.Random(cfg.seed)
 
     line_specs: list[tuple[str, list[float]]] = []
@@ -421,18 +378,13 @@ def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
             oracle_cost = brute_force_partition(
                 items, cfg.k, cfg.weight, budget=cfg.budget
             ).total_within
-        except EnumerationBudgetError as exc:
+        except EnumerationBudgetError:
             if cfg.oracle:
-                _emit(f"error: {exc}", err)
-                return EXIT_BUDGET
+                raise
             oracle_cost = None
-        try:
-            matched = match_line(items, cfg.k, cfg.weight)
-            greedy = greedy_match(items, cfg.k, cfg.weight, budget=cfg.budget)
-            local = local_search_2tuple(greedy, cfg.weight, budget=cfg.budget)
-        except EnumerationBudgetError as exc:
-            _emit(f"error: {exc}", err)
-            return EXIT_BUDGET
+        matched = match_line(items, cfg.k, cfg.weight)
+        greedy = greedy_match(items, cfg.k, cfg.weight, budget=cfg.budget)
+        local = local_search_2tuple(greedy, cfg.weight, budget=cfg.budget)
         hier_cost = None
         if cfg.k == 3 and cfg.weight is WeightKind.ABS and n and not (n & (n - 1)):
             points = points_from_coords([[s] for s in scores])
@@ -464,12 +416,10 @@ def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
             if n <= TRIPARTITE_ORACLE_MAX_N and math.factorial(n) ** 2 <= cfg.budget:
                 oracle_cost = brute_force_assignment(instance).weight
             elif cfg.oracle:
-                _emit(
-                    f"error: tripartite oracle limited to "
-                    f"n<={TRIPARTITE_ORACLE_MAX_N} within budget, requested n={n}",
-                    err,
+                raise EnumerationBudgetError(
+                    f"tripartite oracle limited to "
+                    f"n<={TRIPARTITE_ORACLE_MAX_N} within budget, requested n={n}"
                 )
-                return EXIT_BUDGET
             sorted_m = match_sorted(instance)
             triangle = triangle_matching(instance)
             bound = tripartite_lower_bound(instance)
@@ -492,7 +442,7 @@ def cmd_bench(cfg: RunConfig, out=None, err=None) -> int:
     if cfg.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "config": cfg.as_dict(),
+            "config": config_echo(cfg),
             "line_instances": line_rows,
             "tripartite_instances": tri_rows,
         }
@@ -540,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="print exchange-inequality certificates")
     p_cert.add_argument("--k", type=int, default=0)
-    p_cert.add_argument("--full-range", action="store_true",
-                        help="the per-k certificates for abs k <= 16, sq k <= 8")
+    p_cert.add_argument("--full-range", action="store_true", help=(
+        "the per-k certificates for "
+        + ", ".join(f"{kind.value} k <= {top}" for kind, top in _FULL_RANGE.items())))
 
     p_bench = sub.add_parser("bench", help="benchmark heuristics against bounds")
     p_bench.add_argument("--k", type=int, default=3, help="group size for line instances")
@@ -560,31 +511,38 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max enumerations for oracle/greedy searches")
 
     for p in (p_match, p_cert, p_bench):
-        p.add_argument("--weight", choices=["abs", "sq"], default="abs",
+        p.add_argument("--weight", choices=[kind.value for kind in WeightKind], default="abs",
                        help="pairwise distance inside a group")
     for p in (p_match, p_bench):
         p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run's config; options a subcommand does not take keep their
-    RunConfig defaults, which its config block still echoes."""
-    fields = vars(args)
-    return RunConfig(**{**fields, "weight": WeightKind(fields["weight"])})
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The run's config: the parsed arguments, with `weight` a WeightKind."""
+    args.weight = WeightKind(args.weight)
+    return args
+
+
+# the exit code of each error a command raises.  Every ValidationError is a
+# k below 2: the CSV reader rejects the scores match_line would.
+_EXIT_CODES = {
+    CsvError: EXIT_BAD_CSV,
+    SizeError: EXIT_BAD_SIZE,
+    ValidationError: EXIT_BAD_RANGE,
+    EnumerationBudgetError: EXIT_BUDGET,
+}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.subcommand == "match":
-        return cmd_match(cfg)
-    if cfg.subcommand == "certify":
-        if not cfg.full_range and cfg.k < 2:
-            sys.stderr.write("error: certify needs --k >= 2 or --full-range\n")
-            return EXIT_BAD_RANGE
-        return cmd_certify(cfg)
-    return cmd_bench(cfg)
+    cfg = config_from_args(build_parser().parse_args(argv))
+    # looked up at each call, so a command rebound on this module is the one run
+    command = globals()[f"cmd_{cfg.subcommand}"]
+    try:
+        return command(cfg)
+    except tuple(_EXIT_CODES) as exc:
+        _emit(f"error: {exc}", sys.stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 def run() -> None:

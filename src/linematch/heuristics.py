@@ -103,8 +103,6 @@ def _two_opt_pairs(
                         pairs[j] = (min(p2), max(p2))
                         improved = True
                         cur = alt
-                        a, b = pairs[i]
-                        c, d = pairs[j]
     return pairs
 
 

@@ -849,6 +849,7 @@ def match_stdout_reference(argv):
         _json_array,
         _json_numbers,
         build_parser,
+        config_echo,
         config_from_args,
     )
     from linematch.matching import balance_columns, match_line
@@ -902,7 +903,7 @@ def match_stdout_reference(argv):
     fields[run - 1 :: run] = _json_numbers(within)
     groups = ",\n".join([template] * n) % tuple(fields)
     head = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "config": cfg.as_dict()}, indent=2
+        {"schema_version": SCHEMA_VERSION, "config": config_echo(cfg)}, indent=2
     )
     parts = [head[: -len("\n}")], ',\n  "groups": ', _json_array(groups, "  "),
              ',\n  "total_within": ', *_json_numbers([partition.total_within])]

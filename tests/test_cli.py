@@ -441,6 +441,37 @@ def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,rows,code,message", [
+    ("match --k 2", ["a,1", "b,x"], 2, "{csv}: line 3: score 'x' is not a number"),
+    ("match --k 2", ["a,1", "b,2", "c,3"], 3, "3 items cannot be split into groups of 2"),
+    ("match --k 1", ["a,1", "b,2"], 4, "group size must be at least 2, got 1"),
+    ("match --k 216 --balance", [f"i{n},{n % 7}" for n in range(216)], 5,
+     "balancing groups of 216 takes 10077696 steps per group, over budget 10000000"),
+    ("certify --k 1", None, 4, "certify needs --k >= 2 or --full-range"),
+    ("certify --k 1000000", None, 5,
+     "certify k=1000000 would tabulate 1500002500000 states, over budget 10000000"),
+    ("bench --k 1", None, 4, "group size must be at least 2, got 1"),
+    ("bench --oracle --line-sizes 16 --tri-sizes 2 --instances 1", None, 5,
+     "instance too large for oracle: 210314486592266380347977873920000000"
+     " partitions exceeds budget 10000000"),
+    ("bench --oracle --line-sizes 2 --tri-sizes 7 --instances 1", None, 5,
+     "tripartite oracle limited to n<=6 within budget, requested n=7"),
+    ("bench --line-sizes 8 --tri-sizes 2 --budget 10", None, 5,
+     "greedy step would enumerate 20 subsets, over budget 10"),
+], ids=["match_csv", "match_size", "match_k", "match_balance", "certify_k",
+        "certify_budget", "bench_k", "bench_line_oracle", "bench_tri_oracle",
+        "bench_greedy"])
+def test_each_error_exits_with_its_code_and_one_stderr_line(
+    tmp_path, capsys, argv, rows, code, message
+):
+    argv = argv.split()
+    csv_path = ""
+    if rows is not None:
+        csv_path = write_csv(tmp_path, rows)
+        argv += ["--input", csv_path]
+    assert run_cli(capsys, argv) == (code, "", f"error: {message.format(csv=csv_path)}\n")
+
+
 class TestBenchCommand:
     def test_deterministic_output(self, capsys):
         argv = [
