@@ -42,7 +42,6 @@ that re-verify it independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, product, repeat
 from operator import add, attrgetter, getitem, mod, mul, not_, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -50,6 +49,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from .core import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
+    Record,
     ValidationError,
     WeightKind,
     check_certified_k,
@@ -97,11 +97,13 @@ def _render_linear(coeffs: Sequence[int], terms: _TermText) -> str:
     return _lead("".join(map(terms.__getitem__, enumerate(coeffs, 1))))
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """Integer linear form sum(coeffs[i] * x_{i+1}) over sorted variables."""
 
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def zero(cls, m: int) -> "LinearForm":
@@ -138,8 +140,7 @@ class LinearForm:
         return _render_linear(self.coeffs, _TermText())
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Integer quadratic form x^T M x with a symmetric coefficient matrix."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -187,15 +188,20 @@ class QuadraticForm:
 DifferenceForm = Union[LinearForm, QuadraticForm]
 
 
-@dataclass(frozen=True)
-class SuffixSumProof:
+class SuffixSumProof(Record):
     """Nonnegativity witness for a linear difference form."""
 
     suffix_sums: tuple[int, ...]
 
+    def __init__(self, suffix_sums: tuple[int, ...]) -> None:
+        _set_suffix_sums(self, suffix_sums)
 
-@dataclass(frozen=True)
-class FactorProof:
+
+_set_coeffs = LinearForm.coeffs.__set__
+_set_suffix_sums = SuffixSumProof.suffix_sums.__set__
+
+
+class FactorProof(Record):
     """Witness 2 * left * right for a quadratic difference form, both
     factors nonnegative on the sorted cone."""
 
@@ -204,8 +210,7 @@ class FactorProof:
     scale: int = 2
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(Record):
     first: tuple[int, ...]
     second: tuple[int, ...]
     form: DifferenceForm
@@ -214,8 +219,7 @@ class CertificateEntry:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class ExchangeCertificate:
+class ExchangeCertificate(Record):
     """Verification record for all two-group splits of a sorted 2k-tuple.
 
     entry_count is always the full C(2k-1, k-1); `entries` is only populated
@@ -301,8 +305,7 @@ def _sq_states(k: int) -> list[list[int]]:
     return table
 
 
-@dataclass(frozen=True)
-class GeneralProof:
+class GeneralProof(Record):
     """Claims proving the sorted split cheapest for every k >= 2, checked."""
 
     checks: tuple[tuple[str, bool], ...]

@@ -6,14 +6,15 @@ difference of scores or the squared difference.  One kernel,
 `within_columns`, computes that cost for many sorted groups at once; every
 group cost in the package comes from it (`within_distance` is its one-row
 view).  A partition computes its group costs once and sums its total once,
-on first read, from those stored group costs.  Everything else here is a
-pure function; integer scores stay in exact integer arithmetic throughout.
+on first read, from those stored group costs.  The frozen value classes
+derive from `Record`, which makes their annotated fields slots.  Everything
+else is a pure function; integer scores stay in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import reduce
 from itertools import combinations, repeat
@@ -53,8 +54,73 @@ _FOLD_DEPTH = 256
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ScoredItem:
+class _RecordType(type):
+    """A `Record` class body's annotated names, in order, are its fields,
+    `__slots__` and `__match_args__`; a body value is a field's default."""
+
+    def __new__(mcs, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = [ns.pop(f) for f in fields if f in ns]
+        ns["__slots__"] = ns["__match_args__"] = fields
+        cls = super().__new__(mcs, name, bases, ns)
+        if fields:
+            get = attrgetter(*fields)
+            cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+            if "__init__" not in ns:
+                cls.__init__ = _record_init(cls, fields, defaults, ns.get("__post_init__"))
+        return cls
+
+
+def _record_init(cls, fields: tuple, defaults: list, post):
+    """Stores positional arguments through the slot descriptors, then runs
+    `post` if given; other calls bind as a def would, by a lazy namedtuple."""
+    setters, n, binder = [getattr(cls, f).__set__ for f in fields], len(fields), None
+
+    def __init__(self, *args, **kwargs):
+        nonlocal binder
+        if kwargs or len(args) != n:
+            if binder is None:
+                binder = namedtuple(cls.__name__, fields, defaults=defaults)
+                binder.__new__.__qualname__ = __init__.__qualname__
+            args = binder(*args, **kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        if post is not None:
+            post(self)
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return __init__
+
+
+class Record(metaclass=_RecordType):
+    """Base of the frozen value classes: equality within a class on the field
+    tuple, its hash and `Name(field=value, ...)` repr, pickle and `copy` via
+    the constructor; setting or deleting raises `FrozenInstanceError`."""
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values == other._values if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self.__match_args__, self._values)
+        return f"{self.__class__.__qualname__}({', '.join(pairs)})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ScoredItem(Record):
     """One subject: opaque id, real score, and its 0-based input position."""
 
     id: str
@@ -62,9 +128,7 @@ class ScoredItem:
     input_rank: int
 
     def __init__(self, id: str, score: float, input_rank: int) -> None:
-        # stores through the slot descriptors, about twice as fast as the
-        # generated frozen __init__ with its object.__setattr__ per field;
-        # assignment still raises FrozenInstanceError
+        # the Record constructor's stores, without its argument checks and loop
         _set_id(self, id)
         _set_score(self, score)
         _set_input_rank(self, input_rank)
@@ -73,18 +137,6 @@ class ScoredItem:
         return (self.score, self.input_rank)
 
 
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# the generated methods refer, on 3.11, to the class `slots=True` replaced,
-# and raise TypeError from `super()` for a name that is not a field
-ScoredItem.__setattr__ = _frozen_setattr
-ScoredItem.__delattr__ = _frozen_delattr
 _set_id = ScoredItem.id.__set__
 _set_score = ScoredItem.score.__set__
 _set_input_rank = ScoredItem.input_rank.__set__
@@ -147,8 +199,7 @@ def sort_items(items: Sequence[ScoredItem]) -> list[ScoredItem]:
     return sorted(sorted(items, key=_rank_of), key=_score_of)
 
 
-@dataclass(frozen=True, slots=True)
-class KTuple:
+class KTuple(Record):
     """A group of k >= 2 items, members sorted by (score, input_rank).
 
     The constructor trusts its input for speed; use :meth:`of` to sort and
@@ -156,6 +207,9 @@ class KTuple:
     """
 
     members: tuple[ScoredItem, ...]
+
+    def __init__(self, members: tuple[ScoredItem, ...]) -> None:
+        _set_members(self, members)
 
     @classmethod
     def of(cls, members: Iterable[ScoredItem]) -> "KTuple":
@@ -177,6 +231,9 @@ class KTuple:
             raise ValidationError("a group needs at least 2 members")
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValidationError("group members are not in sorted order")
+
+
+_set_members = KTuple.members.__set__
 
 
 def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[float]:

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import add, attrgetter
@@ -25,6 +24,7 @@ from .core import (
     EnumerationBudgetError,
     KPartition,
     KTuple,
+    Record,
     SizeError,
     ValidationError,
     WeightKind,
@@ -36,16 +36,21 @@ from .oracle import DEFAULT_BUDGET, min_partition, min_split
 EXACT_PAIRING_MAX_POINTS = 12
 
 
-@dataclass(frozen=True, slots=True)
-class EuclideanPoint:
+class EuclideanPoint(Record):
     """A point in d-dimensional space with an opaque id."""
 
     coords: tuple[float, ...]
     id: str
 
-    def __post_init__(self):
-        if not self.coords or any(not math.isfinite(c) for c in self.coords):
-            raise ValidationError(f"point {self.id!r} has non-finite coordinates")
+    def __init__(self, coords: tuple[float, ...], id: str) -> None:
+        _set_coords(self, coords)
+        _set_id(self, id)
+        if not coords or not all(map(math.isfinite, coords)):
+            raise ValidationError(f"point {id!r} has non-finite coordinates")
+
+
+_set_coords = EuclideanPoint.coords.__set__
+_set_id = EuclideanPoint.id.__set__
 
 
 def points_from_coords(coord_rows: Sequence[Sequence[float]]) -> list[EuclideanPoint]:
@@ -54,8 +59,7 @@ def points_from_coords(coord_rows: Sequence[Sequence[float]]) -> list[EuclideanP
     ]
 
 
-@dataclass(frozen=True)
-class HierarchicalTriples:
+class HierarchicalTriples(Record):
     """Result of the hierarchical heuristic, with per-level pairing exactness."""
 
     triples: tuple[tuple[EuclideanPoint, EuclideanPoint, EuclideanPoint], ...]

@@ -22,7 +22,6 @@ of the groups of k=4 on one-decimal ages, while on U(0,1) scores at k=4
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from operator import add
 from typing import Sequence
@@ -32,6 +31,7 @@ from .core import (
     Cohort,
     EnumerationBudgetError,
     KPartition,
+    Record,
     ScoredItem,
     SizeError,
     ValidationError,
@@ -77,8 +77,7 @@ def match_line(
     return KPartition.from_sorted_items(k, sort_items(items), None, weight)
 
 
-@dataclass(frozen=True)
-class BalancedPartition:
+class BalancedPartition(Record):
     """A partition plus a member-to-slot assignment and the slot score means.
 
     column_assignment[i][j] is the member index (into the sorted group
@@ -134,7 +133,8 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
     _, scores, ranks = partition.columns()
     groups = list(zip(*[iter(scores)] * k))  # scores per group
     first_ranks = ranks[::k]
-    order = sorted(range(n), key=lambda i: (-within[i], first_ranks[i]))
+    order = sorted(range(n), key=first_ranks.__getitem__)
+    order.sort(key=within.__getitem__, reverse=True)
     sums = list(map(add, [0] * k, groups[order[0]]))
     assignment: list[tuple[int, ...]] = [identity] * n
     for idx in order[1:]:

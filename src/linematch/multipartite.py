@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from operator import add
 from typing import Callable, Sequence
 
-from .core import ArityError, ScoredItem, ValidationError, WeightKind, within_columns
+from .core import ArityError, Record, ScoredItem, ValidationError, WeightKind, within_columns
 
 
-@dataclass(frozen=True)
-class MultipartiteInstance:
+class MultipartiteInstance(Record):
     """Two or three equal-length score lists with a shared weight kind."""
 
     parts: tuple[tuple[ScoredItem, ...], ...]
@@ -72,8 +70,7 @@ def instance_from_scores(
     return MultipartiteInstance(parts, weight)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """A perfect matching: one index per part in each tuple, plus its weight."""
 
     tuples: tuple[tuple[int, ...], ...]
@@ -154,8 +151,7 @@ def heuristic_ratio_bound(
     return heu / bound
 
 
-@dataclass(frozen=True)
-class LmWitness:
+class LmWitness(Record):
     """A sampled instance where some permutation beats the sorted matching."""
 
     x: tuple[float, ...]

@@ -229,11 +229,14 @@ class TestScoredItemContract:
         assert ScoredItem("a", 1, 0) == ScoredItem("a", 1.0, 0)
 
     def test_fields_and_replace(self):
-        assert [(f.name, f.type, f.init) for f in dataclasses.fields(ScoredItem)] == [
-            ("id", "str", True), ("score", "float", True), ("input_rank", "int", True)]
+        # a Record, not a dataclass: its fields are the __slots__, in the
+        # __match_args__ order
+        fields = ("id", "score", "input_rank")
+        assert ScoredItem.__slots__ == ScoredItem.__match_args__ == fields
         item = ScoredItem("a", 1.5, 0)
-        assert dataclasses.replace(item, score=2.5) == ScoredItem("a", 2.5, 0)
-        assert dataclasses.astuple(item) == ("a", 1.5, 0)
+        values = {f: getattr(item, f) for f in ScoredItem.__match_args__}
+        assert ScoredItem(**{**values, "score": 2.5}) == ScoredItem("a", 2.5, 0)
+        assert tuple(values.values()) == ("a", 1.5, 0)
         with pytest.raises(TypeError):
             ScoredItem("a", 1.5)
 

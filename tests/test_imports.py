@@ -2,7 +2,9 @@
 
 `match` must load only the package, `cli`, `core` and `matching`; `certify`
 adds `certify` alone, and `bench` the oracle, heuristic and multipartite
-modules.  Each import set is read in a fresh interpreter after `main()`.
+modules.  No command loads `dataclasses` or `inspect`, which cost a fresh
+interpreter more than the package's own modules.  Each import set is read
+in a fresh interpreter after `main()`.
 """
 
 import importlib
@@ -63,6 +65,30 @@ def test_bench_loads_all_but_certify():
     argv = ["bench", "--k", "2", "--line-sizes", "2", "--tri-sizes", "2",
             "--instances", "1"]
     assert modules_after(argv) == sorted(set(ALL_MODULES) - {"linematch.certify"})
+
+
+STDLIB_AFTER = """
+import contextlib, io, json, sys
+from linematch.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--k", "2"],
+    ["match", "--k", "4", "--weight", "sq", "--balance", "--format", "csv"],
+    ["certify", "--k", "3"],
+    ["bench", "--k", "2", "--line-sizes", "2", "--tri-sizes", "2", "--instances", "1"],
+], ids=["match_json", "match_balance_csv", "certify", "bench"])
+def test_no_command_imports_dataclasses_or_inspect(cohort, argv):
+    if argv[0] == "match":
+        argv = [*argv, "--input", cohort]
+    proc = subprocess.run([sys.executable, "-c", STDLIB_AFTER, *argv],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 def test_exports_are_sorted_and_resolve_to_their_modules():
