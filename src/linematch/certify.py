@@ -102,9 +102,6 @@ class LinearForm(Record):
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        _set_coeffs(self, coeffs)
-
     @classmethod
     def zero(cls, m: int) -> "LinearForm":
         return cls((0,) * m)
@@ -192,13 +189,6 @@ class SuffixSumProof(Record):
     """Nonnegativity witness for a linear difference form."""
 
     suffix_sums: tuple[int, ...]
-
-    def __init__(self, suffix_sums: tuple[int, ...]) -> None:
-        _set_suffix_sums(self, suffix_sums)
-
-
-_set_coeffs = LinearForm.coeffs.__set__
-_set_suffix_sums = SuffixSumProof.suffix_sums.__set__
 
 
 class FactorProof(Record):

@@ -7,14 +7,15 @@ difference of scores or the squared difference.  One kernel,
 group cost in the package comes from it (`within_distance` is its one-row
 view).  A partition computes its group costs once and sums its total once,
 on first read, from those stored group costs.  The frozen value classes
-derive from `Record`, which makes their annotated fields slots.  Everything
-else is a pure function; integer scores stay in exact integer arithmetic.
+derive from `Record`, which makes their annotated fields slots and gives
+each class one constructor, a def generated when the class is created.
+Everything else is a pure function; integer scores stay in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 from functools import reduce
 from itertools import combinations, repeat
@@ -56,46 +57,54 @@ DEFAULT_BUDGET = 10_000_000
 
 class _RecordType(type):
     """A `Record` class body's annotated names, in order, are its fields,
-    `__slots__` and `__match_args__`; a body value is a field's default."""
+    `__slots__` and `__match_args__`; a body value is a field's default.
+    The body defines no `__init__`; validation goes in `__post_init__`."""
 
     def __new__(mcs, name, bases, ns):
-        fields = tuple(ns.get("__annotations__", ()))
-        defaults = [ns.pop(f) for f in fields if f in ns]
+        if "__init__" in ns:
+            raise TypeError(f"{name} defines __init__: a Record's is generated")
+        annotations = ns.get("__annotations__", {})
+        fields = tuple(annotations)
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
         ns["__slots__"] = ns["__match_args__"] = fields
         cls = super().__new__(mcs, name, bases, ns)
         if fields:
             get = attrgetter(*fields)
             cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
-            if "__init__" not in ns:
-                cls.__init__ = _record_init(cls, fields, defaults, ns.get("__post_init__"))
+            cls.__init__ = _record_init(cls, annotations, defaults, "__post_init__" in ns)
         return cls
 
 
-def _record_init(cls, fields: tuple, defaults: list, post):
-    """Stores positional arguments through the slot descriptors, then runs
-    `post` if given; other calls bind as a def would, by a lazy namedtuple."""
-    setters, n, binder = [getattr(cls, f).__set__ for f in fields], len(fields), None
-
-    def __init__(self, *args, **kwargs):
-        nonlocal binder
-        if kwargs or len(args) != n:
-            if binder is None:
-                binder = namedtuple(cls.__name__, fields, defaults=defaults)
-                binder.__new__.__qualname__ = __init__.__qualname__
-            args = binder(*args, **kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-        if post is not None:
-            post(self)
-
-    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return __init__
+def _record_init(cls, annotations: dict, defaults: dict, post: bool):
+    """The class's one constructor, compiled once from source as dataclasses
+    and namedtuple compile theirs: `def __init__(self, <fields>)`, which
+    stores each argument through its slot descriptor and then calls
+    `__post_init__` if `post`.  A field without a default after one with a
+    default fails to compile, as a def with that signature would."""
+    env = {"__name__": cls.__module__}
+    params, body = [], []
+    for f in annotations:
+        env[f"__store_{f}"] = getattr(cls, f).__set__
+        if f in defaults:
+            env[f"__default_{f}"] = defaults[f]
+            params.append(f"{f}=__default_{f}")
+        else:
+            params.append(f)
+        body.append(f"__store_{f}(self, {f})")
+    if post:
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**annotations, "return": None}
+    return init
 
 
 class Record(metaclass=_RecordType):
-    """Base of the frozen value classes: equality within a class on the field
-    tuple, its hash and `Name(field=value, ...)` repr, pickle and `copy` via
-    the constructor; setting or deleting raises `FrozenInstanceError`."""
+    """Base of the frozen value classes: one generated `__init__` over the
+    fields (`_record_init`), equality within a class on the field tuple, its
+    hash and `Name(field=value, ...)` repr, pickle and `copy` via the
+    constructor; setting or deleting raises `FrozenInstanceError`."""
 
     def __eq__(self, other: object) -> bool:
         same = other.__class__ is self.__class__
@@ -127,19 +136,10 @@ class ScoredItem(Record):
     score: float
     input_rank: int
 
-    def __init__(self, id: str, score: float, input_rank: int) -> None:
-        # the Record constructor's stores, without its argument checks and loop
-        _set_id(self, id)
-        _set_score(self, score)
-        _set_input_rank(self, input_rank)
-
     def sort_key(self) -> tuple[float, int]:
         return (self.score, self.input_rank)
 
 
-_set_id = ScoredItem.id.__set__
-_set_score = ScoredItem.score.__set__
-_set_input_rank = ScoredItem.input_rank.__set__
 _id_of = attrgetter("id")
 _score_of = attrgetter("score")
 _rank_of = attrgetter("input_rank")
@@ -208,9 +208,6 @@ class KTuple(Record):
 
     members: tuple[ScoredItem, ...]
 
-    def __init__(self, members: tuple[ScoredItem, ...]) -> None:
-        _set_members(self, members)
-
     @classmethod
     def of(cls, members: Iterable[ScoredItem]) -> "KTuple":
         ordered = tuple(sorted(members, key=attrgetter("score", "input_rank")))
@@ -231,9 +228,6 @@ class KTuple(Record):
             raise ValidationError("a group needs at least 2 members")
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise ValidationError("group members are not in sorted order")
-
-
-_set_members = KTuple.members.__set__
 
 
 def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[float]:
@@ -403,6 +397,12 @@ class KPartition:
             raise ValidationError(
                 f"stored total {self.total_within!r} != recomputed {total!r}"
             )
+
+    def __reduce__(self) -> tuple:
+        # through the columns: slots without __getstate__ do not pickle at
+        # protocols 0 and 1
+        return KPartition.from_columns, (
+            self.k, *self.columns(), self._total, self.weight)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KPartition):

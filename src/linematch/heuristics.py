@@ -42,15 +42,9 @@ class EuclideanPoint(Record):
     coords: tuple[float, ...]
     id: str
 
-    def __init__(self, coords: tuple[float, ...], id: str) -> None:
-        _set_coords(self, coords)
-        _set_id(self, id)
-        if not coords or not all(map(math.isfinite, coords)):
-            raise ValidationError(f"point {id!r} has non-finite coordinates")
-
-
-_set_coords = EuclideanPoint.coords.__set__
-_set_id = EuclideanPoint.id.__set__
+    def __post_init__(self) -> None:
+        if not self.coords or not all(map(math.isfinite, self.coords)):
+            raise ValidationError(f"point {self.id!r} has non-finite coordinates")
 
 
 def points_from_coords(coord_rows: Sequence[Sequence[float]]) -> list[EuclideanPoint]:
@@ -259,8 +253,8 @@ def local_search_2tuple(
             f"per-pair enumeration {per_pair} exceeds budget {budget}"
         )
     groups = [list(t.members) for t in partition.tuples]
-    costs = list(KPartition.from_sorted_items(
-        k, partition.items(), None, weight).group_within)
+    start = partition.columns()[1]
+    costs = within_columns([start[i::k] for i in range(k)], weight)
     # every k-subset of the 2k merged positions: either half of any split
     positions = list(combinations(range(2 * k), k))
     sort_key = attrgetter("score", "input_rank")

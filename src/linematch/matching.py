@@ -144,16 +144,6 @@ def balance_columns(partition: KPartition) -> BalancedPartition:
             sums = trial
             continue
         spread = max(trial) - min(trial)
-        if k == 2:
-            # the anti-sorted floor pairs the smaller sum with the larger
-            # score; if the identity misses it, the swap meets it
-            best = abs((max(sums) + min(group)) - (min(sums) + max(group)))
-            if spread == best or not isfinite(best):
-                sums = trial
-            else:
-                assignment[idx] = (1, 0)
-                sums = [sums[0] + group[1], sums[1] + group[0]]
-            continue
         ascending = sorted(sums)
         descending = sorted(group, reverse=True)
         floor = list(map(add, ascending, descending))

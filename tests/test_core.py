@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linematch.core import (
+    Cohort,
     KPartition,
     KTuple,
     ScoredItem,
@@ -364,6 +366,16 @@ class TestTypes:
         flat = sort_items([ScoredItem("a", 0.0, 0), ScoredItem("b", -0.0, 1)])
         part = KPartition.from_sorted_items(2, flat, 0, WeightKind.ABS)
         assert repr(part.group_within[0]) == "0.0"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_partition_pickles_at_every_protocol(self, protocol):
+        pairs = [("a", 1), ("b", 2.5), ("c", -0.0), ("d", 2.5), ("e", 7), ("f", 0.0)]
+        for part in (match_line(items_from_pairs(pairs), 3, WeightKind.SQ),
+                     match_line(Cohort(*map(list, zip(*pairs))), 2, WeightKind.ABS)):
+            back = pickle.loads(pickle.dumps(part, protocol))
+            assert type(back) is KPartition and back == part
+            assert back.items() == part.items() and repr(back) == repr(part)
+            assert list(map(repr, back.group_within)) == list(map(repr, part.group_within))
 
     def test_certified_gate(self):
         # every k >= 2 is proven (certify.certify_general); only k < 2 fails
