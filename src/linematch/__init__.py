@@ -31,11 +31,13 @@ _EXPORTS = {
     "QuadraticForm": "certify",
     "ScoredItem": "core",
     "SizeError": "core",
+    "TRIPARTITE_ORACLE_MAX_N": "oracle",
     "ValidationError": "core",
     "WeightKind": "core",
     "balance_columns": "matching",
     "brute_force_assignment": "oracle",
     "brute_force_partition": "oracle",
+    "certificate_chunks": "certify",
     "certificate_render": "certify",
     "certify_abs": "certify",
     "certify_general": "certify",

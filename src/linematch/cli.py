@@ -1,7 +1,8 @@
 """Batch command line: match cohort files, print certificates, run benchmarks.
 
-`certify` and `bench` import their modules on first use (`_ON_USE`), so
-`match` loads only `core` and `matching`.
+`certify` and `bench` import their modules on first use: a name they run
+resolves through the package's `_EXPORTS` table, so `match` loads only
+`core` and `matching`.
 
 A command returns 0, or 1 for a certificate entry that failed verification,
 and raises on every other failure; `main` prints the error as one `error:`
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import json
 import math
@@ -38,40 +38,24 @@ from .core import (
 )
 from .matching import balance_columns, match_line
 
-# the names `certify` and `bench` run, by the module that defines them: each
-# command imports its modules on first use, so `match` loads none of them
-_ON_USE = {
-    "certify": ("certificate_chunks", "certificate_render", "certify_abs",
-                "certify_sq"),
-    "heuristics": ("hierarchical_triple_match", "local_search_2tuple",
-                   "points_from_coords", "triangle_matching"),
-    "multipartite": ("heuristic_ratio_bound", "instance_from_scores",
-                     "match_sorted", "tripartite_lower_bound"),
-    "oracle": ("TRIPARTITE_ORACLE_MAX_N", "brute_force_assignment",
-               "brute_force_partition", "greedy_match"),
-}
-_MODULE_OF = {name: module for module, names in _ON_USE.items() for name in names}
-
 
 def __getattr__(name: str):
-    """Resolve an on-use name and bind it here, as if imported at the top."""
-    try:
-        module = _MODULE_OF[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
+    """Resolve a name of the package's `_EXPORTS` and bind it here, as if
+    imported at the top."""
+    package = sys.modules[__package__]
+    if name not in package._EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
     return value
 
 
 def _bind(*modules: str) -> None:
-    """Bind the on-use names of `modules` that are not bound yet, so a name
+    """Bind the exports of `modules` that are not bound yet, so a name
     rebound from outside (a test double, a tracer) stays what is called."""
     bound = globals()
-    for module in modules:
-        for name in _ON_USE[module]:
-            if name not in bound:
-                __getattr__(name)
+    for name, module in sys.modules[__package__]._EXPORTS.items():
+        if module in modules and name not in bound:
+            __getattr__(name)
 
 
 SCHEMA_VERSION = 2

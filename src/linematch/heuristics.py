@@ -245,16 +245,20 @@ def local_search_2tuple(
     `combinations` order, and `min_split` reads each split as a group and
     its complement from that list by rank; `_sweep_pairs` skips a pair
     whose two groups have not changed since it was last evaluated.
+    Fewer than two groups have no pair: they are returned as given, before
+    the budget check.
     """
     k = partition.k
+    groups = [list(t.members) for t in partition.tuples]
+    start = partition.columns()[1]
+    costs = within_columns([start[i::k] for i in range(k)], weight)
+    if len(groups) < 2:
+        return KPartition(k, partition.tuples, reduce(add, costs, 0), weight)
     per_pair = math.comb(2 * k - 1, k - 1)
     if per_pair > budget:
         raise EnumerationBudgetError(
             f"per-pair enumeration {per_pair} exceeds budget {budget}"
         )
-    groups = [list(t.members) for t in partition.tuples]
-    start = partition.columns()[1]
-    costs = within_columns([start[i::k] for i in range(k)], weight)
     # every k-subset of the 2k merged positions: either half of any split
     positions = list(combinations(range(2 * k), k))
     sort_key = attrgetter("score", "input_rank")

@@ -384,8 +384,6 @@ def _min_permutation(
     """
     n = len(a)
     best_cost, best = bound, None
-    if best_cost is not None and partial > best_cost:
-        return best_cost, best
     free = list(range(n))
     perm: list[int] = []
 

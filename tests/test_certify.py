@@ -292,6 +292,23 @@ class TestFactoring:
         matrix = ((1, 0), (0, 0))
         assert QuadraticForm(matrix).factor_as_double_product() is None
 
+    def test_v_row_not_divisible_by_the_pivot_returns_none(self):
+        # u = (2, 3, 0, 0) from column 3; row 1's v block (2, 3) is not a
+        # multiple of u's pivot 2
+        matrix = (
+            (0, 0, 2, 3),
+            (0, 0, 3, 3),
+            (2, 3, 0, 0),
+            (3, 3, 0, 0),
+        )
+        assert QuadraticForm(matrix).factor_as_double_product() is None
+
+    def test_evaluate_refuses_the_wrong_length(self):
+        with pytest.raises(ValidationError, match="form over 2 variables evaluated on 3"):
+            LinearForm((1, -1)).evaluate([1, 2, 3])
+        with pytest.raises(ValidationError, match="form over 2 variables evaluated on 1"):
+            QuadraticForm(((0, 1), (1, 0))).evaluate([1])
+
 
 def symmetric_double_product(u, v):
     m = len(u)

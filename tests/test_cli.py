@@ -324,8 +324,10 @@ class TestCertifyCommand:
              + [("8", "sq", done, 6435) for done in range(1000, 6001, 1000)]),
             ("certify --k 6", 100, 200,
              [("6", "abs", 200, 462), ("6", "abs", 400, 462)]),
+            # within COLLECT_LIMIT the progress calls write nothing
+            ("certify --k 6", 1000, 200, []),
         ],
-        ids=["full-range-sq", "k6-abs"],
+        ids=["full-range-sq", "k6-abs", "k6-abs-collected"],
     )
     def test_uncollected_failing_certificates_report_progress(
         self, capsys, monkeypatch, argv, collect_limit, every, expected
@@ -398,6 +400,9 @@ class TestCertifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("an entry object was built")
 
+        # cli binds every certify export on first use: bind them before the
+        # doubles replace them, or the package would cache a double
+        cli._bind("certify")
         for name in ("CertificateEntry", "LinearForm", "QuadraticForm",
                      "SuffixSumProof", "FactorProof"):
             monkeypatch.setattr(certify, name, refuse)
@@ -439,6 +444,15 @@ def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
         main(argv.split())
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("x", "bad size list 'x'"), ("0", "sizes must be positive, got '0'")])
+def test_bad_size_lists_are_rejected(capsys, sizes, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--line-sizes", sizes])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,rows,code,message", [
@@ -521,6 +535,22 @@ class TestBenchCommand:
         assert code == 0
         for row in doc["tripartite_instances"]:
             assert row["ratio_triangle_to_bound"] <= 2.0
+
+    def test_ratio_against_a_zero_reference(self):
+        assert cli._ratio(0, 0) == 1.0, "zero over zero is ratio 1"
+        assert cli._ratio(2, 0) == math.inf, "a positive cost over zero is unbounded"
+
+    def test_one_group_of_14_runs_within_the_default_budget(self, capsys):
+        # local search has no pair to re-split in one group, so it does not
+        # charge the C(27, 13) splits of a pair against the budget
+        code, out, err = run_cli(
+            capsys,
+            ["bench", "--k", "14", "--line-sizes", "1", "--tri-sizes", "2",
+             "--instances", "1"],
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["line_instances"][0]
+        assert row["local_search"] == row["greedy"] == row["optimal"]
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_undersized_k_exits_4(self, capsys, k):

@@ -253,6 +253,10 @@ class TestSortItems:
         with pytest.raises(ValidationError):
             items_from_pairs([("a", 1), ("a", 2)])
 
+    def test_items_from_pairs_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite score inf for id 'b'"):
+            items_from_pairs([("a", 1), ("b", math.inf)])
+
 
 class TestVarianceIdentity:
     def test_example(self):
@@ -307,6 +311,10 @@ class TestTypes:
         bad = KTuple((ScoredItem("a", 2, 0), ScoredItem("b", 1, 1)))
         with pytest.raises(ValidationError):
             bad.check_sorted()
+
+    def test_check_sorted_needs_two_members(self):
+        with pytest.raises(ValidationError, match="needs at least 2 members"):
+            KTuple((ScoredItem("a", 1, 0),)).check_sorted()
 
     def test_partition_check(self):
         t1 = tuple_of(1, 2)

@@ -393,6 +393,13 @@ def test_greedy_match_rejects_a_non_finite_score(bad):
         greedy_match(items, 2, WeightKind.ABS)
 
 
+@pytest.mark.parametrize("search", [brute_force_partition, greedy_match])
+def test_searches_reject_an_indivisible_item_count(search):
+    items = items_from_pairs((f"i{i}", i) for i in range(5))
+    with pytest.raises(SizeError, match="5 items cannot be split into groups of 2"):
+        search(items, 2, WeightKind.ABS)
+
+
 @pytest.mark.parametrize("k", [1, 0, -2])
 def test_greedy_match_rejects_k_below_two(k):
     items = items_from_pairs((f"i{i}", i) for i in range(4))

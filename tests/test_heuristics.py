@@ -201,3 +201,8 @@ class TestLocalSearch:
         part = match_line(make_items(list(range(12))), 6, WeightKind.ABS)
         with pytest.raises(EnumerationBudgetError):
             local_search_2tuple(part, WeightKind.ABS, budget=10)
+        # one group has no pair to re-split, so there is nothing to refuse
+        one = match_line(make_items(list(range(12))), 12, WeightKind.ABS)
+        refined = local_search_2tuple(one, WeightKind.ABS, budget=10)
+        assert refined.tuples == one.tuples, "a single group is returned as given"
+        assert refined.total_within == one.total_within == 286

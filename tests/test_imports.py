@@ -122,6 +122,7 @@ def test_cli_resolves_on_use_names_from_their_modules():
     assert cli.TRIPARTITE_ORACLE_MAX_N == oracle.TRIPARTITE_ORACLE_MAX_N
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
+    assert not hasattr(cli, "__path__")
 
 
 def test_a_name_rebound_on_cli_is_the_one_called(monkeypatch, capsys):

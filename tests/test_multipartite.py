@@ -40,6 +40,10 @@ class TestInstance:
         with pytest.raises(ValidationError):
             instance_from_scores([[], []], WeightKind.ABS)
 
+    def test_rejects_non_finite_scores(self):
+        with pytest.raises(ValidationError, match="non-finite score for id 'b1'"):
+            instance_from_scores([[1, 2], [3, math.nan]], WeightKind.ABS)
+
 
 class TestMatchSorted:
     def test_identical_lists_cost_zero(self):
@@ -93,6 +97,8 @@ class TestLowerBound:
         inst = instance_from_scores([[1, 2], [3, 4]], WeightKind.ABS)
         with pytest.raises(ArityError):
             tripartite_lower_bound(inst)
+        with pytest.raises(ArityError, match="defined for tripartite instances"):
+            heuristic_ratio_bound(inst, match_sorted(inst))
 
     def test_equals_sorted_matching_weight(self):
         rng = random.Random(31)
@@ -237,6 +243,12 @@ class TestRatioBound:
         assert matching_weight(inst, lying) == 40
         # identical parts give bound 0; positive recomputed weight -> inf
         assert heuristic_ratio_bound(inst, lying) == math.inf
+
+    def test_weight_of_a_matching_of_the_wrong_arity_is_refused(self):
+        inst = instance_from_scores([[0, 10], [0, 10]], WeightKind.ABS)
+        triples = Matching(((0, 0, 0), (1, 1, 1)), 0)
+        with pytest.raises(ValidationError, match="arity does not fit the instance"):
+            matching_weight(inst, triples)
 
 
 class TestEdgeRows:
