@@ -25,15 +25,24 @@ from .core import (
     KPartition,
     KTuple,
     Record,
+    ScoredItem,
     SizeError,
     ValidationError,
     WeightKind,
     within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
-from .oracle import DEFAULT_BUDGET, min_partition, min_split
+from .oracle import (
+    DEFAULT_BUDGET,
+    _nth_combination,
+    _subset_costs,
+    min_partition,
+    min_split,
+)
 
 EXACT_PAIRING_MAX_POINTS = 12
+
+_by_score_and_rank = attrgetter("score", "input_rank")
 
 
 class EuclideanPoint(Record):
@@ -156,8 +165,17 @@ def _refine_triples(
     dist: list[list[float]], triples: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     def resplit(i: int, j: int) -> bool:
-        cur = _triple_cost(dist, triples[i]) + _triple_cost(dist, triples[j])
-        t1, t2, c = _best_two_triples(dist, triples[i] + triples[j])
+        first, second = triples[i], triples[j]
+        cur = _triple_cost(dist, first) + _triple_cost(dist, second)
+        # every other split mixes both triples, and a mixed triple has two
+        # cross edges, each at least `near`; sorted triples cost what
+        # `_best_two_triples` prices them at, so their own split only ties
+        near = min(dist[a][b] for a in first for b in second)
+        mixed = near + near
+        if mixed + mixed >= cur and first == tuple(sorted(first)) and (
+                second == tuple(sorted(second))):
+            return False
+        t1, t2, c = _best_two_triples(dist, first + second)
         if c < cur:
             triples[i], triples[j] = t1, t2
             return True
@@ -230,6 +248,41 @@ def triangle_matching(instance: MultipartiteInstance) -> Matching:
     return Matching(tuples, matching_weight(instance, Matching(tuples, 0)))
 
 
+def _cheaper_split(
+    first: list[ScoredItem],
+    second: list[ScoredItem],
+    bound: float,
+    weight: WeightKind,
+) -> tuple[list[ScoredItem], list[ScoredItem], float, float] | None:
+    """The split of two sorted k-groups' members into two k-groups that
+    `min_split` finds below `bound`, the pair's current cost, as (group,
+    group, cost, cost); None if no split is below it.
+
+    The C(2k, k) candidate groups of the members in (score, rank) order
+    are costed _SUBSET_CHUNK at a time, and only the split found is
+    unranked.  When the groups do not interleave, every other split puts a
+    member of each group into both halves, and each half then costs at
+    least the two-member cost g of the two innermost members (the bound in
+    the README's cost model): if g + g reaches `bound`, no split is
+    searched.
+    """
+    low, high = (first, second) if first[-1].score <= second[0].score else (second, first)
+    if low[-1].score <= high[0].score:
+        g = within_columns([[low[-1].score], [high[0].score]], weight)[0]
+        if g + g >= bound:
+            return None
+    k = len(first)
+    merged = sorted(first + second, key=_by_score_and_rank)
+    within = _subset_costs(combinations([m.score for m in merged], k), weight)
+    better = min_split(within, bound)
+    if better is None:
+        return None
+    (r1, r2), _ = better
+    return ([merged[p] for p in _nth_combination(2 * k, k, r1)],
+            [merged[p] for p in _nth_combination(2 * k, k, r2)],
+            within[r1], within[r2])
+
+
 def local_search_2tuple(
     partition: KPartition,
     weight: WeightKind,
@@ -241,12 +294,13 @@ def local_search_2tuple(
     of the 2k concatenated members that keeps the smallest member in the
     first group, and applies the best strictly-cheaper one.  Cost never
     increases and the scan terminates at a pairwise-optimal fixpoint.
-    A pair's C(2k, k) candidate groups are costed in one kernel call, in
-    `combinations` order, and `min_split` reads each split as a group and
-    its complement from that list by rank; `_sweep_pairs` skips a pair
-    whose two groups have not changed since it was last evaluated.
-    Fewer than two groups have no pair: they are returned as given, before
-    the budget check.
+    `_cheaper_split` gives each pair's verdict: it rules out a pair of
+    groups that do not interleave by one two-member cost when it can, and
+    otherwise costs the pair's C(2k, k) candidate groups, holding one cost
+    per group, for `min_split` to read each split from by rank.
+    `_sweep_pairs` skips a pair whose two groups have not changed since
+    its last verdict.  Fewer than two groups have no pair: they are
+    returned as given, before the budget check.
     """
     k = partition.k
     groups = [list(t.members) for t in partition.tuples]
@@ -259,22 +313,12 @@ def local_search_2tuple(
         raise EnumerationBudgetError(
             f"per-pair enumeration {per_pair} exceeds budget {budget}"
         )
-    # every k-subset of the 2k merged positions: either half of any split
-    positions = list(combinations(range(2 * k), k))
-    sort_key = attrgetter("score", "input_rank")
 
     def resplit(i: int, j: int) -> bool:
-        merged = sorted(groups[i] + groups[j], key=sort_key)
-        scores = [m.score for m in merged]
-        within = within_columns(list(zip(*combinations(scores, k))), weight)
-        better = min_split(within, bound=costs[i] + costs[j])
+        better = _cheaper_split(groups[i], groups[j], costs[i] + costs[j], weight)
         if better is None:
             return False
-        (r1, r2), _ = better
-        groups[i] = [merged[p] for p in positions[r1]]
-        groups[j] = [merged[p] for p in positions[r2]]
-        costs[i] = within[r1]
-        costs[j] = within[r2]
+        groups[i], groups[j], costs[i], costs[j] = better
         return True
 
     _sweep_pairs(len(groups), resplit)

@@ -5,11 +5,12 @@ enumeration of k-group partitions (lowest unused item anchors each group),
 permutation enumeration for bipartite/tripartite matching, and the greedy
 cheapest-group-first heuristic that exists purely to be beaten.
 
-The greedy baseline searches each step in value order: every (k - 1)-prefix
-of the N remaining items is costed with its first free completion, the one
-that costs it least, so a step costs O(C(N - 1, k - 1)) rows and holds one
-cost per row.  Ties go to the lexicographically first input ranks.  Scores
-must be finite, so no cost is NaN.
+The greedy baseline searches each step in value order: a (k - 1)-prefix
+of the N remaining items with its first free completion, the one that
+costs it least, is a row, and of the C(N - 1, k - 1) rows a step costs
+only those that a two-member bound cannot rule out, a chunk at a time.
+Ties go to the lexicographically first input ranks.  Scores must be
+finite, so no cost is NaN.
 
 The public oracles are budgeted.  Every exact partition search in the
 package goes through `min_partition`; its two-group case, `min_split`,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, islice, repeat, takewhile
+from itertools import chain, combinations, compress, islice, takewhile
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -273,6 +274,18 @@ def _completion_costs(
         size *= 2
 
 
+def _chains(hi: Sequence[int], depth: int, head: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """Every chain of `depth` more indices after `head`, each index i
+    followed only by indices below hi[i] (nondecreasing in i), in
+    lexicographic order."""
+    lo, stop = (head[-1] + 1, hi[head[-1]]) if head else (0, len(hi))
+    # once every index left reaches the end, any combination of them chains
+    if depth == 1 or stop == len(hi) and (lo == stop or hi[lo] == stop):
+        return map(head.__add__, combinations(range(lo, stop), depth))
+    return chain.from_iterable(_chains(hi, depth - 1, head + (i,))
+                               for i in range(lo, stop))
+
+
 def _cheapest_subset(
     by_value: Sequence[int],
     scores: Sequence[float],
@@ -286,34 +299,66 @@ def _cheapest_subset(
     A subset is a (k - 1)-prefix in value order and a completion after it.
     For a fixed prefix the cost is nondecreasing in the completion, so a
     prefix's first completion is its cheapest and its ties follow that
-    completion in one run.  The prefixes are costed with their first
-    completions _SUBSET_CHUNK rows per kernel call in `combinations` order,
-    and only the costs are kept: the prefixes at the minimum are unranked
-    from their place.
+    completion in one run.  A row, a prefix with its first completion,
+    costs at least the two-member cost of each pair of neighbours in it
+    (the bound in the README's cost model), and every window of k
+    neighbouring positions is a row, so no row above the windows' least
+    cost `best0` can be cheapest.  The rows costed are those whose every
+    neighbour pair costs at most `best0`; as a pair's cost grows with the
+    distance between its positions, each position reaches a run of the
+    positions after it, found with one kernel call per distance.  They are
+    costed _SUBSET_CHUNK rows per kernel call in `combinations` order, and
+    each row at the least cost so far is extended by its run of ties at
+    once, so that only the lexicographically first subset at that cost is
+    kept.
     """
     vals = _tuple_getter(by_value)(scores)
-    succ = vals[1:]
-    m = len(succ)
-    heads = combinations(range(m), k - 1)
-    costs = []
-    for chunk in iter(lambda: list(islice(heads, _SUBSET_CHUNK)), []):
+    n = len(vals)
+    if n == k:
+        # the items left are the one subset
+        return tuple(sorted(by_value)), within_columns([(v,) for v in vals], weight)[0]
+    best0 =min(within_columns([vals[s:n - k + 1 + s] for s in range(k)], weight))
+    near = within_columns([vals[:-1], vals[1:]], weight)
+    # the prefix positions that can end a row: each costs at most best0
+    # with its first completion
+    ends = [p for p, c in enumerate(near) if c <= best0]
+    heads = _tuple_getter(ends)(vals)
+    tails = [vals[p + 1] for p in ends]
+    # hi[i]: the ends a row can take after ends[i] are those below hi[i]
+    hi = list(range(1, len(ends) + 1))
+    alive = list(range(len(ends))) if k > 2 else []
+    d = 0
+    while alive:
+        d += 1
+        alive = [i for i in alive if i + d < len(ends)]
+        pair = within_columns([[heads[i] for i in alive],
+                               [heads[i + d] for i in alive]], weight)
+        alive = [i for i, c in zip(alive, pair) if c <= best0]
+        for i in alive:
+            hi[i] = i + d + 1
+    least = best = None
+    rows = _chains(hi, k - 1)
+    for chunk in iter(lambda: list(islice(rows, _SUBSET_CHUNK)), []):
         cols = list(zip(*chunk))
-        costs += within_columns([_tuple_getter(col)(vals) for col in cols]
-                                + [_tuple_getter(cols[-1])(succ)], weight)
-    least = min(costs)
-    best = None
-    i = -1
-    for _ in range(costs.count(least)):
-        i = costs.index(least, i + 1)
-        positions = _nth_combination(m, k - 1, i)
-        first = positions[-1] + 1
-        ties = _completion_costs([vals[p] for p in positions], vals, first + 1, weight)
-        stop = first + 1 + sum(1 for _ in takewhile(functools.partial(eq, least), ties))
-        # the lowest rank in the run gives the lexicographically first subset
-        positions.append(min(range(first, stop), key=by_value.__getitem__))
-        combo = tuple(sorted(by_value[p] for p in positions))
-        if best is None or combo < best[0]:
-            best = combo, positions
+        costs = within_columns([_tuple_getter(col)(heads) for col in cols]
+                               + [_tuple_getter(cols[-1])(tails)], weight)
+        low = min(costs)
+        if least is None or low < least:
+            least, best = low, None
+        elif low > least:
+            continue
+        for row in compress(chunk, map(functools.partial(eq, least), costs)):
+            positions = [ends[i] for i in row]
+            first = positions[-1] + 1
+            ties = _completion_costs([vals[p] for p in positions], vals, first + 1,
+                                     weight)
+            stop = first + 1 + sum(1 for _ in takewhile(functools.partial(eq, least),
+                                                        ties))
+            # the lowest rank in the run gives the lexicographically first subset
+            positions.append(min(range(first, stop), key=by_value.__getitem__))
+            combo = tuple(sorted(by_value[p] for p in positions))
+            if best is None or combo < best[0]:
+                best = combo, positions
     combo, positions = best
     return combo, within_columns([(vals[p],) for p in positions], weight)[0]
 
@@ -331,14 +376,16 @@ def greedy_match(
     the first such item, a non-finite score.
 
     Each step's pick is found by `_cheapest_subset` over the remaining items
-    in (score, rank) order, which costs every (k - 1)-prefix with its first
-    free completion and extends only the prefixes that reach the minimum.
-    The picked subsets' own costs are summed in pick order.  Time is
-    O(C(N - 1, k - 1)) rows per step for N remaining items, ~C(N, k) / k
-    over a run; memory is one cost per prefix (a traced peak of ~0.5 MB at
-    C(150, 3) and ~3 MB at C(20, 10), against 56 and 24 MB when every
-    subset was held).  The budget on C(N, k) (N = len(items)) is checked
-    once, as the first step is the largest.
+    in (score, rank) order, which costs the (k - 1)-prefixes with their
+    first free completions that a two-member bound leaves in play and
+    extends only those that reach the minimum.  The picked subsets' own
+    costs are summed in pick order.  Time is at most C(N - 1, k - 1) rows
+    per step for N remaining items (on 48 U(0, 100) scores at k = 3, a run
+    costs ~600 rows of 6,136, windows included); memory is one chunk of
+    rows (a traced peak of ~0.03 MB at C(150, 3) and ~0.25 MB at C(20, 10)
+    on U(0, 1) scores, against 0.4 and 3 MB with one cost held per prefix).
+    The budget on C(N, k) (N = len(items)) is checked once, as the first
+    step is the largest.
     """
     check_certified_k(k)
     if len(items) % k != 0:

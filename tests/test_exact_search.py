@@ -14,7 +14,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linematch import heuristics, oracle
@@ -60,6 +60,27 @@ from reference_forms import (
 
 tenths = st.integers(0, 30).map(lambda t: t / 10)
 weights = st.sampled_from(list(WeightKind))
+
+
+def _each(scores):
+    return lambda size: st.lists(scores, min_size=size, max_size=size)
+
+
+# Score families, each a function of the list size: tied tenths, mixed ints
+# and floats, signed zeros, +-1e308 (where abs groups overflow to inf),
+# tied integers, one repeated score (every candidate costs 0, the least the
+# one-gap bound can rule out), and evenly spaced scores (every window
+# costs the same, so the bound rules out fewest candidates).
+SCORE_FAMILIES = st.sampled_from([
+    _each(tenths),
+    _each(st.one_of(st.integers(0, 5), tenths)),
+    _each(st.sampled_from([0.0, -0.0, 0, 0.5, -0.5])),
+    _each(st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0])),
+    _each(st.integers(0, 3)),
+    lambda size: tenths.map(lambda x: [x] * size),
+    lambda size: st.sampled_from([0.25, 0.1, 3]).map(
+        lambda step: [i * step for i in range(size)]),
+])
 
 
 def same_bits(a, b):
@@ -212,14 +233,22 @@ def test_best_two_triples_equals_reference(dims, data):
     assert got[:2] == want[:2] and same_bits(got[2], want[2])
 
 
+# Triples as drawn, each sorted (as the hierarchy holds them), or sorted and
+# taken from the points in coordinate order, which the nearest cross distance
+# tells apart without a search
 @settings(deadline=None)
-@given(st.integers(2, 6), st.integers(1, 2), st.data())
-def test_refine_triples_equals_reference(count, dims, data):
-    coords = data.draw(st.lists(st.lists(tenths, min_size=dims, max_size=dims),
-                                min_size=3 * count, max_size=3 * count))
+@given(st.integers(2, 6), st.integers(1, 2), SCORE_FAMILIES,
+       st.sampled_from(["drawn", "sorted", "clustered"]), st.data())
+def test_refine_triples_equals_reference(count, dims, family, layout, data):
+    flat = data.draw(family(3 * count * dims))
+    coords = [flat[i : i + dims] for i in range(0, len(flat), dims)]
     dist = _dist_table(points_from_coords(coords))
     order = data.draw(st.permutations(range(3 * count)))
+    if layout == "clustered":
+        order.sort(key=coords.__getitem__)
     triples = [tuple(order[i : i + 3]) for i in range(0, 3 * count, 3)]
+    if layout != "drawn":
+        triples = [tuple(sorted(t)) for t in triples]
     assert _refine_triples(dist, list(triples)) == refine_triples_reference(
         dist, list(triples))
 
@@ -232,15 +261,46 @@ def test_refine_triples_equals_reference(count, dims, data):
 LOCAL_SEARCH_CASES = [(k, w) for k in (2, 3, 4, 5) for w in WeightKind]
 
 
-@settings(deadline=None)
-@given(st.sampled_from(LOCAL_SEARCH_CASES), st.integers(2, 4), st.data())
-def test_local_search_equals_reference(case, n, data):
-    k, weight = case
-    scores = data.draw(st.lists(tenths, min_size=k * n, max_size=k * n))
-    items = data.draw(st.permutations(
+def _chunked(items, k, weight):
+    return KPartition(
+        k, [KTuple.of(items[i : i + k]) for i in range(0, len(items), k)], 0, weight)
+
+
+@st.composite
+def local_search_starts(draw):
+    """A start partition and a weight: groups drawn from shuffled items, or
+    sorted chunks in a shuffled order with up to two members swapped, so
+    groups that do not interleave, or touch on a tied score, which the
+    one-gap bound may tell apart without a search."""
+    k, weight = draw(st.sampled_from(LOCAL_SEARCH_CASES))
+    n = draw(st.integers(2, 4))
+    scores = draw(draw(SCORE_FAMILIES)(k * n))
+    items = draw(st.permutations(
         items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))))
-    start = KPartition(
-        k, [KTuple.of(items[i : i + k]) for i in range(0, k * n, k)], 0, weight)
+    if draw(st.booleans()):
+        items.sort(key=lambda it: (it.score, it.input_rank))
+        for a, b in draw(st.lists(st.tuples(*[st.integers(0, k * n - 1)] * 2),
+                                  max_size=2)):
+            items[a], items[b] = items[b], items[a]
+        chunks = draw(st.permutations(range(0, k * n, k)))
+        items = [items[c + i] for c in chunks for i in range(k)]
+    return _chunked(items, k, weight), weight
+
+
+# Sorted groups that touch at 0.5: float rounding prices (0.2, 0.3, 0.8),
+# (0.5, 0.5, 0.5) below them, so the search re-splits them although the
+# one-gap bound is 0
+TOUCHING_ON_A_FLOAT_TIE = (
+    _chunked(items_from_pairs((f"i{i}", s) for i, s in enumerate(
+        [0.2, 0.3, 0.5, 0.5, 0.5, 0.8])), 3, WeightKind.ABS),
+    WeightKind.ABS)
+
+
+@settings(deadline=None)
+@given(local_search_starts())
+@example(TOUCHING_ON_A_FLOAT_TIE)
+def test_local_search_equals_reference(case):
+    start, weight = case
     got = local_search_2tuple(start, weight)
     want = local_search_2tuple_reference(start, weight)
     assert got.tuples == want.tuples
@@ -266,17 +326,24 @@ def test_local_search_costs_in_its_own_weight(k, weight, presorted):
     assert same_bits(got.total_within, want.total_within)
 
 
-def _count_searches(monkeypatch):
-    """Record each `min_split` call of local search as the search it asks
-    for: the cost of every candidate group, and the bound."""
-    searches = []
+def _count_verdicts(monkeypatch):
+    """Record each pair verdict of local search, whether the one-gap bound
+    or a search gives it, as the two groups and the bound it is asked
+    about; and the bound of each `min_split` search made for one."""
+    verdicts, searches = [], []
+    cheaper_split = heuristics._cheaper_split
 
-    def recording(costs, bound=None):
-        searches.append((tuple(costs), bound))
+    def verdict(first, second, bound, weight):
+        verdicts.append((tuple(first), tuple(second), bound))
+        return cheaper_split(first, second, bound, weight)
+
+    def search(costs, bound=None):
+        searches.append(bound)
         return min_split(costs, bound)
 
-    monkeypatch.setattr(heuristics, "min_split", recording)
-    return searches
+    monkeypatch.setattr(heuristics, "_cheaper_split", verdict)
+    monkeypatch.setattr(heuristics, "min_split", search)
+    return verdicts, searches
 
 
 @pytest.mark.parametrize("weight", list(WeightKind))
@@ -286,13 +353,13 @@ def test_local_search_evaluates_no_pair_of_groups_twice(monkeypatch, k, weight):
     rng = random.Random(k)
     items = items_from_pairs((f"i{i}", rng.random()) for i in range(8 * k))
     start = greedy_match(items, k, weight)
-    searches = _count_searches(monkeypatch)
+    verdicts, _ = _count_verdicts(monkeypatch)
     got = local_search_2tuple(start, weight)
     # the start improves, over more than one sweep
     assert got.total_within < start.total_within
-    assert len(searches) > math.comb(8, 2)
-    assert len(set(searches)) == len(searches)
-    # and every pair whose group changed was searched again
+    assert len(verdicts) > math.comb(8, 2)
+    assert len(set(verdicts)) == len(verdicts)
+    # and every pair whose group changed was judged again
     want = local_search_2tuple_reference(start, weight)
     assert got.tuples == want.tuples
     assert same_bits(got.total_within, want.total_within)
@@ -304,10 +371,34 @@ def test_local_search_on_a_pairwise_optimal_start_evaluates_each_pair_once(
     rng = random.Random(7)
     items = items_from_pairs((f"i{i}", rng.random()) for i in range(24))
     start = match_line(items, 3, weight)
-    searches = _count_searches(monkeypatch)
+    verdicts, searches = _count_verdicts(monkeypatch)
     got = local_search_2tuple(start, weight)
     assert got.tuples == start.tuples
-    assert len(searches) == math.comb(8, 2)
+    assert len(verdicts) == math.comb(8, 2)
+    # sorted groups do not interleave: the bound rules out the pairs of
+    # groups far apart without a search
+    assert len(searches) < len(verdicts)
+
+
+# A two-group search holds one cost per candidate group, and unranks only
+# the split it applies: listing all C(20, 10) = 184,756 position tuples
+# beside the costs peaked at 69 MB.
+def test_local_search_memory_per_candidate_group():
+    rng = random.Random(0)
+    items = sorted(items_from_pairs((f"i{i}", rng.random()) for i in range(20)),
+                   key=lambda it: it.score)
+    # alternate members: the groups interleave, so the pair is searched
+    start = KPartition(10, [KTuple.of(items[0::2]), KTuple.of(items[1::2])], 0,
+                       WeightKind.ABS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = local_search_2tuple(start, WeightKind.ABS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tuples == [KTuple.of(items[:10]), KTuple.of(items[10:])]
+    assert peak / math.comb(20, 10) < 64
 
 
 # tied tenths, and +-1e308, whose edges weigh inf: an inf partial cost
@@ -333,16 +424,6 @@ def test_brute_force_assignment_equals_reference(shape, weight, family, data):
     assert same_bits(got.weight, want.weight)
 
 
-# Score families for the greedy baseline: tied tenths, mixed ints and floats,
-# signed zeros, and +-1e308, where abs groups overflow to inf.
-GREEDY_SCORES = st.sampled_from([
-    tenths,
-    st.one_of(st.integers(0, 5), tenths),
-    st.sampled_from([0.0, -0.0, 0, 0.5, -0.5]),
-    st.sampled_from([1e308, -1e308, 0.0, -0.0, 1.0, 2.0]),
-])
-
-
 def assert_same_greedy(items, k, weight, **budget):
     got = greedy_match(items, k, weight, **budget)
     want = greedy_match_reference(items, k, weight, **budget)
@@ -351,9 +432,10 @@ def assert_same_greedy(items, k, weight, **budget):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.integers(2, 4), st.integers(0, 4), weights, GREEDY_SCORES, st.data())
-def test_greedy_match_equals_reference(k, n, weight, family, data):
-    scores = data.draw(st.lists(family, min_size=k * n, max_size=k * n))
+@given(st.integers(2, 5), weights, SCORE_FAMILIES, st.data())
+def test_greedy_match_equals_reference(k, weight, family, data):
+    n = data.draw(st.integers(0, 4 if k < 5 else 3))
+    scores = data.draw(family(k * n))
     ranks = data.draw(st.permutations(range(k * n)))
     items = [ScoredItem(f"i{i}", s, r) for i, (s, r) in enumerate(zip(scores, ranks))]
     assert_same_greedy(items, k, weight)
@@ -362,13 +444,13 @@ def test_greedy_match_equals_reference(k, n, weight, family, data):
 # C(N, k) = 4,186, 5,456 and 4,845 subsets: more than one cost chunk, and
 # not a whole number of them
 @settings(deadline=None, max_examples=15)
-@given(st.sampled_from([(2, 46), (3, 11), (4, 5)]), weights, GREEDY_SCORES,
+@given(st.sampled_from([(2, 46), (3, 11), (4, 5)]), weights, SCORE_FAMILIES,
        st.data())
 def test_greedy_match_equals_reference_across_chunks(shape, weight, family, data):
     k, n = shape
     count = math.comb(k * n, k)
     assert count > _SUBSET_CHUNK and count % _SUBSET_CHUNK
-    scores = data.draw(st.lists(family, min_size=k * n, max_size=k * n))
+    scores = data.draw(family(k * n))
     ranks = data.draw(st.permutations(range(k * n)))
     items = [ScoredItem(f"i{i}", s, r) for i, (s, r) in enumerate(zip(scores, ranks))]
     assert_same_greedy(items, k, weight)
