@@ -368,7 +368,7 @@ def cmd_bench(cfg: argparse.Namespace, out=None) -> int:
             oracle_cost = None
         matched = match_line(items, cfg.k, cfg.weight)
         greedy = greedy_match(items, cfg.k, cfg.weight, budget=cfg.budget)
-        local = local_search_2tuple(greedy, cfg.weight, budget=cfg.budget)
+        local = local_search_2tuple(greedy, cfg.weight)
         hier_cost = None
         if cfg.k == 3 and cfg.weight is WeightKind.ABS and n and not (n & (n - 1)):
             points = points_from_coords([[s] for s in scores])

@@ -7,8 +7,9 @@
 * triangle_matching: tripartite matching composed from two bipartite
   minima through the shared middle part; under metric edge weights its cost
   is at most twice the pairwise lower bound, hence at most twice optimal.
-* local_search_2tuple: pairwise re-splitting of a k-group partition to a
-  fixpoint where no two groups can be re-split more cheaply.
+* local_search_2tuple: pairwise re-splitting of a k-group partition by the
+  sorted split, which `certify_general` proves the cheapest split of two
+  groups, to a fixpoint where no pair's sorted split is cheaper.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable, Sequence
 
 from .core import (
     ArityError,
-    EnumerationBudgetError,
     KPartition,
     KTuple,
     Record,
@@ -32,13 +32,7 @@ from .core import (
     within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
-from .oracle import (
-    DEFAULT_BUDGET,
-    _nth_combination,
-    _subset_costs,
-    min_partition,
-    min_split,
-)
+from .oracle import min_partition, min_split
 
 EXACT_PAIRING_MAX_POINTS = 12
 
@@ -254,53 +248,37 @@ def _cheaper_split(
     bound: float,
     weight: WeightKind,
 ) -> tuple[list[ScoredItem], list[ScoredItem], float, float] | None:
-    """The split of two sorted k-groups' members into two k-groups that
-    `min_split` finds below `bound`, the pair's current cost, as (group,
-    group, cost, cost); None if no split is below it.
+    """The sorted split of two sorted k-groups' members, the lower and the
+    upper k in (score, rank) order, as (group, group, cost, cost) if it
+    costs less than `bound`, the pair's current cost; None otherwise.
 
-    The C(2k, k) candidate groups of the members in (score, rank) order
-    are costed _SUBSET_CHUNK at a time, and only the split found is
-    unranked.  When the groups do not interleave, every other split puts a
-    member of each group into both halves, and each half then costs at
-    least the two-member cost g of the two innermost members (the bound in
-    the README's cost model): if g + g reaches `bound`, no split is
-    searched.
+    `certify_general` proves the sorted split the cheapest split of any 2k
+    scores into two k-groups.  Groups that do not interleave already are
+    their sorted split, score for score, so they cost the same bits and
+    get None without a kernel call.
     """
-    low, high = (first, second) if first[-1].score <= second[0].score else (second, first)
-    if low[-1].score <= high[0].score:
-        g = within_columns([[low[-1].score], [high[0].score]], weight)[0]
-        if g + g >= bound:
-            return None
+    if first[-1].score <= second[0].score or second[-1].score <= first[0].score:
+        return None
     k = len(first)
     merged = sorted(first + second, key=_by_score_and_rank)
-    within = _subset_costs(combinations([m.score for m in merged], k), weight)
-    better = min_split(within, bound)
-    if better is None:
-        return None
-    (r1, r2), _ = better
-    return ([merged[p] for p in _nth_combination(2 * k, k, r1)],
-            [merged[p] for p in _nth_combination(2 * k, k, r2)],
-            within[r1], within[r2])
+    scores = [m.score for m in merged]
+    low, high = within_columns(list(zip(scores[:k], scores[k:])), weight)
+    if low + high < bound:
+        return merged[:k], merged[k:], low, high
+    return None
 
 
-def local_search_2tuple(
-    partition: KPartition,
-    weight: WeightKind,
-    budget: int = DEFAULT_BUDGET,
-) -> KPartition:
+def local_search_2tuple(partition: KPartition, weight: WeightKind) -> KPartition:
     """Re-split pairs of groups until no pair admits a cheaper split.
 
-    Scans group pairs in index order; for each pair, enumerates every split
-    of the 2k concatenated members that keeps the smallest member in the
-    first group, and applies the best strictly-cheaper one.  Cost never
-    increases and the scan terminates at a pairwise-optimal fixpoint.
-    `_cheaper_split` gives each pair's verdict: it rules out a pair of
-    groups that do not interleave by one two-member cost when it can, and
-    otherwise costs the pair's C(2k, k) candidate groups, holding one cost
-    per group, for `min_split` to read each split from by rank.
-    `_sweep_pairs` skips a pair whose two groups have not changed since
-    its last verdict.  Fewer than two groups have no pair: they are
-    returned as given, before the budget check.
+    Scans group pairs in index order and re-splits each pair by
+    `_cheaper_split`: the lower k of its 2k members form one group and the
+    upper k the other, applied only when strictly cheaper in floats.  Cost
+    never increases, and the scan ends where no pair's sorted split is
+    cheaper, so sorted groups such as `match_line`'s come back unchanged.
+    `_sweep_pairs` skips a pair whose two groups have not changed since its
+    last verdict.  Fewer than two groups have no pair and are returned as
+    given.
     """
     k = partition.k
     groups = [list(t.members) for t in partition.tuples]
@@ -308,11 +286,6 @@ def local_search_2tuple(
     costs = within_columns([start[i::k] for i in range(k)], weight)
     if len(groups) < 2:
         return KPartition(k, partition.tuples, reduce(add, costs, 0), weight)
-    per_pair = math.comb(2 * k - 1, k - 1)
-    if per_pair > budget:
-        raise EnumerationBudgetError(
-            f"per-pair enumeration {per_pair} exceeds budget {budget}"
-        )
 
     def resplit(i: int, j: int) -> bool:
         better = _cheaper_split(groups[i], groups[j], costs[i] + costs[j], weight)

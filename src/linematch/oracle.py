@@ -244,19 +244,6 @@ def brute_force_partition(
     return KPartition(k, tuples, cost, weight)
 
 
-def _nth_combination(m: int, r: int, index: int) -> list[int]:
-    """The combination at `index` of `combinations(range(m), r)`."""
-    combo = []
-    c = 0
-    for left in range(r - 1, -1, -1):
-        while index >= (block := math.comb(m - c - 1, left)):
-            index -= block
-            c += 1
-        combo.append(c)
-        c += 1
-    return combo
-
-
 def _completion_costs(
     head: Sequence[float],
     tail: Sequence[float],

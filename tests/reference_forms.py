@@ -429,59 +429,37 @@ def refine_triples_reference(
 def local_search_2tuple_reference(
     partition: KPartition,
     weight: WeightKind,
-    budget: int = 10_000_000,
 ) -> KPartition:
-    """Re-split pairs of groups until no pair admits a cheaper split.
+    """Re-split pairs of groups until no pair's sorted split is cheaper.
 
-    Scans group pairs in index order; for each pair, enumerates every split
-    of the 2k concatenated members that keeps the smallest member in the
-    first group, and applies the best strictly-cheaper one.  Cost never
-    increases and the scan terminates at a pairwise-optimal fixpoint.
+    Scans group pairs in index order, sweep after sweep; each pair's 2k
+    members, sorted by (score, rank), are split into the lower and the
+    upper k, applied only when strictly cheaper than the pair's current
+    cost.  Every pair is judged on every sweep, also pairs that do not
+    interleave, whose sorted split has their own scores.
     """
     k = partition.k
-    per_pair = math.comb(2 * k - 1, k - 1)
-    if per_pair > budget:
-        raise EnumerationBudgetError(
-            f"per-pair enumeration {per_pair} exceeds budget {budget}"
-        )
     groups = [list(t.members) for t in partition.tuples]
-    costs = [
-        within_scores([m.score for m in g], weight) for g in groups
-    ]
 
     def split_cost(members):
         return within_scores([m.score for m in members], weight)
 
+    costs = [split_cost(g) for g in groups]
     improved = True
     while improved:
         improved = False
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 merged = sorted(groups[i] + groups[j], key=lambda m: m.sort_key())
-                current = costs[i] + costs[j]
-                best = None
-                best_split = None
-                for companions in combinations(range(1, 2 * k), k - 1):
-                    chosen = (0,) + companions
-                    in_first = set(chosen)
-                    g1 = [merged[p] for p in chosen]
-                    g2 = [merged[p] for p in range(2 * k) if p not in in_first]
-                    c = split_cost(g1) + split_cost(g2)
-                    if best is None or c < best:
-                        best = c
-                        best_split = (g1, g2)
-                if best < current:
-                    groups[i], groups[j] = best_split
-                    costs[i] = split_cost(groups[i])
-                    costs[j] = split_cost(groups[j])
+                g1, g2 = merged[:k], merged[k:]
+                c1, c2 = split_cost(g1), split_cost(g2)
+                if c1 + c2 < costs[i] + costs[j]:
+                    groups[i], groups[j], costs[i], costs[j] = g1, g2, c1, c2
                     improved = True
     tuples = [KTuple(tuple(g)) for g in groups]
     return KPartition(k, tuples, functools.reduce(operator.add, costs, 0), weight)
 
 
-# The greedy loop as first written, every remaining k-subset costed again at
-# each step: the one-pass linematch.oracle.greedy_match must return the same
-# groups with a bit-equal total.
 def greedy_match_reference(
     items: Sequence[ScoredItem],
     k: int,

@@ -27,6 +27,7 @@ from linematch.core import (
     ValidationError,
     WeightKind,
     items_from_pairs,
+    within_columns,
 )
 from linematch.heuristics import (
     EXACT_PAIRING_MAX_POINTS,
@@ -55,6 +56,7 @@ from reference_forms import (
     exact_pairing_reference,
     greedy_match_reference,
     local_search_2tuple_reference,
+    pairwise_exact,
     refine_triples_reference,
 )
 
@@ -253,11 +255,6 @@ def test_refine_triples_equals_reference(count, dims, family, layout, data):
         dist, list(triples))
 
 
-# min_split cuts a branch once its partial cost reaches the incumbent,
-# which assumes nonnegative group costs; the old local-search loop
-# enumerated without cuts.  The abs gap form is nonnegative also on exact
-# float ties (the linear form it replaced cost five scores of 0.1 at
-# -5.6e-17, and this case then ran on integer scores only).
 LOCAL_SEARCH_CASES = [(k, w) for k in (2, 3, 4, 5) for w in WeightKind]
 
 
@@ -267,14 +264,14 @@ def _chunked(items, k, weight):
 
 
 @st.composite
-def local_search_starts(draw):
+def local_search_starts(draw, families=SCORE_FAMILIES, cases=LOCAL_SEARCH_CASES):
     """A start partition and a weight: groups drawn from shuffled items, or
     sorted chunks in a shuffled order with up to two members swapped, so
-    groups that do not interleave, or touch on a tied score, which the
-    one-gap bound may tell apart without a search."""
-    k, weight = draw(st.sampled_from(LOCAL_SEARCH_CASES))
+    groups that do not interleave, or touch on a tied score, which local
+    search keeps without a kernel call."""
+    k, weight = draw(st.sampled_from(cases))
     n = draw(st.integers(2, 4))
-    scores = draw(draw(SCORE_FAMILIES)(k * n))
+    scores = draw(draw(families)(k * n))
     items = draw(st.permutations(
         items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))))
     if draw(st.booleans()):
@@ -287,11 +284,12 @@ def local_search_starts(draw):
     return _chunked(items, k, weight), weight
 
 
-# Sorted groups that touch at 0.5: float rounding prices (0.2, 0.3, 0.8),
-# (0.5, 0.5, 0.5) below them, so the search re-splits them although the
-# one-gap bound is 0
+# `match_line`'s groups, which touch at 0.5: float rounding prices
+# (0.2, 0.3, 0.8), (0.5, 0.5, 0.5) below them at an equal exact cost, but
+# they are their own sorted split, the proven cheapest, so local search
+# keeps them
 TOUCHING_ON_A_FLOAT_TIE = (
-    _chunked(items_from_pairs((f"i{i}", s) for i, s in enumerate(
+    match_line(items_from_pairs((f"i{i}", s) for i, s in enumerate(
         [0.2, 0.3, 0.5, 0.5, 0.5, 0.8])), 3, WeightKind.ABS),
     WeightKind.ABS)
 
@@ -305,6 +303,52 @@ def test_local_search_equals_reference(case):
     want = local_search_2tuple_reference(start, weight)
     assert got.tuples == want.tuples
     assert same_bits(got.total_within, want.total_within)
+
+
+@st.composite
+def match_line_outputs(draw):
+    """`match_line`'s partition of tenths, tied integers or U(0, 1) scores,
+    and its weight."""
+    k, weight, n = draw(st.integers(2, 4)), draw(weights), draw(st.integers(2, 4))
+    family = draw(st.sampled_from([
+        _each(tenths), _each(st.integers(0, 3)), _each(st.floats(0, 1))]))
+    scores = draw(family(k * n))
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    return match_line(items, k, weight), weight
+
+
+@settings(deadline=None)
+@given(match_line_outputs())
+@example(TOUCHING_ON_A_FLOAT_TIE)
+def test_local_search_keeps_match_line_output(case):
+    start, weight = case
+    got = local_search_2tuple(start, weight)
+    assert got.tuples == start.tuples
+    assert same_bits(got.total_within, start.total_within)
+
+
+def _exact_cost(members, weight):
+    return pairwise_exact([m.score for m in members], weight)
+
+
+# The sorted split is the cheapest in exact arithmetic, and on integer and
+# tenths scores float rounding is far below any nonzero exact difference,
+# so no pair of groups local search returns has a cheaper split of any
+# kind: each of its C(2k, k) splits is costed in `Fraction` arithmetic.
+@settings(deadline=None)
+@given(local_search_starts(
+    st.sampled_from([_each(tenths), _each(st.integers(0, 3)),
+                     _each(st.one_of(st.integers(0, 5), tenths))]),
+    [(k, w) for k in (2, 3, 4) for w in WeightKind]))
+def test_local_search_fixpoint_is_pairwise_optimal_in_exact_arithmetic(case):
+    start, weight = case
+    got = local_search_2tuple(start, weight)
+    for first, second in combinations([t.members for t in got.tuples], 2):
+        members = first + second
+        current = _exact_cost(first, weight) + _exact_cost(second, weight)
+        for chosen in combinations(members, len(first)):
+            rest = [m for m in members if m not in chosen]
+            assert _exact_cost(chosen, weight) + _exact_cost(rest, weight) >= current
 
 
 @pytest.mark.parametrize("presorted", [False, True])
@@ -327,23 +371,23 @@ def test_local_search_costs_in_its_own_weight(k, weight, presorted):
 
 
 def _count_verdicts(monkeypatch):
-    """Record each pair verdict of local search, whether the one-gap bound
-    or a search gives it, as the two groups and the bound it is asked
-    about; and the bound of each `min_split` search made for one."""
-    verdicts, searches = [], []
+    """Record each pair verdict of local search, as the two groups and the
+    bound it is asked about; and the row count of each `within_columns`
+    call local search makes."""
+    verdicts, kernel_calls = [], []
     cheaper_split = heuristics._cheaper_split
 
     def verdict(first, second, bound, weight):
         verdicts.append((tuple(first), tuple(second), bound))
         return cheaper_split(first, second, bound, weight)
 
-    def search(costs, bound=None):
-        searches.append(bound)
-        return min_split(costs, bound)
+    def kernel(cols, weight):
+        kernel_calls.append(len(cols[0]))
+        return within_columns(cols, weight)
 
     monkeypatch.setattr(heuristics, "_cheaper_split", verdict)
-    monkeypatch.setattr(heuristics, "min_split", search)
-    return verdicts, searches
+    monkeypatch.setattr(heuristics, "within_columns", kernel)
+    return verdicts, kernel_calls
 
 
 @pytest.mark.parametrize("weight", list(WeightKind))
@@ -371,24 +415,23 @@ def test_local_search_on_a_pairwise_optimal_start_evaluates_each_pair_once(
     rng = random.Random(7)
     items = items_from_pairs((f"i{i}", rng.random()) for i in range(24))
     start = match_line(items, 3, weight)
-    verdicts, searches = _count_verdicts(monkeypatch)
+    verdicts, kernel_calls = _count_verdicts(monkeypatch)
     got = local_search_2tuple(start, weight)
     assert got.tuples == start.tuples
     assert len(verdicts) == math.comb(8, 2)
-    # sorted groups do not interleave: the bound rules out the pairs of
-    # groups far apart without a search
-    assert len(searches) < len(verdicts)
+    # sorted groups do not interleave, so no verdict calls the kernel: its
+    # one call costs the eight start groups
+    assert kernel_calls == [8]
 
 
-# A two-group search holds one cost per candidate group, and unranks only
-# the split it applies: listing all C(20, 10) = 184,756 position tuples
-# beside the costs peaked at 69 MB.
-def test_local_search_memory_per_candidate_group():
+# A pair of groups is re-split by its sorted split alone, so two
+# interleaved groups at k = 1000, whose C(2000, 1000) candidate groups no
+# search could cost, take O(k) time and memory.
+def test_local_search_memory_is_linear_in_k():
     rng = random.Random(0)
-    items = sorted(items_from_pairs((f"i{i}", rng.random()) for i in range(20)),
+    items = sorted(items_from_pairs((f"i{i}", rng.random()) for i in range(2000)),
                    key=lambda it: it.score)
-    # alternate members: the groups interleave, so the pair is searched
-    start = KPartition(10, [KTuple.of(items[0::2]), KTuple.of(items[1::2])], 0,
+    start = KPartition(1000, [KTuple.of(items[0::2]), KTuple.of(items[1::2])], 0,
                        WeightKind.ABS)
     gc.collect()
     tracemalloc.start()
@@ -397,8 +440,8 @@ def test_local_search_memory_per_candidate_group():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.tuples == [KTuple.of(items[:10]), KTuple.of(items[10:])]
-    assert peak / math.comb(20, 10) < 64
+    assert got.tuples == [KTuple.of(items[:1000]), KTuple.of(items[1000:])]
+    assert peak / len(items) < 1024
 
 
 # tied tenths, and +-1e308, whose edges weigh inf: an inf partial cost

@@ -5,7 +5,6 @@ import pytest
 
 from linematch.core import (
     ArityError,
-    EnumerationBudgetError,
     SizeError,
     ValidationError,
     WeightKind,
@@ -197,12 +196,8 @@ class TestLocalSearch:
                 assert refined.total_within <= start.total_within
                 refined.check(items)
 
-    def test_budget_gate(self):
-        part = match_line(make_items(list(range(12))), 6, WeightKind.ABS)
-        with pytest.raises(EnumerationBudgetError):
-            local_search_2tuple(part, WeightKind.ABS, budget=10)
-        # one group has no pair to re-split, so there is nothing to refuse
+    def test_one_group_is_returned_as_given(self):
         one = match_line(make_items(list(range(12))), 12, WeightKind.ABS)
-        refined = local_search_2tuple(one, WeightKind.ABS, budget=10)
+        refined = local_search_2tuple(one, WeightKind.ABS)
         assert refined.tuples == one.tuples, "a single group is returned as given"
         assert refined.total_within == one.total_within == 286
