@@ -55,11 +55,6 @@ from .core import (
     check_certified_k,
 )
 
-# A certifier given a `progress` callback calls it every PROGRESS_EVERY splits
-# with (splits done, total splits).
-PROGRESS_EVERY = 1 << 20
-Progress = Callable[[int, int], None]
-
 
 def _suffix_sums(coeffs: Sequence[int]) -> list[int]:
     """[S_1, ..., S_m] with S_j = sum of coeffs from position j on."""
@@ -409,7 +404,7 @@ def difference_form(
 
 
 def _walk(
-    k: int, states: list[list[int]], half: Callable, progress: Progress | None
+    k: int, states: list[list[int]], half: Callable
 ) -> Iterator[tuple[tuple, list[tuple]]]:
     """Every split as its top half (positions k+1..2k, t of them in A) and
     bottom half (1..k, k - t in A): the tops in colex order, each followed
@@ -418,9 +413,7 @@ def _walk(
     Each half is tabulated once as (code, half(positions, bits, path)):
     the largest verdict code on its part of the path, its A-membership bits
     and the t of each suffix length from its entry on (path[0] is the top's
-    t in a bottom half).  Yields (top, bottoms) runs, cut at every
-    PROGRESS_EVERY splits; with `progress`, progress(done, total) is called
-    after each cut but the last.
+    t in a bottom half).  Yields each top with its whole run of bottoms.
     """
     m = 2 * k
 
@@ -434,18 +427,8 @@ def _walk(
     for scan in product((0, 1), repeat=k - 1):  # product's order is colex
         t = k - 1 - sum(scan)
         bottoms[t].append(tabulate(range(1, k + 1), scan + (1,), t))
-    total, every, done = math.comb(m - 1, k - 1), PROGRESS_EVERY, 0
     for scan in islice(product((0, 1), repeat=k), (1 << k) - 1):  # t < k
-        top = tabulate(range(k + 1, m + 1), scan, 0)
-        run = bottoms[sum(scan)]
-        start = 0
-        while start < len(run):
-            stop = min(len(run), start + every - done % every)
-            yield top, run[start:stop]
-            done += stop - start
-            start = stop
-            if progress is not None and done % every == 0 and done < total:
-                progress(done, total)
+        yield tabulate(range(k + 1, m + 1), scan, 0), bottoms[sum(scan)]
 
 
 def _groups(positions: range, bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -563,9 +546,7 @@ def _sq_plan(k: int, text: bool) -> tuple:
 _PLANS = {WeightKind.ABS: _abs_plan, WeightKind.SQ: _sq_plan}
 
 
-def _certify(
-    k: int, weight: WeightKind, collect: bool, progress: Progress | None
-) -> ExchangeCertificate:
+def _certify(k: int, weight: WeightKind, collect: bool) -> ExchangeCertificate:
     """The certificate decided by the states' verdict codes: a split's code
     is the largest on its path, 0 if it verifies.  At most DEFAULT_BUDGET
     states are tabulated and splits walked (EnumerationBudgetError before
@@ -582,7 +563,7 @@ def _certify(
         if total > DEFAULT_BUDGET:
             raise EnumerationBudgetError(f"certify k={k} would enumerate {total} "
                                          f"splits, over budget {DEFAULT_BUDGET}")
-        for (t_code, top), bottoms in _walk(k, states, half, progress):
+        for (t_code, top), bottoms in _walk(k, states, half):
             for b_code, bottom in bottoms:
                 code = max(b_code, t_code)
                 if code or collect:
@@ -598,39 +579,32 @@ def _certify(
                                tuple(failures))
 
 
-def certify_abs(
-    k: int,
-    collect: bool = True,
-    *,
-    progress: Progress | None = None,
-) -> ExchangeCertificate:
+def certify_abs(k: int, collect: bool = True) -> ExchangeCertificate:
     """Certify sorted-split minimality for absolute differences at size k.
 
     Checks the suffix-sum criterion on the table of the O(k^2) states'
     suffix sums.  A collected or failing entry reads its suffix sums from
-    the table along its path.  Raises EnumerationBudgetError instead of
-    tabulating or walking more than DEFAULT_BUDGET states or splits.
+    the table along its path.  Uncollected, the splits are walked only
+    when some state fails, to list every failure.  Raises
+    EnumerationBudgetError instead of tabulating or walking more than
+    DEFAULT_BUDGET states or splits.
     """
     check_certified_k(k)
-    return _certify(k, WeightKind.ABS, collect, progress)
+    return _certify(k, WeightKind.ABS, collect)
 
 
-def certify_sq(
-    k: int,
-    collect: bool = True,
-    *,
-    progress: Progress | None = None,
-) -> ExchangeCertificate:
+def certify_sq(k: int, collect: bool = True) -> ExchangeCertificate:
     """Certify sorted-split minimality for squared differences at size k.
 
     Checks the class identity of the factors u = 1_hi - 1_A, v = 1_A - 1_lo
     once and their suffix sums on the O(k^2) states.  A collected or failing
     entry carries its matrix; a verified one also the factors (u, v), which
     are in sorted order since u_1 = -1 < 0 = v_1 (zero for the sorted
-    split's zero form).  Raises EnumerationBudgetError as certify_abs does.
+    split's zero form).  Walks the splits and raises EnumerationBudgetError
+    as certify_abs does.
     """
     check_certified_k(k)
-    return _certify(k, WeightKind.SQ, collect, progress)
+    return _certify(k, WeightKind.SQ, collect)
 
 
 def _render_tuple(values: Iterable[int]) -> str:
@@ -692,7 +666,7 @@ def certificate_chunks(cert: ExchangeCertificate) -> Iterator[str]:
     its split's two halves, so no entry, form or proof object is built."""
     states, _, half, line = _PLANS[cert.weight](cert.k, True)
     lines = [_header(cert)]
-    for (t_code, top), bottoms in _walk(cert.k, states, half, None):
+    for (t_code, top), bottoms in _walk(cert.k, states, half):
         lines += [line(bottom, top, max(b_code, t_code)) for b_code, bottom in bottoms]
         if len(lines) >= _CHUNK_LINES:
             yield "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ import os
 import random
 import re
 import sys
-import time
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -59,8 +58,9 @@ def _bind(*modules: str) -> None:
 
 
 SCHEMA_VERSION = 2
-# certificates with more splits are not collected and report progress on
-# stderr; collected ones are streamed from the state table's halves
+# certificates with more splits print their uncollected rendering (header,
+# entry count, failures); collected ones are streamed from the state
+# table's halves
 COLLECT_LIMIT = 1_000_000
 _FULL_RANGE = {WeightKind.ABS: 16, WeightKind.SQ: 8}  # --full-range: k = 2..these
 
@@ -288,34 +288,17 @@ def _match_json(cfg: argparse.Namespace, partition, slots, column_means, out) ->
     out.write("".join(parts))
 
 
-def _progress(k: int, weight: WeightKind, err):
-    """A certifier progress callback writing one stderr line per call (done,
-    rate, ETA) for a certificate of more than COLLECT_LIMIT splits."""
-    start = time.perf_counter()
-
-    def report(done: int, total: int) -> None:
-        if total <= COLLECT_LIMIT:
-            return
-        rate = done / max(time.perf_counter() - start, 1e-9)
-        err.write(f"certify k={k} weight={weight.value}: {done}/{total} splits, "
-                  f"{rate:.0f} splits/s, eta {(total - done) / rate:.0f} s\n")
-        err.flush()
-
-    return report
-
-
-def cmd_certify(cfg: argparse.Namespace, out=None, err=None) -> int:
+def cmd_certify(cfg: argparse.Namespace, out=None) -> int:
     if not cfg.full_range and cfg.k < 2:
         raise ValidationError("certify needs --k >= 2 or --full-range")
     _bind("certify")
     out = out or sys.stdout
-    err = err or sys.stderr
     certifier = certify_abs if cfg.weight is WeightKind.ABS else certify_sq
     ks = range(2, _FULL_RANGE[cfg.weight] + 1) if cfg.full_range else [cfg.k]
     all_ok = True
     for k in ks:
         # the verdict; splits are enumerated only to list failures
-        cert = certifier(k, collect=False, progress=_progress(k, cfg.weight, err))
+        cert = certifier(k, collect=False)
         if cfg.full_range or cert.entry_count > COLLECT_LIMIT:
             _emit(certificate_render(cert), out)
         else:

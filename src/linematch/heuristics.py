@@ -32,7 +32,7 @@ from .core import (
     within_columns,
 )
 from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
-from .oracle import min_partition, min_split
+from .oracle import min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
 
@@ -121,38 +121,25 @@ def _best_two_triples(
     """Cheapest split of six point indices into two triples (first member
     anchored; ties go to the first combination in lexicographic order)."""
     triples = list(combinations(sorted(members), 3))
-    (r1, r2), cost = min_split(
-        [dist[a][b] + dist[b][c] + dist[c][a] for a, b, c in triples])
-    return triples[r1], triples[r2], cost
+    costs = [dist[a][b] + dist[b][c] + dist[c][a] for a, b, c in triples]
+    # the first ten triples hold the first member, and triple 19 - i is the
+    # complement of triple i
+    pairs = [a + b for a, b in zip(costs[:10], costs[:9:-1])]
+    i = pairs.index(min(pairs))
+    return triples[i], triples[19 - i], pairs[i]
 
 
 def _sweep_pairs(count: int, resplit: Callable[[int, int], bool]) -> None:
     """Call resplit(i, j) on the pairs i < j of `count` groups in index
     order, sweep after sweep, until a sweep re-splits nothing; resplit
     returns whether it changed groups i and j.
-
-    A pair's verdict depends only on its two groups, so a pair is skipped
-    when neither group has changed since it was last evaluated: every group
-    carries a version, bumped when it is re-split, and each pair remembers
-    the two versions it was evaluated at.  The sweep that ends the search
-    then evaluates nothing, and groups that are already pairwise-optimal
-    cost exactly C(count, 2) evaluations.
     """
-    version = [0] * count
-    evaluated_at: dict[tuple[int, int], tuple[int, int]] = {}
     improved = True
     while improved:
         improved = False
         for i in range(count):
             for j in range(i + 1, count):
-                state = (version[i], version[j])
-                if evaluated_at.get((i, j)) == state:
-                    continue
-                evaluated_at[i, j] = state
-                if resplit(i, j):
-                    version[i] += 1
-                    version[j] += 1
-                    improved = True
+                improved = resplit(i, j) or improved
 
 
 def _refine_triples(
@@ -276,9 +263,7 @@ def local_search_2tuple(partition: KPartition, weight: WeightKind) -> KPartition
     upper k the other, applied only when strictly cheaper in floats.  Cost
     never increases, and the scan ends where no pair's sorted split is
     cheaper, so sorted groups such as `match_line`'s come back unchanged.
-    `_sweep_pairs` skips a pair whose two groups have not changed since its
-    last verdict.  Fewer than two groups have no pair and are returned as
-    given.
+    Fewer than two groups have no pair and are returned as given.
     """
     k = partition.k
     groups = [list(t.members) for t in partition.tuples]

@@ -13,10 +13,9 @@ Ties go to the lexicographically first input ranks.  Scores must be
 finite, so no cost is NaN.
 
 The public oracles are budgeted.  Every exact partition search in the
-package goes through `min_partition`; its two-group case, `min_split`,
-walks the same order over a flat list of the C(2k, k) subset costs, where
-subset i and its complement sit at ranks i and C(2k, k) - 1 - i, so a
-branch is two list lookups.  Both assignment oracles go through one
+package goes through `min_partition`, except the hierarchy's split of six
+points into two triples, which prices its ten splits directly with the
+same order and tie rule.  Both assignment oracles go through one
 permutation search over rows of edge weights, which adds a branch's
 weights inline and cuts a child before entering it.  No search cuts a
 branch that could still beat the incumbent, so (for nonnegative costs)
@@ -170,32 +169,6 @@ def min_partition(
 
     rec(tuple(range(n_items)), 0, ())
     return None if best_groups is None else (best_groups, best_cost)
-
-
-def min_split(
-    costs: Sequence[float],
-    bound: float | None = None,
-) -> tuple[tuple[int, int], float] | None:
-    """`min_partition` of 2k items into two k-groups, read from the cost of
-    every k-subset in `combinations(range(2k), k)` order (k >= 1), as
-    ((rank, rank), cost) of the two groups in that order; None if no split
-    is below `bound`.
-
-    The first half of that order holds exactly the subsets with item 0, in
-    the order `min_partition` walks its first groups, and the complement of
-    subset i is subset len(costs) - 1 - i.  So each branch is two lookups,
-    summed and cut with `min_partition`'s arithmetic and tie rule.
-    """
-    last = len(costs) - 1
-    best_cost, best = bound, None
-    for i in range(len(costs) // 2):
-        cost = 0 + costs[i]
-        if best_cost is not None and cost >= best_cost:
-            continue
-        cost = cost + costs[last - i]
-        if best_cost is None or cost < best_cost:
-            best_cost, best = cost, i
-    return None if best is None else ((best, last - best), best_cost)
 
 
 def _subset_costs(subsets: Iterator[Sequence], weight: WeightKind) -> list[float]:
@@ -511,6 +484,5 @@ __all__ = [
     "greedy_match",
     "iter_tuple_partitions",
     "min_partition",
-    "min_split",
     "partition_count",
 ]

@@ -683,50 +683,6 @@ class TestMutations:
         assert uncollected == certify_sq(k).failures
 
 
-class TestProgress:
-    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
-    def test_callback_every_interval(self, monkeypatch, certifier):
-        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
-        calls = []
-        cert = certifier(4, progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(10, 35), (20, 35), (30, 35)]
-        assert cert == certifier(4)
-
-    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
-    def test_callback_counts_finished_splits(self, monkeypatch, certifier):
-        # each report comes after its `done` splits were checked, not before;
-        # a collected certificate builds one entry per split
-        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
-        checked = []
-        entry = certify.CertificateEntry
-
-        def counted(*args):
-            checked.append(None)
-            return entry(*args)
-
-        monkeypatch.setattr(certify, "CertificateEntry", counted)
-        seen = []
-        certifier(4, progress=lambda done, total: seen.append((done, len(checked))))
-        assert seen == [(10, 10), (20, 20), (30, 30)]
-        assert len(checked) == 35
-
-    @pytest.mark.parametrize("certifier", [certify_abs, certify_sq])
-    def test_uncollected_runs_report_only_while_enumerating(
-        self, monkeypatch, certifier
-    ):
-        monkeypatch.setattr(certify, "PROGRESS_EVERY", 10)
-        calls = []
-        cert = certifier(4, collect=False, progress=lambda *a: calls.append(a))
-        assert cert.verified and calls == []
-        # one failing state: the splits are enumerated to list the failures
-        monkeypatch.setattr(
-            certify, "_fails_criterion", lambda last, *sums: last and min(sums) == 0
-        )
-        cert = certifier(4, collect=False, progress=lambda *a: calls.append(a))
-        assert len(cert.failures) == 35
-        assert calls == [(10, 35), (20, 35), (30, 35)]
-
-
 class TestRender:
     @given(st.lists(st.integers(-12, 12), min_size=1, max_size=20))
     def test_linear_render_equals_reference(self, coeffs):

