@@ -12,7 +12,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from linematch.core import (
     EnumerationBudgetError,
@@ -460,11 +460,19 @@ def local_search_2tuple_reference(
     return KPartition(k, tuples, functools.reduce(operator.add, costs, 0), weight)
 
 
+def subset_costs_reference(
+    scores: Sequence[float], k: int, weight: WeightKind
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Each k-subset of the positions of `scores`, in `combinations` order,
+    with its cost: the exhaustive scan of each `greedy_match_reference` step."""
+    for combo in combinations(range(len(scores)), k):
+        yield combo, within_scores(sorted(scores[i] for i in combo), weight)
+
+
 def greedy_match_reference(
     items: Sequence[ScoredItem],
     k: int,
     weight: WeightKind,
-    budget: int = DEFAULT_BUDGET,
 ) -> KPartition:
     """Repeatedly extract the cheapest k-subset of the remaining items.
 
@@ -477,17 +485,10 @@ def greedy_match_reference(
     tuples = []
     total = 0
     while remaining:
-        step_count = math.comb(len(remaining), k)
-        if step_count > budget:
-            raise EnumerationBudgetError(
-                f"greedy step would enumerate {step_count} subsets, over budget {budget}"
-            )
         best_cost = None
         best_combo = None
-        for combo in combinations(range(len(remaining)), k):
-            cost = within_scores(
-                sorted(remaining[i].score for i in combo), weight
-            )
+        for combo, cost in subset_costs_reference([it.score for it in remaining],
+                                                  k, weight):
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_combo = combo

@@ -458,11 +458,8 @@ def test_bad_size_lists_are_rejected(capsys, sizes, message):
      " partitions exceeds budget 10000000"),
     ("bench --oracle --line-sizes 2 --tri-sizes 7 --instances 1", None, 5,
      "tripartite oracle limited to n<=6 within budget, requested n=7"),
-    ("bench --line-sizes 8 --tri-sizes 2 --budget 10", None, 5,
-     "greedy step would enumerate 20 subsets, over budget 10"),
 ], ids=["match_csv", "match_size", "match_k", "match_balance", "certify_k",
-        "certify_budget", "bench_k", "bench_line_oracle", "bench_tri_oracle",
-        "bench_greedy"])
+        "certify_budget", "bench_k", "bench_line_oracle", "bench_tri_oracle"])
 def test_each_error_exits_with_its_code_and_one_stderr_line(
     tmp_path, capsys, argv, rows, code, message
 ):

@@ -159,9 +159,10 @@ class TestWithinColumns:
         assert part.group_within == (0.0,) and part.total_within == 0.0
         part.check()
 
-    # oracle.greedy_match reads a prefix's cheapest completion as its first
-    # one, and its ties as the run that follows; that holds for finite
-    # scores, and with +-inf only NaN runs at the start or the end break it
+    # a fixed sorted prefix costs no less with a later completion: the
+    # one-member case of the window lemma in the README's cost model, which
+    # holds in floats for finite scores; with +-inf only NaN runs at the
+    # start or the end break it
     @given(st.integers(2, 6), st.sampled_from(list(WeightKind)), COMPLETION_SCORES,
            st.integers(1, 8), st.data())
     def test_completions_of_a_prefix_cost_in_order(self, k, weight, family, m, data):

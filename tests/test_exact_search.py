@@ -10,6 +10,7 @@ are tenths drawn from a small range, so ties are frequent.
 import gc
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from linematch import heuristics, oracle
 from linematch.core import (
-    EnumerationBudgetError,
     KPartition,
     KTuple,
     ScoredItem,
@@ -57,6 +57,7 @@ from reference_forms import (
     local_search_2tuple_reference,
     pairwise_exact,
     refine_triples_reference,
+    subset_costs_reference,
 )
 
 tenths = st.integers(0, 30).map(lambda t: t / 10)
@@ -416,9 +417,9 @@ def test_brute_force_assignment_equals_reference(shape, weight, family, data):
     assert same_bits(got.weight, want.weight)
 
 
-def assert_same_greedy(items, k, weight, **budget):
-    got = greedy_match(items, k, weight, **budget)
-    want = greedy_match_reference(items, k, weight, **budget)
+def assert_same_greedy(items, k, weight):
+    got = greedy_match(items, k, weight)
+    want = greedy_match_reference(items, k, weight)
     assert got.tuples == want.tuples
     assert same_bits(got.total_within, want.total_within)
 
@@ -433,8 +434,10 @@ def test_greedy_match_equals_reference(k, weight, family, data):
     assert_same_greedy(items, k, weight)
 
 
-# C(N, k) = 4,186, 5,456 and 4,845 subsets: more than one cost chunk, and
-# not a whole number of them
+# The largest shapes the reference scans: its first step costs C(N, k) =
+# 4,186, 5,456 and 4,845 subsets, against N - k + 1 windows for greedy_match
+# (the count is not a whole number of the oracle's cost chunks, a size the
+# greedy search once chunked by)
 @settings(deadline=None, max_examples=15)
 @given(st.sampled_from([(2, 46), (3, 11), (4, 5)]), weights, SCORE_FAMILIES,
        st.data())
@@ -497,7 +500,7 @@ def test_greedy_match_memory_per_subset(n_items, k):
     assert peak / math.comb(n_items, k) < 120
 
 
-# A step holds one cost per (k - 1)-prefix, not all C(N, k) subsets: holding
+# A step holds one cost per window, not all C(N, k) subsets: holding
 # C(150, 3) = 551,300 subsets' costs, order and members peaked at 56 MB.
 def test_greedy_match_memory_per_step():
     rng = random.Random(0)
@@ -524,13 +527,53 @@ def test_greedy_match_total_adds_the_picked_cost():
     assert_same_greedy(items, 2, WeightKind.ABS)
 
 
+# The shapes whose C(N, k) once sat at the edge of greedy's budget; a step
+# now costs N - k + 1 windows and is not budgeted
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 2)])
 def test_greedy_match_budget_edges(k, n):
     items = items_from_pairs((f"i{i}", i % 4 / 10) for i in range(k * n))
-    count = math.comb(k * n, k)
-    assert_same_greedy(items, k, WeightKind.ABS, budget=count)
-    with pytest.raises(EnumerationBudgetError) as got:
-        greedy_match(items, k, WeightKind.ABS, budget=count - 1)
-    with pytest.raises(EnumerationBudgetError) as want:
-        greedy_match_reference(items, k, WeightKind.ABS, budget=count - 1)
-    assert str(got.value) == str(want.value)
+    assert_same_greedy(items, k, WeightKind.ABS)
+
+
+# Every window on one repeated score costs 0, so every window is at the
+# least cost, and a step must still take O(N·k) time
+def test_greedy_match_on_one_repeated_score_picks_ranks_in_order():
+    items = items_from_pairs((f"i{i}", 0.5) for i in range(150))
+    start = time.perf_counter()
+    got = greedy_match(items, 3, WeightKind.ABS)
+    elapsed = time.perf_counter() - start
+    assert [tuple(m.input_rank for m in t.members) for t in got.tuples] == [
+        (i, i + 1, i + 2) for i in range(0, 150, 3)]
+    assert same_bits(got.total_within, 0.0)
+    assert elapsed < 1.0
+
+
+# The lemma greedy_match stands on: a cheapest k-subset holds every item
+# scored strictly between its lowest and highest score.  Integer costs are
+# exact, so every subset at the least cost is checked, ties included.
+@settings(deadline=None)
+@given(st.integers(2, 5), weights, st.data())
+def test_every_cheapest_subset_holds_the_scores_between_its_ends(k, weight, data):
+    scores = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=10))
+    costs = list(subset_costs_reference(scores, k, weight))
+    least = min(cost for _, cost in costs)
+    for combo, cost in costs:
+        if cost == least:
+            lo, hi = min(scores[i] for i in combo), max(scores[i] for i in combo)
+            assert all(i in combo for i, s in enumerate(scores) if lo < s < hi)
+
+
+# Where a score gap is below one unit in the last place of a group's cost,
+# a group that is not a window rounds to the least cost as well: here the
+# reference's first pick {0.0, 1.0, 1.0, 1.0} skips 3e-300, which lies
+# between its ends, and greedy_match picks the window {3e-300, 1.0, 1.0,
+# 1.0}; both cost 3.0 in floats
+def test_greedy_match_picks_a_window_where_floats_tie_another_group():
+    scores = [1.0, 1.0, 0.0, 1.0, 3e-300, 1e300, 0.0, 2.0]
+    items = items_from_pairs((f"i{i}", s) for i, s in enumerate(scores))
+    got = greedy_match(items, 4, WeightKind.ABS)
+    want = greedy_match_reference(items, 4, WeightKind.ABS)
+    assert same_bits(got.group_within[0], 3.0)
+    assert same_bits(want.group_within[0], 3.0)
+    assert got.tuples[0].scores() == (3e-300, 1.0, 1.0, 1.0)
+    assert want.tuples[0].scores() == (0.0, 1.0, 1.0, 1.0)

@@ -48,8 +48,8 @@ GOLDEN = [
     ('bench --dist uniform-int --k 4 --weight sq --seed 0 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, 'a25553eed48204beefa80d642a8da7630d266dec011172cd02815950cebfe292'),
     ('bench --dist uniform-int --k 4 --weight sq --seed 1 --line-sizes 2,3 --tri-sizes 2,4 --instances 2', 0, '7540ccf62ec84c9fa42439d15016827914bdf345d7f8b5e07b39665443b53e85'),
     ('bench --dist uniform-int --k 3 --weight sq --seed 1 --line-sizes 2,4 --tri-sizes 2,4 --instances 2 --format csv', 0, '1e824d30e173eaf1ba7f20308c8a721e5879a2dcb5c6f1a06bb53bc634a3db33'),
-    # the oracle_bench shape on integers 0..100: greedy over C(48, 3) =
-    # 17,296 subsets (many cost chunks, heavy ties) and local search over 16
+    # the oracle_bench shape on integers 0..100: greedy over 48 scores with
+    # heavy ties (many windows at the least cost) and local search over 16
     # groups
     ('bench --dist uniform-int --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, 'fe215e6313735db9e7caebd9ae780c81a2a6e41a036863b86b0d7128ed1ffdd3'),
     ('bench --dist uniform-int --k 3 --weight sq --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, 'c57bfac5dc9299ca6f2268c558f61ace0f399b3664eebc4ffa2b7b4da8d31c63'),
@@ -66,7 +66,7 @@ def test_stdout_matches_golden(capsys, argv, code, digest):
 # bench on six-decimal U(0, 100) floats: the greedy baseline, the exact
 # oracle, local search and (k=3 abs) the hierarchy, costed in floats.  The
 # first two are the oracle_bench benchmark op; the line sizes 64 (k=2) and
-# 8 (k=4) give greedy 8,128 and 35,960 subsets.  At k=5 local search re-splits
+# 8 (k=4) give greedy 128 and 32 scores.  At k=5 local search re-splits
 # group pairs at C(9, 4) = 126 splits each (n=4: six pairs).
 FLOAT_BENCH = [
     ('bench --dist uniform-real --k 3 --line-sizes 4,16 --tri-sizes 5 --instances 6 --budget 1000000000000 --seed 0', 0, '137483de37797293fcc9988226b5abbae67be33539787098175d1c6a17cc6a08'),

@@ -111,9 +111,10 @@ class TestGreedy:
         part = greedy_match(make_items([6] * 6), 2, WeightKind.SQ)
         assert part.total_within == 0
 
-    def test_budget_error(self):
-        with pytest.raises(EnumerationBudgetError):
-            greedy_match(make_items(list(range(30))), 15, WeightKind.ABS, budget=10)
+    def test_needs_no_budget(self):
+        # C(30, 15) = 155,117,520 subsets, and a step costs 16 windows
+        part = greedy_match(make_items(list(range(30))), 15, WeightKind.ABS)
+        assert group_scores(part) == [list(range(15)), list(range(15, 30))]
 
     def test_never_beats_brute_force(self):
         rng = random.Random(17)
