@@ -35,15 +35,16 @@ k+1..2k) and a bottom half (1..k), each tabulated once from the table, and
 an entry is built for every split (collected) or every failing one;
 certificate_chunks joins a collected certificate's lines from the halves'
 texts instead.  All arithmetic is exact (Python integers); an entry carries
-the split, the difference form and the proof (suffix sums, or the factors)
-that re-verify it independently.
+the split, the difference form and the proof that re-verifies it
+independently: an abs entry's suffix sums, or an sq entry's factors (u, v),
+which re-expand to its matrix as u v^T + v u^T.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress, count, islice, product, repeat
-from operator import add, attrgetter, getitem, mod, mul, not_, sub
+from itertools import accumulate, compress, islice, product
+from operator import add, attrgetter, getitem, not_, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
@@ -133,7 +134,11 @@ class LinearForm(Record):
 
 
 class QuadraticForm(Record):
-    """Integer quadratic form x^T M x with a symmetric coefficient matrix."""
+    """Integer quadratic form x^T M x with a symmetric coefficient matrix.
+
+    An sq entry's form is re-verified by re-expanding its FactorProof
+    (u, v) as M = u v^T + v u^T.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
 
@@ -154,20 +159,6 @@ class QuadraticForm(Record):
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.matrix for c in row)
-
-    def factor_as_double_product(self) -> tuple[LinearForm, LinearForm] | None:
-        """Recover integer (u, v) with M = u v^T + v u^T, i.e. form = 2*u.x*v.x.
-
-        Exchange difference forms have zero diagonal, which forces the two
-        factors to use disjoint variables; the matrix then contains a rank-1
-        block u (column) times v (row), recovered with exact integer
-        arithmetic and re-verified entrywise, each row against
-        u_i*v + v_i*u.  Returns None when no such factorization exists.
-        """
-        pair = _factor_pair(self.matrix)
-        if pair is None:
-            return None
-        return LinearForm(pair[0]), LinearForm(pair[1])
 
     def render(self) -> str:
         mat, r = self.matrix, range(self.m)
@@ -324,46 +315,6 @@ def certify_general() -> GeneralProof:
          1 not in {code for k in ks for row in _sq_states(k) for code in row}),
     )
     return GeneralProof(checks, all(ok for _, ok in checks))
-
-
-def _factor_pair(
-    mat: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Coefficient tuples (u, v) with mat = u v^T + v u^T, or None.
-
-    Rejects a nonzero diagonal, overlapping supports, a row of the v block
-    that u's pivot does not divide, and any cell that differs from
-    u_i*v_j + v_i*u_j.  Rows are compared whole, against one expected row
-    per distinct (u_i, v_i).
-    """
-    m = len(mat)
-    nonzero_rows = list(map(any, mat))
-    if not any(nonzero_rows):
-        zero = (0,) * m
-        return zero, zero
-    if any(map(getitem, mat, range(m))):
-        return None
-    r = nonzero_rows.index(True)
-    row_r = mat[r]
-    j0 = next(compress(count(), row_r))
-    col = [row[j0] for row in mat]
-    if any(map(mul, row_r, col)):  # supports overlap
-        return None
-    g = math.gcd(*col)
-    u = [c // g for c in col]
-    u_r = u[r]
-    if any(map(mod, row_r, repeat(u_r))):
-        return None
-    v = [c // u_r for c in row_r]
-    pairs = list(zip(u, v))
-    # the supports are disjoint, so u_i*v + v_i*u has at most one nonzero term
-    expected = {
-        (ui, vi): tuple(map(mul, u, repeat(vi)) if vi else map(mul, v, repeat(ui)))
-        for ui, vi in set(pairs)
-    }
-    if tuple(map(expected.__getitem__, pairs)) != tuple(map(tuple, mat)):
-        return None
-    return tuple(u), tuple(v)
 
 
 def _check_bipartition(k: int, first_half: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -33,7 +33,6 @@ from .core import (
     ValidationError,
     WeightKind,
     check_certified_k,
-    within_distance,  # unused; perfbench/trace.py rebinds this name to count calls
 )
 from .matching import balance_columns, match_line
 

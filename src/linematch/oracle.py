@@ -16,9 +16,11 @@ package goes through `min_partition`, except the hierarchy's split of six
 points into two triples, which prices its ten splits directly with the
 same order and tie rule.  Both assignment oracles go through one
 permutation search over rows of edge weights, which adds a branch's
-weights inline and cuts a child before entering it.  No search cuts a
-branch that could still beat the incumbent, so (for nonnegative costs)
-the result is the lexicographically first minimum.
+weights inline and cuts a child before entering it.  Both searches keep
+one cut rule: a branch stops once its partial cost reaches the incumbent,
+since with nonnegative costs it can then at best tie, and only a strictly
+cheaper leaf replaces the incumbent, so the result is the
+lexicographically first minimum.
 """
 
 from __future__ import annotations
@@ -131,24 +133,24 @@ def min_partition(
     n_items: int,
     k: int,
     group_cost: Callable[[tuple[int, ...]], float],
-    bound: float | None = None,
-) -> tuple[tuple[tuple[int, ...], ...], float] | None:
+) -> tuple[tuple[tuple[int, ...], ...], float]:
     """Lexicographically first cheapest partition of range(n_items) into
-    k-sized index groups, as (groups, cost); None if none is below `bound`.
+    k-sized index groups, as (groups, cost).
 
     Branch-and-bound in the order of `iter_tuple_partitions`; a partition
     costs the running sum of `group_cost` over its groups, first to last.
     Group costs must be nonnegative: a branch whose partial cost reaches the
-    incumbent can then at best tie, so it is cut.  No budget: callers size
-    their instances.  Each level walks the (group, rest) getters of
+    incumbent can then at best tie, so it is cut.  The first partition is
+    the incumbent even at cost `inf`.  No budget: callers size their
+    instances.  Each level walks the (group, rest) getters of
     `_split_levels` for its number of unused items, so a branch builds no
     set or tuple of its own to split the unused items.
     """
     if n_items % k != 0:
         raise SizeError(f"{n_items} items cannot be split into groups of {k}")
     if n_items == 0:
-        return ((), 0) if bound is None or 0 < bound else None
-    best_cost, best_groups = bound, None
+        return (), 0
+    best_cost, best_groups = None, None
     levels = _split_levels(n_items, k)
 
     def rec(unused: tuple[int, ...], partial: float, acc: tuple[tuple[int, ...], ...]):
@@ -167,7 +169,7 @@ def min_partition(
             rec(rest_of(unused), cost, acc + (group,))
 
     rec(tuple(range(n_items)), 0, ())
-    return None if best_groups is None else (best_groups, best_cost)
+    return best_groups, best_cost
 
 
 def _subset_costs(subsets: Iterator[Sequence], weight: WeightKind) -> list[float]:
@@ -315,11 +317,12 @@ def _min_permutation(
 
     Row i taking column j adds a[i][j] to the partial cost, then b[i][j]
     when `b` is given.  The free columns are one ordered list, and a child
-    whose partial cost exceeds the incumbent is cut before it is entered,
-    so a branch costs two list lookups and no call of its own.  With
-    `finish`, a full permutation is passed on as finish(partial, perm,
-    incumbent), which returns (cost, result) for a cheaper completion or
-    (incumbent, None).
+    whose partial cost reaches the incumbent is cut before it is entered:
+    weights are nonnegative, so it could at best tie, and only a strictly
+    cheaper leaf replaces the incumbent.  A branch costs two list lookups
+    and no call of its own.  With `finish`, a full permutation is passed on
+    as finish(partial, perm, incumbent), which returns (cost, result) for a
+    cheaper completion or (incumbent, None).
     """
     n = len(a)
     best_cost, best = bound, None
@@ -336,7 +339,7 @@ def _min_permutation(
             cost = partial + row[j]
             if extra is not None:
                 cost = cost + extra[j]
-            if best_cost is None or cost <= best_cost:
+            if best_cost is None or cost < best_cost:
                 perm.append(j)
                 if not leaf:
                     rec(i + 1, cost)
@@ -344,7 +347,7 @@ def _min_permutation(
                     cost, result = finish(cost, tuple(perm), best_cost)
                     if result is not None:
                         best_cost, best = cost, result
-                elif best_cost is None or cost < best_cost:
+                else:
                     best_cost, best = cost, tuple(perm)
                 perm.pop()
             free.insert(pos, j)

@@ -112,10 +112,6 @@ class TestMinPartition:
         want = running_cost(first, cost)
         got = min_partition(n_items, k, cost)
         assert got[0] == first and same_bits(got[1], want)
-        # nothing is strictly cheaper than the minimum itself
-        assert min_partition(n_items, k, cost, bound=want) is None
-        bounded = min_partition(n_items, k, cost, bound=want + 1)
-        assert bounded[0] == first and same_bits(bounded[1], want)
 
     @pytest.mark.parametrize("n_items,k", [(2, 1), (8, 2), (9, 3), (8, 4)])
     def test_streamed_levels_equal_tabled_levels(self, monkeypatch, n_items, k):
@@ -125,18 +121,21 @@ class TestMinPartition:
         table = {g: rng.randint(0, 3) for g in combinations(range(n_items), k)}
         cost = table.__getitem__
         tabled = (list(iter_tuple_partitions(n_items, k)),
-                  min_partition(n_items, k, cost),
-                  min_partition(n_items, k, cost, bound=3))
+                  min_partition(n_items, k, cost))
         monkeypatch.setattr(oracle, "_SPLIT_CACHE_MAX", 0)
         assert (list(iter_tuple_partitions(n_items, k)),
-                min_partition(n_items, k, cost),
-                min_partition(n_items, k, cost, bound=3)) == tabled
+                min_partition(n_items, k, cost)) == tabled
 
     def test_empty_and_indivisible(self):
         assert min_partition(0, 3, len) == ((), 0)
-        assert min_partition(0, 3, len, bound=0) is None
         with pytest.raises(SizeError, match="groups of 2"):
             min_partition(5, 2, len)
+
+    def test_first_partition_wins_when_every_group_costs_inf(self):
+        # no branch is cut before the first leaf, and no inf cost replaces
+        # an inf incumbent
+        assert min_partition(6, 2, lambda g: math.inf) == (
+            ((0, 1), (2, 3), (4, 5)), math.inf)
 
 
 @settings(deadline=None)
@@ -395,7 +394,7 @@ def test_local_search_memory_is_linear_in_k():
 
 
 # tied tenths, and +-1e308, whose edges weigh inf: an inf partial cost
-# is never cut by the strict `>` and never replaces an inf incumbent
+# reaches an inf incumbent, so it is cut, and never replaces it
 ASSIGNMENT_SCORES = st.sampled_from([
     tenths,
     st.sampled_from([1e308, -1e308, 0.0, 1.0]),
