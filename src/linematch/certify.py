@@ -32,12 +32,16 @@ A table of more than DEFAULT_BUDGET states is refused before it is built.
 An uncollected certificate that no state fails enumerates nothing.
 Otherwise the splits are walked as joins of a top half (positions
 k+1..2k) and a bottom half (1..k), each tabulated once from the table, and
-an entry is built for every split (collected) or every failing one;
-certificate_chunks joins a collected certificate's lines from the halves'
-texts instead.  All arithmetic is exact (Python integers); an entry carries
-the split, the difference form and the proof that re-verifies it
-independently: an abs entry's suffix sums, or an sq entry's factors (u, v),
-which re-expand to its matrix as u v^T + v u^T.
+an entry is built for every split (collected) or every failing one.  All
+arithmetic is exact (Python integers); an entry carries the split, the
+difference form and the proof that re-verifies it independently: an abs
+entry's suffix sums, or an sq entry's factors (u, v), which re-expand to its
+matrix as u v^T + v u^T.
+
+Certificate text has one renderer, which builds no entry object: the same
+walk over halves tabulated as texts, each line joined from its split's two
+halves.  certificate_chunks streams every line; certificate_render joins
+them, or lists only an uncollected certificate's failing lines.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, compress, islice, product
 from operator import add, attrgetter, getitem, not_, sub
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
     DEFAULT_BUDGET,
@@ -80,17 +84,14 @@ def _lead(terms: str) -> str:
 
 
 class _TermText(dict):
-    """_term(c, "x<position>") keyed by (position, c), e.g. (3, -1) ->
-    " -x3"; memoized over one rendering pass."""
+    """_term(c, body) keyed by (*positions, c), body x<p> for one position
+    and x<p>*x<q> for two: (3, -1) -> " -x3", (1, 4, 2) -> " +2*x1*x4";
+    memoized over one rendering pass."""
 
-    def __missing__(self, key: tuple[int, int]) -> str:
-        position, c = key
-        text = self[key] = _term(c, f"x{position}")
+    def __missing__(self, key: tuple[int, ...]) -> str:
+        *positions, c = key
+        text = self[key] = _term(c, "*".join(map("x{}".format, positions)))
         return text
-
-
-def _render_linear(coeffs: Sequence[int], terms: _TermText) -> str:
-    return _lead("".join(map(terms.__getitem__, enumerate(coeffs, 1))))
 
 
 class LinearForm(Record):
@@ -129,9 +130,6 @@ class LinearForm(Record):
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple(-c for c in self.coeffs))
 
-    def render(self) -> str:
-        return _render_linear(self.coeffs, _TermText())
-
 
 class QuadraticForm(Record):
     """Integer quadratic form x^T M x with a symmetric coefficient matrix.
@@ -159,13 +157,6 @@ class QuadraticForm(Record):
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.matrix for c in row)
-
-    def render(self) -> str:
-        mat, r = self.matrix, range(self.m)
-        terms = [_term(mat[i][i], f"x{i + 1}^2") for i in r if mat[i][i]]
-        terms += [_term(c, f"x{p + 1}*x{q + 1}") for p in r for q in r[p + 1:]
-                  if (c := mat[p][q] + mat[q][p])]
-        return _lead("".join(terms))
 
 
 DifferenceForm = Union[LinearForm, QuadraticForm]
@@ -387,19 +378,21 @@ def _groups(positions: range, bits: Sequence[int]) -> tuple[tuple[int, ...], ...
     return tuple(compress(positions, bits)), tuple(compress(positions, map(not_, bits)))
 
 
-def _group_texts(positions: range, bits: Sequence[int]) -> tuple[str, str]:
-    """_groups as a split's line lists them, the bottom's before the top's."""
+def _group_texts(positions: range, bits: Sequence[int]) -> tuple[tuple[int, ...], str, str]:
+    """A half's positions in A, then _groups as a split's line lists them,
+    the bottom's before the top's."""
     first, second = _groups(positions, bits)
     if positions[0] == 1:
-        return ",".join(map(str, first)), "".join(map("{},".format, second))
-    return "".join(map(",{}".format, first)), ",".join(map(str, second))
+        return first, ",".join(map(str, first)), "".join(map("{},".format, second))
+    return first, "".join(map(",{}".format, first)), ",".join(map(str, second))
 
 
 # A weight's plan at size k: (states, reasons, half, join).  states[c-1][t]
 # is the verdict code of state (c, t), 0 if it holds, reasons[code] the
 # failure's reason, half a half's value for _walk, led by its positions in A
 # and in B, and join(bottom, top, code) a split's (form, proof) from two
-# values; with `text`, the values hold texts and join gives the split's line.
+# values; with `text`, the values are led by the positions in A and hold
+# texts, and join gives the split's line.
 
 
 def _statuses(reasons: Sequence[str]) -> list[str]:
@@ -426,9 +419,9 @@ def _abs_plan(k: int, text: bool) -> tuple:
 
     def join(bottom, top, code):
         if text:
-            return (f"{{{bottom[0]}{top[0]}|{bottom[1]}{top[1]}}} :: "
-                    f"{_lead(bottom[3] + top[3])} :: "
-                    f"suffix_sums=({bottom[2]},{top[2]}) {status[code]}")
+            return (f"{{{bottom[1]}{top[1]}|{bottom[2]}{top[2]}}} :: "
+                    f"{_lead(bottom[4] + top[4])} :: "
+                    f"suffix_sums=({bottom[3]},{top[3]}) {status[code]}")
         return LinearForm(bottom[3] + top[3]), SuffixSumProof(bottom[2] + top[2])
 
     return states, reasons, half, join
@@ -449,7 +442,7 @@ def _sq_plan(k: int, text: bool) -> tuple:
             return (*_groups(positions, bits), tuple(classes), *factors)
 
         def row(p, c):  # x_p's terms with the half's later positions
-            return "".join([_term(pair[c][d], f"x{p}*x{q}")
+            return "".join([terms[p, q, pair[c][d]]
                             for q, d in zip(positions, classes) if q > p])
 
         rows = [row(p, c) for p, c in zip(positions, classes)]
@@ -479,8 +472,8 @@ def _sq_plan(k: int, text: bool) -> tuple:
                 return form, FactorProof(zero, zero)
             return form, FactorProof(LinearForm(bottom[3] + top[3]),
                                      LinearForm(bottom[4] + top[4]))
-        b_first, b_second, _, b_rows, b_keys, b_diagonal, b_u, b_us, b_v, b_vs = bottom
-        t_first, t_second, zero, t_rows, t_cross, t_diagonal, t_u, t_us, t_v, t_vs = top
+        _, b_first, b_second, _, b_rows, b_keys, b_diagonal, b_u, b_us, b_v, b_vs = bottom
+        _, t_first, t_second, zero, t_rows, t_cross, t_diagonal, t_u, t_us, t_v, t_vs = top
         line = f"{{{b_first}{t_first}|{b_second}{t_second}}} :: " + _lead(
             b_diagonal + t_diagonal + "".join(map(add, b_rows, map(
                 t_cross.__getitem__, b_keys))) + t_rows)
@@ -558,52 +551,27 @@ def certify_sq(k: int, collect: bool = True) -> ExchangeCertificate:
     return _certify(k, WeightKind.SQ, collect)
 
 
-def _render_tuple(values: Iterable[int]) -> str:
-    return "(" + ",".join(map(str, values)) + ")"
-
-
-def _render_entry(entry: CertificateEntry, terms: _TermText) -> str:
-    proof = entry.proof
-    if isinstance(proof, SuffixSumProof):
-        proof_text = "suffix_sums=" + _render_tuple(proof.suffix_sums)
-    elif isinstance(proof, FactorProof):
-        left, right = proof.left.coeffs, proof.right.coeffs
-        proof_text = (
-            f"factors={proof.scale}*({_render_linear(left, terms)})"
-            f"*({_render_linear(right, terms)})"
-            f" suffix_sums={_render_tuple(_suffix_sums(left))}"
-            f";{_render_tuple(_suffix_sums(right))}"
-        )
-    else:
-        proof_text = "no-proof"
-    form = entry.form
-    if isinstance(form, LinearForm):
-        form_text = _render_linear(form.coeffs, terms)
-    else:
-        form_text = form.render()
-    status = "OK" if entry.ok else f"FAILED({entry.reason})"
-    return (
-        f"{{{','.join(map(str, entry.first))}|{','.join(map(str, entry.second))}}}"
-        f" :: {form_text} :: {proof_text} {status}"
-    )
-
-
 def _header(cert: ExchangeCertificate) -> str:
     return (f"k={cert.k} weight={cert.weight.value} entries={cert.entry_count} "
             f"verified={'true' if cert.verified else 'false'}")
 
 
 def certificate_render(cert: ExchangeCertificate) -> str:
-    """Stable text rendering: header, then one line per entry in
-    colexicographic split order."""
-    lines = [_header(cert)]
-    terms = _TermText()
+    """Stable text of the certificate of cert.k and cert.weight, with cert's
+    verdict in the header.  Collected, it is certificate_chunks' text without
+    its final newline: one line per split in colexicographic order.
+    Uncollected, the header and an "(N entries not collected)" line are
+    followed only by the failing lines, in lexicographic order of A; the
+    splits are walked only if cert has failures."""
     if cert.entries:
-        lines.extend(_render_entry(e, terms) for e in cert.entries)
-    else:
-        if cert.entry_count:
-            lines.append(f"({cert.entry_count} entries not collected)")
-        lines.extend(_render_entry(e, terms) for e in cert.failures)
+        return "".join(certificate_chunks(cert))[:-1]
+    lines = [_header(cert), f"({cert.entry_count} entries not collected)"]
+    if cert.failures:
+        states, _, half, line = _PLANS[cert.weight](cert.k, True)
+        failing = [(bottom[0] + top[0], line(bottom, top, code))
+                   for (t_code, top), bottoms in _walk(cert.k, states, half)
+                   for b_code, bottom in bottoms if (code := max(b_code, t_code))]
+        lines += [text for _, text in sorted(failing)]
     return "\n".join(lines)
 
 
@@ -611,10 +579,11 @@ _CHUNK_LINES = 1024
 
 
 def certificate_chunks(cert: ExchangeCertificate) -> Iterator[str]:
-    """certificate_render of the collected certificate of cert.k and
-    cert.weight, with cert's verdict in the header, plus a newline: yielded
-    in chunks of about _CHUNK_LINES lines, each line joined from the texts of
-    its split's two halves, so no entry, form or proof object is built."""
+    """The text of the collected certificate of cert.k and cert.weight,
+    with cert's verdict in the header, each line ending in a newline:
+    yielded in chunks of about _CHUNK_LINES lines, each line joined from the
+    texts of its split's two halves, so no entry, form or proof object is
+    built."""
     states, _, half, line = _PLANS[cert.weight](cert.k, True)
     lines = [_header(cert)]
     for (t_code, top), bottoms in _walk(cert.k, states, half):

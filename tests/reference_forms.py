@@ -722,22 +722,6 @@ def certify_sq_reference(k: int, collect: bool = True) -> ExchangeCertificate:
     )
 
 
-def linear_render_reference(self) -> str:
-    """LinearForm.render as first written, one term built per coefficient."""
-    terms = []
-    for i, c in enumerate(self.coeffs):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        body = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
-        terms.append(f"{sign}{body}")
-    if not terms:
-        return "0"
-    out = " ".join(terms)
-    return out[1:] if out.startswith("+") else out
-
-
 # The match front end as first written, kept verbatim as references:
 # sorting on a (score, input_rank) key tuple, and the CSV row loop calling
 # len(items) and the module-level functions on every row.

@@ -1,5 +1,5 @@
+import math
 import random
-import time
 from itertools import accumulate, combinations
 from pathlib import Path
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from linematch import certify
 from linematch.certify import (
-    CertificateEntry,
-    ExchangeCertificate,
     LinearForm,
     QuadraticForm,
     SuffixSumProof,
@@ -33,7 +31,6 @@ from reference_forms import (
     certify_abs_reference,
     certify_sq_reference,
     difference_form_reference,
-    linear_render_reference,
 )
 
 
@@ -580,11 +577,6 @@ class TestMutations:
 
 
 class TestRender:
-    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=20))
-    def test_linear_render_equals_reference(self, coeffs):
-        form = LinearForm(tuple(coeffs))
-        assert form.render() == linear_render_reference(form)
-
     def test_k2_abs_layout(self):
         text = certificate_render(certify_abs(2))
         lines = text.splitlines()
@@ -598,63 +590,46 @@ class TestRender:
         assert text.count("factors=2*(") == 10  # nine real + the zero split
         assert "verified=true" in text
 
-    def test_failed_entries_are_marked(self):
-        bad_form = LinearForm((1, -1))
-        entry = CertificateEntry(
-            first=(1,),
-            second=(2,),
-            form=bad_form,
-            proof=SuffixSumProof(bad_form.suffix_sums()),
-            ok=False,
-            reason="suffix-sum criterion failed",
-        )
-        cert = ExchangeCertificate(
-            k=1,
-            weight=WeightKind.ABS,
-            entry_count=1,
-            verified=False,
-            entries=(entry,),
-            failures=(entry,),
-        )
-        text = certificate_render(cert)
-        assert "verified=false" in text
-        assert "FAILED(suffix-sum criterion failed)" in text
-
     def test_uncollected_render_mentions_elision(self):
         text = certificate_render(certify_abs(6, collect=False))
         assert "(462 entries not collected)" in text
 
 
 class TestGrowthLaw:
-    """Collected certificates still build an entry per split, joined from
-    two halves tabulated once (3 * 2^(k-1) of them), so their cost follows
+    """Collected certificates still build an entry per split, C(2k-1, k-1)
+    of them, joined from halves tabulated once, 3 * 2^(k-1) - 1 of them (no
+    top half holds all of A, which holds x_1), so their work follows
     C(2k-1, k-1); uncollected ones that verify enumerate nothing
-    (TestStateTable.test_verified_uncollected_certificates_enumerate_nothing)."""
+    (TestStateTable.test_verified_uncollected_certificates_enumerate_nothing).
+    The work is counted, not timed."""
 
-    def _time_certify(self, k):
-        # min over repeated runs is the noise-robust estimator for
-        # deterministic CPU-bound work
-        best = None
-        spent = 0.0
-        reps = 0
-        while spent < 0.1 or reps < 3:
-            t0 = time.perf_counter()
+    def _count_work(self, monkeypatch, k):
+        counts = {"entries": 0, "halves": 0}
+        entry, walk = certify.CertificateEntry, certify._walk
+
+        def count_entry(*args):
+            counts["entries"] += 1
+            return entry(*args)
+
+        def count_walk(k, states, half):
+            def count_half(*args):
+                counts["halves"] += 1
+                return half(*args)
+
+            return walk(k, states, count_half)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "CertificateEntry", count_entry)
+            patch.setattr(certify, "_walk", count_walk)
             certify_abs(k)
-            elapsed = time.perf_counter() - t0
-            spent += elapsed
-            best = elapsed if best is None else min(best, elapsed)
-            reps += 1
-            if reps >= 500:
-                break
-        return best
+        return counts
 
-    def test_cost_roughly_quadruples_per_k(self):
-        last_ratios = None
-        for _ in range(3):  # timing property; shield against load spikes
-            times = {k: self._time_certify(k) for k in range(5, 10)}
-            last_ratios = [times[k + 1] / times[k] for k in range(5, 9)]
-            if all(3.0 < r < 6.0 for r in last_ratios):
-                return
-        raise AssertionError(
-            f"per-k cost ratios {last_ratios} escape [3, 6] in 3 attempts"
-        )
+    def test_cost_roughly_quadruples_per_k(self, monkeypatch):
+        work = {}
+        for k in range(5, 10):
+            counts = self._count_work(monkeypatch, k)
+            assert counts == {"entries": math.comb(2 * k - 1, k - 1),
+                              "halves": 3 * 2 ** (k - 1) - 1}
+            work[k] = counts["entries"] + counts["halves"]
+        ratios = [work[k + 1] / work[k] for k in range(5, 9)]
+        assert all(3.0 < r < 6.0 for r in ratios), ratios

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -23,6 +24,21 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SPLIT_STATUS = re.compile(r"\{([\d,]+)\|([\d,]+)\} :: .* (?:OK|FAILED\((.*)\))")
+
+
+def assert_lines_are_the_entries(out, cert):
+    """The certificate text's lines name, in order, the splits of the
+    collected entries, each with its entry's verdict and reason."""
+    lines = out.splitlines()[1:]
+    assert len(lines) == len(cert.entries)
+    for line, entry in zip(lines, cert.entries):
+        first, second, reason = _SPLIT_STATUS.fullmatch(line).groups()
+        assert tuple(map(int, first.split(","))) == entry.first
+        assert tuple(map(int, second.split(","))) == entry.second
+        assert (reason is None, reason or "") == (entry.ok, entry.reason)
 
 
 CANONICAL = ["a,1", "b,3", "c,4", "d,5", "e,8", "f,9"]
@@ -347,6 +363,7 @@ class TestCertifyCommand:
         cert = certifier(k)
         assert code == (0 if cert.verified else 1)
         assert out == certify.certificate_render(cert) + "\n"
+        assert_lines_are_the_entries(out, cert)
 
     @pytest.mark.parametrize(
         "argv,certifier,k,name,bad",
@@ -373,6 +390,7 @@ class TestCertifyCommand:
         assert not cert.verified and 0 < len(cert.failures) < len(cert.entries)
         assert code == 1
         assert out == certify.certificate_render(cert) + "\n"
+        assert_lines_are_the_entries(out, cert)
         assert "verified=false" in out and "FAILED(" in out and " OK\n" in out
 
     @pytest.mark.parametrize(
