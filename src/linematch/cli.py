@@ -441,6 +441,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _parse_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count must not be negative, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linematch",
@@ -466,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of group counts per line instance")
     p_bench.add_argument("--tri-sizes", type=_parse_sizes, default=(2, 4, 6),
                          help="comma list of per-part sizes for tripartite instances")
-    p_bench.add_argument("--instances", type=int, default=3,
+    p_bench.add_argument("--instances", type=_parse_count, default=3,
                          help="instances per size")
     p_bench.add_argument("--dist", choices=["uniform-int", "uniform-real"],
                          default="uniform-int")

@@ -5,8 +5,9 @@
   with pairwise local search.  On collinear input it reproduces the exact
   line optimum.
 * triangle_matching: tripartite matching composed from two bipartite
-  minima through the shared middle part; under metric edge weights its cost
-  is at most twice the pairwise lower bound, hence at most twice optimal.
+  minima through the shared middle part.  Under metric edge weights it costs
+  at most twice the pairwise lower bound, hence at most twice optimal; on
+  score-valued parts it is the sorted matching, at ratio 1 in exact arithmetic.
 * local_search_2tuple: pairwise re-splitting of a k-group partition by the
   sorted split, which `certify_general` proves the cheapest split of two
   groups, to a fixpoint where no pair's sorted split is cheaper.
@@ -31,7 +32,7 @@ from .core import (
     WeightKind,
     within_columns,
 )
-from .multipartite import Matching, MultipartiteInstance, match_sorted, matching_weight
+from .multipartite import Matching, MultipartiteInstance, match_sorted
 from .oracle import min_partition
 
 EXACT_PAIRING_MAX_POINTS = 12
@@ -89,21 +90,19 @@ def _greedy_pairing(dist: list[list[float]]) -> list[tuple[int, int]]:
 def _two_opt_pairs(
     dist: list[list[float]], pairs: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                a, b = pairs[i]
-                c, d = pairs[j]
-                cur = dist[a][b] + dist[c][d]
-                for p1, p2 in (((a, c), (b, d)), ((a, d), (b, c))):
-                    alt = dist[p1[0]][p1[1]] + dist[p2[0]][p2[1]]
-                    if alt < cur:
-                        pairs[i] = (min(p1), max(p1))
-                        pairs[j] = (min(p2), max(p2))
-                        improved = True
-                        cur = alt
+    def resplit(i: int, j: int) -> bool:
+        a, b = pairs[i]
+        c, d = pairs[j]
+        start = cur = dist[a][b] + dist[c][d]
+        for p1, p2 in (((a, c), (b, d)), ((a, d), (b, c))):
+            alt = dist[p1[0]][p1[1]] + dist[p2[0]][p2[1]]
+            if alt < cur:
+                pairs[i] = (min(p1), max(p1))
+                pairs[j] = (min(p2), max(p2))
+                cur = alt
+        return cur < start
+
+    _sweep_pairs(len(pairs), resplit)
     return pairs
 
 
@@ -166,6 +165,29 @@ def _refine_triples(
     return triples
 
 
+def _contract(
+    points: Sequence[EuclideanPoint], dist: list[list[float]], level: int
+) -> tuple[list[tuple[int, ...]], tuple[bool, ...]]:
+    """Triples of indices into `points`, whose distance table is `dist`, and
+    each level's pairing exactness, this level first: pair the points, group
+    the pairs' midpoints by recursion, split each midpoint triple's six
+    members into two triples, then refine."""
+    if len(points) == 3:
+        return [(0, 1, 2)], ()
+    pairs, exact = _min_cost_pairing(dist)
+    mids = [
+        EuclideanPoint(tuple((x + y) / 2 for x, y in
+                             zip(points[a].coords, points[b].coords)),
+                       f"mid{level}.{i}")
+        for i, (a, b) in enumerate(pairs)]
+    below, exact_below = _contract(mids, _dist_table(mids), level + 1)
+    expanded: list[tuple[int, ...]] = []
+    for triple in below:
+        members = [m for idx in triple for m in pairs[idx]]
+        expanded.extend(_best_two_triples(dist, members)[:2])
+    return _refine_triples(dist, expanded), (exact, *exact_below)
+
+
 def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalTriples:
     """Group 3 * 2^m Euclidean points into triples of small pairwise length.
 
@@ -179,54 +201,24 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
     if n % 3 != 0 or n == 0 or (n // 3) & (n // 3 - 1):
         raise SizeError(f"need 3 * 2^m points, got {n}")
 
-    # one (points, merged_from, dist) per contraction level: the two points
-    # each merged in the level below (None at base), and its distance table
-    levels = [(tuple(points), None, _dist_table(points))]
-    exact_flags = []
-    while len(levels[-1][0]) > 3:
-        current, _, dist = levels[-1]
-        pairs, exact = _min_cost_pairing(dist)
-        exact_flags.append(exact)
-        mids = tuple(
-            EuclideanPoint(tuple((x + y) / 2 for x, y in
-                                 zip(current[a].coords, current[b].coords)),
-                           f"mid{len(levels)}.{i}")
-            for i, (a, b) in enumerate(pairs))
-        levels.append((mids, tuple(pairs), _dist_table(mids)))
-
-    triples: list[tuple[int, ...]] = [(0, 1, 2)]
-    for level_idx in range(len(levels) - 1, 0, -1):
-        merged = levels[level_idx][1]
-        below = levels[level_idx - 1][2]
-        expanded: list[tuple[int, ...]] = []
-        for triple in triples:
-            members = [m for idx in triple for m in merged[idx]]
-            expanded.extend(_best_two_triples(below, members)[:2])
-        triples = _refine_triples(below, expanded)
-
-    base, _, dist = levels[0]
-    out = tuple(tuple(base[i] for i in t) for t in triples)
+    dist = _dist_table(points)
+    triples, exact_flags = _contract(points, dist, 1)
+    out = tuple(tuple(points[i] for i in t) for t in triples)
     cost = reduce(add, (_triple_cost(dist, t) for t in triples), 0)
-    return HierarchicalTriples(out, cost, tuple(exact_flags))
+    return HierarchicalTriples(out, cost, exact_flags)
 
 
 def triangle_matching(instance: MultipartiteInstance) -> Matching:
-    """Tripartite matching composed from the two bipartite minima that share
-    the middle part.
+    """Tripartite matching joining (a, b) from the minimal A-B matching with
+    (b, c) from the minimal B-C matching through the shared b.
 
-    Joins (a, b) from the minimal A-B matching with (b, c) from the minimal
-    B-C matching through the shared b.  The third edge of every triple is
-    paid but never optimized; when edge weights are metric the total is at
+    Both minima match rank for rank, so the join is `match_sorted`'s
+    matching, at its weight.  When edge weights are metric the total is at
     most 2 * (w_AB + w_BC), hence at most twice the tripartite optimum.
     """
     if len(instance.parts) != 3:
         raise ArityError("triangle matching needs a tripartite instance")
-    parts = instance.parts
-    ab = match_sorted(MultipartiteInstance((parts[0], parts[1]), instance.weight))
-    bc = match_sorted(MultipartiteInstance((parts[1], parts[2]), instance.weight))
-    b_to_a = {b: a for a, b in ab.tuples}
-    tuples = tuple((b_to_a[b], b, c) for b, c in bc.tuples)
-    return Matching(tuples, matching_weight(instance, Matching(tuples, 0)))
+    return match_sorted(instance)
 
 
 def _cheaper_split(
@@ -263,14 +255,11 @@ def local_search_2tuple(partition: KPartition, weight: WeightKind) -> KPartition
     upper k the other, applied only when strictly cheaper in floats.  Cost
     never increases, and the scan ends where no pair's sorted split is
     cheaper, so sorted groups such as `match_line`'s come back unchanged.
-    Fewer than two groups have no pair and are returned as given.
     """
     k = partition.k
     groups = [list(t.members) for t in partition.tuples]
     start = partition.columns()[1]
     costs = within_columns([start[i::k] for i in range(k)], weight)
-    if len(groups) < 2:
-        return KPartition(k, partition.tuples, reduce(add, costs, 0), weight)
 
     def resplit(i: int, j: int) -> bool:
         better = _cheaper_split(groups[i], groups[j], costs[i] + costs[j], weight)

@@ -461,6 +461,17 @@ def test_bad_size_lists_are_rejected(capsys, sizes, message):
     assert message in capsys.readouterr().err
 
 
+def test_negative_instance_count_is_rejected_and_zero_kept(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--instances", "-2"])
+    assert exc.value.code == 2
+    assert "count must not be negative, got '-2'" in capsys.readouterr().err
+    # no random instance, so only the k = 3 canonical row
+    code, out, err = run_cli(capsys, ["bench", "--instances", "0", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["line", "canonical"]]
+
+
 @pytest.mark.parametrize("argv,rows,code,message", [
     ("match --k 2", ["a,1", "b,x"], 2, "{csv}: line 3: score 'x' is not a number"),
     ("match --k 2", ["a,1", "b,2", "c,3"], 3, "3 items cannot be split into groups of 2"),

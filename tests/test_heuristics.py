@@ -114,16 +114,61 @@ class TestHierarchical:
         with pytest.raises(ValidationError):
             EuclideanPoint((math.nan, 0.0), "bad")
 
+    def test_overflowing_midpoint_is_rejected(self):
+        points = points_from_coords([[1e308]] * 3 + [[1.7e308]] * 3)
+        with pytest.raises(ValidationError):
+            hierarchical_triple_match(points)
+
+    # pinned outputs: above 12 points a level pairs greedily and then by
+    # 2-opt, which swaps pairs at every size here
+    @pytest.mark.parametrize("n,cost,exact,triples", [
+        (24, 450.07893651236395, (False, True, True),
+         [(0, 5, 9), (15, 19, 21), (6, 8, 18), (7, 12, 20), (1, 10, 16),
+          (3, 4, 11), (2, 14, 22), (13, 17, 23)]),
+        (48, 575.5006845824871, (False, False, True, True),
+         [(0, 21, 40), (12, 19, 20), (8, 41, 43), (10, 22, 33), (1, 11, 28),
+          (15, 29, 47), (2, 13, 37), (3, 7, 30), (4, 32, 39), (18, 25, 44),
+          (14, 31, 35), (26, 34, 45), (5, 16, 42), (9, 27, 46), (6, 17, 24),
+          (23, 36, 38)]),
+        (96, 882.7189571279961, (False, False, False, True, True),
+         [(0, 10, 87), (60, 84, 90), (9, 64, 91), (39, 63, 78), (2, 18, 34),
+          (11, 80, 93), (45, 47, 89), (27, 61, 86), (8, 15, 72), (22, 24, 58),
+          (17, 42, 79), (21, 32, 36), (14, 35, 41), (50, 55, 71), (23, 25, 94),
+          (33, 52, 69), (1, 4, 75), (29, 37, 73), (31, 59, 62), (48, 81, 83),
+          (3, 40, 67), (12, 53, 70), (43, 51, 68), (66, 77, 95), (5, 65, 88),
+          (6, 56, 92), (7, 16, 46), (19, 44, 57), (20, 26, 28), (30, 49, 76),
+          (13, 82, 85), (38, 54, 74)]),
+    ])
+    def test_planar_points_keep_their_triples(self, n, cost, exact, triples):
+        rng = random.Random(n)
+        coords = [[rng.uniform(0, 100), rng.uniform(0, 100)] for _ in range(n)]
+        result = hierarchical_triple_match(points_from_coords(coords))
+        assert [tuple(int(p.id[1:]) for p in t) for t in result.triples] == triples
+        assert repr(result.cost) == repr(cost)
+        assert result.pairing_exact == exact
+
 
 class TestTriangleMatching:
     def test_line_instance_composes_to_sorted_triples(self):
+        # both bipartite minima match rank for rank, so the composition is
+        # the sorted matching, weight bits included
         rng = random.Random(79)
+        draws = [
+            lambda: rng.randint(0, 30),
+            lambda: rng.randint(0, 3),
+            lambda: round(rng.uniform(-50, 50), rng.choice([0, 1, 6])),
+            lambda: rng.choice([0.0, -0.0, 0.5, -0.5]),
+            lambda: rng.choice([1e308, -1e308, 0.0, -0.0, 1.0]),
+        ]
         for _ in range(30):
-            n = rng.randint(1, 6)
-            lists = [[rng.randint(0, 30) for _ in range(n)] for _ in range(3)]
-            inst = instance_from_scores(lists, WeightKind.ABS)
-            tri = triangle_matching(inst)
-            assert tri.weight == match_sorted(inst).weight
+            for draw in draws:
+                for weight in WeightKind:
+                    n = rng.randint(1, 6)
+                    lists = [[draw() for _ in range(n)] for _ in range(3)]
+                    inst = instance_from_scores(lists, weight)
+                    tri, ref = triangle_matching(inst), match_sorted(inst)
+                    assert tri.tuples == ref.tuples
+                    assert repr(tri.weight) == repr(ref.weight)
 
     def test_all_equal_scores(self):
         inst = instance_from_scores([[4, 4], [4, 4], [4, 4]], WeightKind.ABS)
