@@ -46,10 +46,6 @@ class WeightKind(Enum):
     SQ = "sq"
 
 
-# Columns an abs fold chains lazily before it lists its partial sums: an
-# iterator nested ~10^5 deep overflows the C stack when it is consumed.
-_FOLD_DEPTH = 256
-
 # Default cap on what one exhaustive search may enumerate: partitions,
 # subsets, permutations, certificate splits or certificate states.
 DEFAULT_BUDGET = 10_000_000
@@ -241,23 +237,23 @@ def within_columns(cols: Sequence[Sequence[float]], weight: WeightKind) -> list[
     checks).  Every term is nonnegative, so finite scores cost a finite
     value or +inf, never a negative value or NaN, and a float cost stays
     within about k units in the last place of the exact one at any offset.
-    Each row is one left fold from int 0, so -0.0 maps to 0.0.  sq adds the squared differences one column
-    pair at a time, pairs in lexicographic order, from int 0.  Integers stay
-    exact."""
+    sq adds the squared differences one column pair at a time, pairs in
+    lexicographic order.  Each row is one left fold from int 0, one step
+    per gap or pair, so -0.0 maps to 0.0 and integers stay exact.  Any
+    other weight raises ValidationError."""
     k = len(cols)
+    totals = [0] * len(cols[0])
     if weight is WeightKind.ABS:
-        totals = repeat(0, len(cols[0]))
         for i in range(1, k):
             gaps = map(sub, cols[i], cols[i - 1])
             w = i * (k - i)
-            totals = map(add, totals, gaps if w == 1 else map(mul, repeat(w), gaps))
-            if not i % _FOLD_DEPTH:
-                totals = list(totals)
-        return list(totals)
-    totals = [0] * len(cols[0])
-    for i, j in combinations(range(k), 2):
-        d = list(map(sub, cols[j], cols[i]))
-        totals = list(map(add, totals, map(mul, d, d)))
+            totals = list(map(add, totals, gaps if w == 1 else map(mul, repeat(w), gaps)))
+    elif weight is WeightKind.SQ:
+        for i, j in combinations(range(k), 2):
+            d = list(map(sub, cols[j], cols[i]))
+            totals = list(map(add, totals, map(mul, d, d)))
+    else:
+        raise ValidationError(f"unknown weight {weight!r}")
     return totals
 
 

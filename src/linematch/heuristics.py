@@ -47,7 +47,9 @@ class EuclideanPoint(Record):
     id: str
 
     def __post_init__(self) -> None:
-        if not self.coords or not all(map(math.isfinite, self.coords)):
+        if not self.coords:
+            raise ValidationError(f"point {self.id!r} has no coordinates")
+        if not all(map(math.isfinite, self.coords)):
             raise ValidationError(f"point {self.id!r} has non-finite coordinates")
 
 
@@ -196,10 +198,17 @@ def hierarchical_triple_match(points: Sequence[EuclideanPoint]) -> HierarchicalT
     and replacing each pair with its midpoint, down to three points.  Then
     re-expands level by level, re-splitting every pair of triples to a local
     optimum.  Cost of a triple is the sum of its three pairwise distances.
+    Raises SizeError unless there are 3 * 2^m points, and ValidationError
+    naming the first point whose dimension differs from the first point's.
     """
     n = len(points)
     if n % 3 != 0 or n == 0 or (n // 3) & (n // 3 - 1):
         raise SizeError(f"need 3 * 2^m points, got {n}")
+    dim = len(points[0].coords)
+    for p in points:
+        if len(p.coords) != dim:
+            raise ValidationError(f"point {p.id!r} has {len(p.coords)} coordinates, "
+                                  f"point {points[0].id!r} has {dim}")
 
     dist = _dist_table(points)
     triples, exact_flags = _contract(points, dist, 1)

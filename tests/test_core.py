@@ -24,6 +24,8 @@ from linematch.core import (
     within_distance,
 )
 from linematch.matching import match_line
+from linematch.multipartite import instance_from_scores, match_sorted
+from linematch.oracle import brute_force_partition, greedy_match
 
 from reference_forms import abs_error_bound, pairwise_exact, within_scores
 
@@ -185,11 +187,36 @@ class TestWithinColumns:
         assert typed_reprs(within_columns(cols, WeightKind.SQ)) == [
             (float, "0.0"), (int, "42"), (int, "0")]
 
-    def test_deep_groups_fold_in_stages(self):
-        # an iterator nested once per column would overflow the C stack
+    def test_deep_group_folds_one_gap_at_a_time(self):
+        # each of the 99,999 gaps is one step of the fold, its partial sums
+        # a list, so the cost is exact at any depth
         k = 100_000
         assert within_columns([[i] for i in range(k)], WeightKind.ABS) == [
             (k - 1) * k * (k + 1) // 6]
+
+
+PAIR = [("a", 0), ("b", 3)]
+
+
+class TestUnknownWeight:
+    # a weight that is not a WeightKind raises wherever a cost is read: no
+    # value, not even the string "abs", falls through to the sq cost
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda w: within_columns([[0], [3]], w), id="within_columns"),
+        pytest.param(lambda w: within_distance(tuple_of(0, 3), w), id="within_distance"),
+        pytest.param(lambda w: match_line(items_from_pairs(PAIR), 2, w).total_within,
+                     id="match_line"),
+        pytest.param(lambda w: greedy_match(items_from_pairs(PAIR), 2, w),
+                     id="greedy_match"),
+        pytest.param(lambda w: brute_force_partition(items_from_pairs(PAIR), 2, w),
+                     id="brute_force_partition"),
+        pytest.param(lambda w: match_sorted(instance_from_scores([[0], [3]], w)),
+                     id="match_sorted"),
+    ])
+    @pytest.mark.parametrize("weight", ["abs", "sq", None, 2])
+    def test_raises_naming_the_weight(self, read, weight):
+        with pytest.raises(ValidationError, match=f"unknown weight {weight!r}"):
+            read(weight)
 
 
 class TestInvariances:

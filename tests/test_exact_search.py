@@ -7,6 +7,7 @@ groups with bit-equal costs as its old copy in `reference_forms`.  Scores
 are tenths drawn from a small range, so ties are frequent.
 """
 
+import functools
 import gc
 import math
 import random
@@ -301,6 +302,51 @@ def test_local_search_fixpoint_is_pairwise_optimal_in_exact_arithmetic(case):
         for chosen in combinations(members, len(first)):
             rest = [m for m in members if m not in chosen]
             assert _exact_cost(chosen, weight) + _exact_cost(rest, weight) >= current
+
+
+# A partition is pairwise optimal when no two of its groups have a strictly
+# cheaper sorted split (the lower k and the upper k of their members).
+# Every partition of small tied integer instances is enumerated: each
+# pairwise-optimal one costs the minimum, and an abs cost is the gap form
+# sum_j g_j * sum_G a_G(j)(k - a_G(j)) of the README's cost model, where
+# g_j is the j-th sorted gap and a_G(j) counts G's members at sorted
+# positions <= j.  k = 4 with 4 groups (2,627,625 partitions) is left out.
+@pytest.mark.parametrize("k,n,instances", [
+    (2, 2, 40), (2, 3, 40), (2, 4, 20), (3, 2, 40), (3, 3, 10), (3, 4, 3),
+    (4, 2, 40), (4, 3, 3)])
+@pytest.mark.parametrize("weight", list(WeightKind))
+def test_pairwise_optimal_partitions_are_optimal(k, n, instances, weight):
+    rng = random.Random(10 * k + n)
+    partitions = list(iter_tuple_partitions(k * n, k))
+    for _ in range(instances):
+        scores = sorted(rng.randrange(5) for _ in range(k * n))
+        gaps = [b - a for a, b in zip(scores, scores[1:])]
+
+        @functools.cache
+        def cost(group):
+            diffs = [scores[q] - scores[p] for p, q in combinations(group, 2)]
+            return sum(d if weight is WeightKind.ABS else d * d for d in diffs)
+
+        @functools.cache
+        def gap_form(group):
+            below = [sum(p <= j for p in group) for j in range(len(gaps))]
+            return sum(g * a * (k - a) for g, a in zip(gaps, below))
+
+        @functools.cache
+        def split_no_cheaper(first, second):
+            merged = sorted(first + second)
+            low, high = tuple(merged[:k]), tuple(merged[k:])
+            return cost(first) + cost(second) <= cost(low) + cost(high)
+
+        totals = [sum(map(cost, part)) for part in partitions]
+        least = min(totals)
+        for i, (part, total) in enumerate(zip(partitions, totals)):
+            if weight is WeightKind.ABS:
+                assert total == sum(map(gap_form, part))
+            if all(split_no_cheaper(*pair) for pair in combinations(part, 2)):
+                assert total == least
+            else:
+                assert i > 0  # the sorted chunks, listed first, are pairwise optimal
 
 
 @pytest.mark.parametrize("presorted", [False, True])

@@ -114,6 +114,16 @@ class TestHierarchical:
         with pytest.raises(ValidationError):
             EuclideanPoint((math.nan, 0.0), "bad")
 
+    def test_point_without_coordinates_is_rejected(self):
+        with pytest.raises(ValidationError, match="'p0' has no coordinates"):
+            points_from_coords([[]])
+
+    def test_unequal_dimensions_name_the_first_odd_point(self):
+        points = points_from_coords([[0, 0], [1, 1], [2], [3, 3], [4], [5, 5]])
+        with pytest.raises(ValidationError,
+                           match="'p2' has 1 coordinates, point 'p0' has 2"):
+            hierarchical_triple_match(points)
+
     def test_overflowing_midpoint_is_rejected(self):
         points = points_from_coords([[1e308]] * 3 + [[1.7e308]] * 3)
         with pytest.raises(ValidationError):

@@ -178,7 +178,7 @@ def test_validation_runs_after_the_fields_are_set(keywords):
 
     with pytest.raises(ValidationError, match="point 'p' has non-finite"):
         build(EuclideanPoint, (0.0, math.nan), "p")
-    with pytest.raises(ValidationError, match="point 'q' has non-finite"):
+    with pytest.raises(ValidationError, match="point 'q' has no coordinates"):
         build(EuclideanPoint, (), "q")
     with pytest.raises(ArityError, match="need 2 or 3 parts, got 1"):
         build(MultipartiteInstance, ((A,),), WeightKind.ABS)
