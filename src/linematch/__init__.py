@@ -31,7 +31,6 @@ _EXPORTS = {
     "QuadraticForm": "certify",
     "ScoredItem": "core",
     "SizeError": "core",
-    "TRIPARTITE_ORACLE_MAX_N": "oracle",
     "ValidationError": "core",
     "WeightKind": "core",
     "balance_columns": "matching",

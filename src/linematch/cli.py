@@ -338,15 +338,13 @@ def cmd_bench(cfg: argparse.Namespace, out=None) -> int:
     for name, scores in line_specs:
         n = len(scores) // cfg.k
         items = [ScoredItem(f"i{i}", s, i) for i, s in enumerate(scores)]
-        # the oracle refuses an instance over budget before any work; its
-        # column is then null, and an error only under --oracle
+        # each oracle refuses an instance over budget before any work; its
+        # column is then null
         try:
             oracle_cost = brute_force_partition(
                 items, cfg.k, cfg.weight, budget=cfg.budget
             ).total_within
         except EnumerationBudgetError:
-            if cfg.oracle:
-                raise
             oracle_cost = None
         matched = match_line(items, cfg.k, cfg.weight)
         greedy = greedy_match(items, cfg.k, cfg.weight)
@@ -378,14 +376,12 @@ def cmd_bench(cfg: argparse.Namespace, out=None) -> int:
         for rep in range(cfg.instances):
             parts = [_gen_scores(rng, n, cfg.dist) for _ in range(3)]
             instance = instance_from_scores(parts, cfg.weight)
-            oracle_cost = None
-            if n <= TRIPARTITE_ORACLE_MAX_N and math.factorial(n) ** 2 <= cfg.budget:
-                oracle_cost = brute_force_assignment(instance).weight
-            elif cfg.oracle:
-                raise EnumerationBudgetError(
-                    f"tripartite oracle limited to "
-                    f"n<={TRIPARTITE_ORACLE_MAX_N} within budget, requested n={n}"
-                )
+            try:
+                oracle_cost = brute_force_assignment(
+                    instance, budget=cfg.budget
+                ).weight
+            except EnumerationBudgetError:
+                oracle_cost = None
             sorted_m = match_sorted(instance)
             triangle = triangle_matching(instance)
             bound = tripartite_lower_bound(instance)
@@ -465,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="assign members to slots with near-equal means")
 
     p_cert = sub.add_parser("certify", help="print exchange-inequality certificates")
-    p_cert.add_argument("--k", type=int, default=0)
-    p_cert.add_argument("--full-range", action="store_true", help=(
+    # one or the other: --full-range prints its own ks
+    p_cert_ks = p_cert.add_mutually_exclusive_group()
+    p_cert_ks.add_argument("--k", type=int, default=0)
+    p_cert_ks.add_argument("--full-range", action="store_true", help=(
         "the per-k certificates for "
         + ", ".join(f"{kind.value} k <= {top}" for kind, top in _FULL_RANGE.items())))
 
@@ -480,10 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instances per size")
     p_bench.add_argument("--dist", choices=["uniform-int", "uniform-real"],
                          default="uniform-int")
-    p_bench.add_argument("--oracle", action="store_true",
-                         help="require exact oracle columns (exit 5 if over budget)")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_bench.add_argument("--budget", type=_parse_count, default=DEFAULT_BUDGET,
                          help="max enumerations for the exact oracles")
 
     for p in (p_match, p_cert, p_bench):

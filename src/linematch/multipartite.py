@@ -22,7 +22,8 @@ from itertools import permutations
 from operator import add
 from typing import Callable, Sequence
 
-from .core import ArityError, Record, ScoredItem, ValidationError, WeightKind, within_columns
+from .core import (DEFAULT_BUDGET, ArityError, EnumerationBudgetError, Record, ScoredItem,
+                   ValidationError, WeightKind, within_columns)
 
 
 class MultipartiteInstance(Record):
@@ -173,8 +174,15 @@ def is_lm_on_samples(
     Samples sorted integer score vectors and compares the rank-for-rank
     weight against full permutation enumeration.  Returns (False, witness)
     on the first refutation; (True, None) means no counterexample was found,
-    which is evidence only, not a proof.
+    which is evidence only, not a proof.  Refuses, before sampling, an
+    `n_max` whose n_max! permutations per trial exceed the default budget,
+    that is n_max >= 11.
     """
+    count = math.factorial(n_max)
+    if count > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"refuter too large: {count} permutations exceeds budget {DEFAULT_BUDGET}"
+        )
     rng = random.Random(seed)
     lo, hi = score_range
     for _ in range(trials):

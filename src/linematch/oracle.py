@@ -46,9 +46,6 @@ from .core import (
 )
 from .multipartite import Matching, MultipartiteInstance
 
-BIPARTITE_ORACLE_MAX_N = 8
-TRIPARTITE_ORACLE_MAX_N = 6
-
 # small enough that a chunk's subset lists die before the interpreter's
 # young-generation collection (700 allocations) would traverse them
 _SUBSET_CHUNK = 512
@@ -369,32 +366,31 @@ def _edge_rows(weight: WeightKind, xs: Sequence[float],
     return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
+def brute_force_assignment(instance: MultipartiteInstance,
+                           budget: int = DEFAULT_BUDGET) -> Matching:
     """Exact minimal perfect matching by permutation enumeration.
 
-    Bipartite instances up to n=8, tripartite up to n=6; ties broken by the
-    lexicographically smallest permutation (pair of permutations for three
-    parts).  Matched tuples are listed against part 0 in input order.
+    Ties broken by the lexicographically smallest permutation (pair of
+    permutations for three parts).  Matched tuples are listed against part
+    0 in input order.  Refuses, before any work, an instance whose
+    (n!)^(parts - 1) assignments exceed the budget: at the default budget,
+    bipartite n <= 10 and tripartite n <= 6.  A budget unit is one leaf of
+    the search, ~0.8 µs on tied scores (README, `bench` cost model).
     """
     n = instance.n
     w = instance.weight
     parts = instance.parts
+    count = math.factorial(n) ** (len(parts) - 1)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"instance too large for oracle: {count} assignments exceeds budget {budget}"
+        )
     if len(parts) == 2:
-        if n > BIPARTITE_ORACLE_MAX_N:
-            raise EnumerationBudgetError(
-                f"bipartite oracle limited to n<={BIPARTITE_ORACLE_MAX_N}, got {n}"
-            )
         cost = _edge_rows(w, instance.scores(0), instance.scores(1))
         total, perm = _min_permutation(cost)
         return Matching(tuple((i, perm[i]) for i in range(n)), total)
 
-    if n > TRIPARTITE_ORACLE_MAX_N:
-        raise EnumerationBudgetError(
-            f"tripartite oracle limited to n<={TRIPARTITE_ORACLE_MAX_N}, got {n}"
-        )
-    xs = instance.scores(0)
-    ys = instance.scores(1)
-    zs = instance.scores(2)
+    xs, ys, zs = map(instance.scores, range(3))
     ab = _edge_rows(w, xs, ys)
     bc = _edge_rows(w, ys, zs)
     # by row of part 0: ca[i][j] weighs the edge from z_j back to x_i, so
@@ -411,9 +407,7 @@ def brute_force_assignment(instance: MultipartiteInstance) -> Matching:
 
 
 __all__ = [
-    "BIPARTITE_ORACLE_MAX_N",
     "DEFAULT_BUDGET",
-    "TRIPARTITE_ORACLE_MAX_N",
     "brute_force_assignment",
     "brute_force_partition",
     "greedy_match",

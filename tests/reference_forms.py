@@ -36,9 +36,7 @@ from linematch.certify import (
 from linematch.heuristics import EuclideanPoint, _best_two_triples
 from linematch.multipartite import Matching, MultipartiteInstance
 from linematch.oracle import (
-    BIPARTITE_ORACLE_MAX_N,
     DEFAULT_BUDGET,
-    TRIPARTITE_ORACLE_MAX_N,
     iter_tuple_partitions,
     partition_count,
 )
@@ -279,31 +277,30 @@ def _bipartite_min_assignment_reference(cost: list[list[float]]) -> tuple[tuple[
     rec(0, [False] * n, 0, [])
     return best[1], best[0]
 
-def brute_force_assignment_reference(instance: MultipartiteInstance) -> Matching:
+def brute_force_assignment_reference(instance: MultipartiteInstance,
+                                     budget: int = DEFAULT_BUDGET) -> Matching:
     """Exact minimal perfect matching by permutation enumeration.
 
-    Bipartite instances up to n=8, tripartite up to n=6; ties broken by the
-    lexicographically smallest permutation (pair of permutations for three
-    parts).  Matched tuples are listed against part 0 in input order.
+    Refuses an instance whose (n!)^(parts - 1) assignments exceed the
+    budget; ties broken by the lexicographically smallest permutation (pair
+    of permutations for three parts).  Matched tuples are listed against
+    part 0 in input order.
     """
     n = instance.n
     w = instance.weight
     parts = instance.parts
+    count = math.factorial(n) ** (len(parts) - 1)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"instance too large for oracle: {count} assignments exceeds budget {budget}"
+        )
     if len(parts) == 2:
-        if n > BIPARTITE_ORACLE_MAX_N:
-            raise EnumerationBudgetError(
-                f"bipartite oracle limited to n<={BIPARTITE_ORACLE_MAX_N}, got {n}"
-            )
         xs = instance.scores(0)
         ys = instance.scores(1)
         cost = [[edge_weight(w, x, y) for y in ys] for x in xs]
         perm, total = _bipartite_min_assignment_reference(cost)
         return Matching(tuple((i, perm[i]) for i in range(n)), total)
 
-    if n > TRIPARTITE_ORACLE_MAX_N:
-        raise EnumerationBudgetError(
-            f"tripartite oracle limited to n<={TRIPARTITE_ORACLE_MAX_N}, got {n}"
-        )
     xs = instance.scores(0)
     ys = instance.scores(1)
     zs = instance.scores(2)

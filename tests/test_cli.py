@@ -461,6 +461,20 @@ def test_bad_size_lists_are_rejected(capsys, sizes, message):
     assert message in capsys.readouterr().err
 
 
+def test_negative_budget_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "count must not be negative, got '-5'" in capsys.readouterr().err
+
+
+def test_certify_k_and_full_range_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--k", "5", "--full-range"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --k" in capsys.readouterr().err
+
+
 def test_negative_instance_count_is_rejected_and_zero_kept(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--instances", "-2"])
@@ -481,14 +495,10 @@ def test_negative_instance_count_is_rejected_and_zero_kept(capsys):
     ("certify --k 1", None, 4, "certify needs --k >= 2 or --full-range"),
     ("certify --k 1000000", None, 5,
      "certify k=1000000 would tabulate 1500002500000 states, over budget 10000000"),
+    ("certify", None, 4, "certify needs --k >= 2 or --full-range"),
     ("bench --k 1", None, 4, "group size must be at least 2, got 1"),
-    ("bench --oracle --line-sizes 16 --tri-sizes 2 --instances 1", None, 5,
-     "instance too large for oracle: 210314486592266380347977873920000000"
-     " partitions exceeds budget 10000000"),
-    ("bench --oracle --line-sizes 2 --tri-sizes 7 --instances 1", None, 5,
-     "tripartite oracle limited to n<=6 within budget, requested n=7"),
 ], ids=["match_csv", "match_size", "match_k", "match_balance", "certify_k",
-        "certify_budget", "bench_k", "bench_line_oracle", "bench_tri_oracle"])
+        "certify_budget", "certify_no_k", "bench_k"])
 def test_each_error_exits_with_its_code_and_one_stderr_line(
     tmp_path, capsys, argv, rows, code, message
 ):
@@ -573,13 +583,19 @@ class TestBenchCommand:
         assert out == ""
         assert "group size must be at least 2" in err
 
-    def test_oracle_over_budget_exits_5(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            ["bench", "--line-sizes", "50", "--oracle", "--instances", "1"],
-        )
-        assert code == 5
-        assert "budget" in err
+    @pytest.mark.parametrize("argv,family,n", [
+        ("--line-sizes 16 --tri-sizes 2", "line", 16),
+        ("--line-sizes 2 --tri-sizes 7", "tripartite", 7),
+        ("--line-sizes 50 --tri-sizes 2", "line", 50),
+    ], ids=["bench_line_oracle", "bench_tri_oracle", "line_n50"])
+    def test_oracle_over_budget_leaves_optimal_null(self, capsys, argv, family, n):
+        code, out, err = run_cli(capsys, ["bench", "--instances", "1", *argv.split()])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        rows = doc["line_instances"] + doc["tripartite_instances"]
+        # only the instance over the default budget loses its optimum
+        assert [row["optimal"] is None for row in rows] == [
+            (row["family"], row["n"]) == (family, n) for row in rows]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

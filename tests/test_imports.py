@@ -119,7 +119,7 @@ def test_cli_resolves_on_use_names_from_their_modules():
     from linematch import certify, cli, oracle
 
     assert cli.certify_abs is certify.certify_abs
-    assert cli.TRIPARTITE_ORACLE_MAX_N == oracle.TRIPARTITE_ORACLE_MAX_N
+    assert cli.iter_tuple_partitions is oracle.iter_tuple_partitions
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
     assert not hasattr(cli, "__path__")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from linematch.core import ArityError, ValidationError, WeightKind
+from linematch.core import ArityError, EnumerationBudgetError, ValidationError, WeightKind
 from linematch.multipartite import (
     Matching,
     heuristic_ratio_bound,
@@ -168,6 +168,17 @@ class TestLmSampling:
             lambda x, y: (x - y) ** 2, trials=150, n_max=5, seed=4
         )
         assert ok and witness is None
+
+    def test_n_max_over_the_default_budget_is_refused_before_sampling(self, monkeypatch):
+        # 10! = 3,628,800 permutations per trial fit the default budget of
+        # 10^7 and 11! do not; no trial at all is drawn for the refusal
+        import linematch.multipartite as multipartite
+
+        assert is_lm_on_samples(product_weight, trials=0, n_max=10) == (True, None)
+        monkeypatch.setattr(multipartite, "random", None)
+        with pytest.raises(EnumerationBudgetError,
+                           match="39916800 permutations exceeds budget 10000000"):
+            is_lm_on_samples(product_weight, n_max=11)
 
     def test_product_weight_fails_with_witness(self):
         ok, witness = is_lm_on_samples(product_weight, trials=200, n_max=4, seed=5)

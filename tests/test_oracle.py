@@ -163,12 +163,40 @@ class TestBruteForceAssignment:
         assert m.tuples == ((0, 0, 0), (1, 1, 1))
 
     def test_size_limits(self):
-        big2 = instance_from_scores([list(range(9))] * 2, WeightKind.ABS)
-        with pytest.raises(EnumerationBudgetError):
-            brute_force_assignment(big2)
-        big3 = instance_from_scores([list(range(7))] * 3, WeightKind.ABS)
-        with pytest.raises(EnumerationBudgetError):
-            brute_force_assignment(big3)
+        # (n!)^(parts - 1) against the default budget of 10^7: bipartite
+        # 10! = 3,628,800 runs and 11! refuses, tripartite 6!^2 = 518,400
+        # runs and 7!^2 refuses.  Identical parts cut every branch but the
+        # first, so the runs are quick
+        for parts, largest in ((2, 10), (3, 6)):
+            fits, big = (instance_from_scores([list(range(n))] * parts, WeightKind.ABS)
+                         for n in (largest, largest + 1))
+            assert brute_force_assignment(fits).weight == 0
+            count = math.factorial(largest + 1) ** (parts - 1)
+            with pytest.raises(EnumerationBudgetError, match=(
+                    f"instance too large for oracle: {count} assignments "
+                    f"exceeds budget {DEFAULT_BUDGET}")):
+                brute_force_assignment(big)
+
+    @pytest.mark.parametrize("scores", [[[3, 1, 2], [2, 3, 1]],
+                                        [[3, 1, 2], [2, 3, 1], [1, 1, 3]]])
+    def test_budget_equal_to_the_count_runs(self, scores):
+        inst = instance_from_scores(scores, WeightKind.SQ)
+        count = math.factorial(3) ** (len(scores) - 1)
+        assert brute_force_assignment(inst, budget=count) == brute_force_assignment(inst)
+        with pytest.raises(EnumerationBudgetError, match=f"{count} assignments"):
+            brute_force_assignment(inst, budget=count - 1)
+
+    def test_refused_instance_does_no_work(self, monkeypatch):
+        from linematch import oracle
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("a refused instance was searched")
+
+        monkeypatch.setattr(oracle, "_min_permutation", enumerate_nothing)
+        for parts in (2, 3):
+            inst = instance_from_scores([[1, 2, 3]] * parts, WeightKind.ABS)
+            with pytest.raises(EnumerationBudgetError):
+                brute_force_assignment(inst, budget=5)
 
     def test_matches_direct_permutation_minimum(self):
         rng = random.Random(19)
